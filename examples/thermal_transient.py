@@ -9,30 +9,9 @@ approaches the trigger, and what steady-state throttle DTM settles at.
     python examples/thermal_transient.py
 """
 
-import numpy as np
-
 from repro.common.config import ChipModel, ThermalConfig
 from repro.experiments.thermal import standard_floorplan
 from repro.thermal import ChipThermalModel, DtmController, TransientThermalModel
-
-
-def power_maps_for(model: ChipThermalModel, checker_power: float):
-    cfg = model.config
-    maps = {
-        "active_1": np.zeros((cfg.grid_rows, cfg.grid_cols)),
-        "active_2": np.zeros((cfg.grid_rows, cfg.grid_cols)),
-    }
-    layer_of = {0: "active_1", 1: "active_2"}
-    for block in model.floorplan.blocks:
-        power = checker_power if block.name == "checker" else block.power_w
-        if power <= 0:
-            continue
-        die, idx, frac = model._block_cells[block.name]
-        np.add.at(maps[layer_of[die]].ravel(), idx, power * frac)
-    n_cells = cfg.grid_rows * cfg.grid_cols
-    for die, power in model.floorplan.distributed_power_w.items():
-        maps[layer_of[die]] += power / n_cells
-    return maps
 
 
 def main() -> None:
@@ -40,8 +19,8 @@ def main() -> None:
     model = ChipThermalModel(plan, ThermalConfig())
     transient = TransientThermalModel(model.grid, timestep_s=1e-3)
 
-    idle = power_maps_for(model, checker_power=15.0 * 0.32)   # leakage only
-    busy = power_maps_for(model, checker_power=15.0)
+    idle = model.power_maps({"checker": 15.0 * 0.32})   # leakage only
+    busy = model.power_maps({"checker": 15.0})
 
     print("phase 1: checker idle (leakage only), 50 ms")
     state, peaks = transient.run(idle, duration_s=0.05)

@@ -20,9 +20,9 @@ share and rebuilds the ones that are not:
   out :meth:`~repro.core.branch.BranchPredictor.clone` copies, because
   predictors mutate during simulation.
 * **thermal models** — :class:`~repro.thermal.hotspot.ChipThermalModel`
-  LU-factorises its conductance matrix at construction.  Factorisation
-  depends only on geometry (stack, die size, block rectangles), never on
-  power, so models are cached by geometry key and re-solved per power
+  factorises its grid solver at construction.  Factorisation depends
+  only on geometry (stack, die size, block rectangles), never on power,
+  so models are cached by geometry key and re-solved per power
   assignment; the inner :class:`~repro.thermal.grid.GridThermalModel` is
   additionally shared between floorplans with identical stacks.
 
@@ -338,7 +338,7 @@ class ArtifactCache:
         """A :class:`ChipThermalModel` for ``floorplan``'s geometry.
 
         Cached by geometry, *not* power: callers must pass their block
-        powers to ``solve`` (or use :meth:`solve_floorplan`).  The LU
+        powers to ``solve`` (or use :meth:`solve_floorplan`).  The grid
         factorisation therefore happens once per stack geometry per
         process, however many power assignments are swept over it.
         """

@@ -3,7 +3,7 @@
 Each driver builds powered floorplans (wire power computed from the
 model's own interconnect budget), solves the HotSpot-style grid, and
 returns rows shaped like the paper's figures.  Thermal models come from
-the process-local artifact cache (:mod:`repro.common.memo`), so the LU
+the process-local artifact cache (:mod:`repro.common.memo`), so the
 factorisation of each stack geometry happens once per process however
 many power points are swept over it; the sweeps themselves run through
 :mod:`repro.experiments.engine`.

@@ -2,8 +2,8 @@
 
 A span brackets one phase of work::
 
-    with span("thermal.lu_solve"):
-        temps = lu.solve(rhs)
+    with span("thermal.solve"):
+        rise = self._rise(power, self._factors)
 
 Spans nest: entering a span while another is open makes it a child, so a
 task accumulates a tree whose structure mirrors the call structure of its

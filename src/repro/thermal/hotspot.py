@@ -39,8 +39,8 @@ class ThermalResult:
 class ChipThermalModel:
     """Reusable thermal model for one floorplan geometry.
 
-    The conductance matrix is factorised at construction; :meth:`solve`
-    can then be called repeatedly with different block powers (same
+    The grid solver is factorised at construction; :meth:`solve` can
+    then be called repeatedly with different block powers (same
     geometry), which is how the checker-power sweep of Figure 4 runs.
     """
 
@@ -57,7 +57,7 @@ class ChipThermalModel:
             stack_for_3d(cfg) if floorplan.num_dies == 2 else stack_for_2d(cfg)
         )
         # ``grid_factory`` lets a cache (repro.common.memo) share one
-        # LU-factorised grid between floorplans with identical stacks.
+        # factorised grid between floorplans with identical stacks.
         if grid_factory is None:
             grid_factory = GridThermalModel
         self.grid = grid_factory(
@@ -104,8 +104,10 @@ class ChipThermalModel:
         return np.array(indices, dtype=int), np.array(fractions)
 
     # ------------------------------------------------------------------
-    def solve(self, block_powers: dict[str, float] | None = None) -> ThermalResult:
-        """Solve for temperatures.
+    def power_maps(
+        self, block_powers: dict[str, float] | None = None
+    ) -> dict[str, np.ndarray]:
+        """Per-cell power (W) of each powered active layer.
 
         ``block_powers`` overrides the floorplan's per-block powers (same
         names); blocks not mentioned keep their floorplan power.
@@ -131,7 +133,16 @@ class ChipThermalModel:
             layer = _ACTIVE_LAYER[die]
             flat = maps[layer].ravel()
             np.add.at(flat, idx, power * frac)
-        temps = self.grid.solve(maps)
+        return maps
+
+    def solve(self, block_powers: dict[str, float] | None = None) -> ThermalResult:
+        """Solve for temperatures.
+
+        ``block_powers`` overrides the floorplan's per-block powers (same
+        names); blocks not mentioned keep their floorplan power.
+        """
+        cfg = self.config
+        temps = self.grid.solve(self.power_maps(block_powers))
 
         block_peak: dict[str, float] = {}
         block_mean: dict[str, float] = {}

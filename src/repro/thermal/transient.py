@@ -5,16 +5,14 @@ workload phase behaviour need the *trajectory*.  Each grid cell gets a
 heat capacity from its material's volumetric specific heat, and the
 solver steps ``C dT/dt = P - G(T - boundary)`` with backward Euler —
 unconditionally stable, so milliseconds-long thermal transients take a
-handful of sparse solves.
+handful of solves.  A layer's cells share one heat capacity, so ``C/dt``
+is a per-layer diagonal shift of ``G`` and each step reuses the grid's
+cosine-mode solver with its own pivots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.sparse import csc_matrix, diags
-from scipy.sparse.linalg import splu
 
 from repro.common.errors import ThermalModelError
 from repro.thermal.grid import GridThermalModel
@@ -40,9 +38,10 @@ def _capacity_for(layer) -> float:
 class TransientThermalModel:
     """Backward-Euler transient stepping over a :class:`GridThermalModel`.
 
-    The grid's conductance matrix ``G`` (with its boundary terms already
-    on the diagonal) is reused; a diagonal capacitance matrix ``C`` comes
-    from layer thickness × cell area × volumetric heat capacity.
+    Each step solves ``(C/dt + G)·(T' - T_amb) = P + C/dt·(T - T_amb)``,
+    where ``C`` is the per-cell heat capacity (layer thickness × cell area
+    × volumetric heat capacity) and ``G`` the grid's conductance matrix
+    with its boundary terms on the diagonal.
     """
 
     def __init__(self, grid: GridThermalModel, timestep_s: float = 1e-4):
@@ -51,43 +50,27 @@ class TransientThermalModel:
         self.grid = grid
         self.timestep_s = timestep_s
         cell_area = (grid.width_m / grid.cols) * (grid.height_m / grid.rows)
-        caps = []
-        for layer in grid.layers:
-            caps.extend(
-                [_capacity_for(layer) * layer.thickness_m * cell_area]
-                * (grid.rows * grid.cols)
-            )
-        self._capacity = np.array(caps)
-
-        matrix = grid.matrix
-        c_over_dt = diags(self._capacity / timestep_s)
-        self._stepper = splu(csc_matrix(c_over_dt + matrix))
-        self._c_over_dt = self._capacity / timestep_s
-        self._n = matrix.shape[0]
+        self._c_over_dt = np.array([
+            _capacity_for(layer) * layer.thickness_m * cell_area
+            for layer in grid.layers
+        ]) / timestep_s
+        self._factors = grid._factorize(self._c_over_dt)
+        self._shape = (len(grid.layers), grid.rows, grid.cols)
 
     # ------------------------------------------------------------------
     def initial_state(self) -> np.ndarray:
         """All cells at ambient."""
-        return np.full(self._n, self.grid.ambient_c)
-
-    def _rhs_static(self, power_maps: dict[str, np.ndarray]) -> np.ndarray:
-        rhs = np.zeros(self._n)
-        per_layer = self.grid.rows * self.grid.cols
-        for name, grid_map in power_maps.items():
-            li = self.grid.layer_index(name)
-            if not self.grid.layers[li].has_power:
-                raise ThermalModelError(f"layer {name!r} cannot dissipate power")
-            rhs[li * per_layer : (li + 1) * per_layer] += grid_map.ravel()
-        rhs[self.grid.bottom_indices] += self.grid.bottom_conductance * self.grid.ambient_c
-        rhs[self.grid.top_indices] += self.grid.top_conductance * self.grid.ambient_c
-        return rhs
+        return np.full(self._shape, self.grid.ambient_c).ravel()
 
     def step(
         self, state: np.ndarray, power_maps: dict[str, np.ndarray]
     ) -> np.ndarray:
         """Advance one timestep; returns the new temperature state."""
-        rhs = self._rhs_static(power_maps) + self._c_over_dt * state
-        return self._stepper.solve(rhs)
+        ambient = self.grid.ambient_c
+        rhs = self.grid._power_stack(power_maps)
+        rise = np.reshape(state, self._shape) - ambient
+        rhs += self._c_over_dt[:, None, None] * rise
+        return (self.grid._rise(rhs, self._factors) + ambient).ravel()
 
     def run(
         self,

@@ -1,6 +1,12 @@
-"""Public API surface: every __all__ entry resolves, docstrings exist."""
+"""Public API surface: every __all__ entry resolves, docstrings exist,
+and importing the package does not load scipy."""
 
 import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +73,16 @@ def test_version():
     import repro
 
     assert repro.__version__.count(".") == 2
+
+
+def test_import_does_not_load_scipy():
+    """scipy serves only the thermal grid's reference oracle, so importing
+    the package and its thermal solvers must not pay scipy's import."""
+    src = Path(importlib.util.find_spec("repro").origin).parents[1]
+    probe = "import sys, repro, repro.thermal; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

@@ -9,6 +9,7 @@ from repro.floorplan.layouts import build_floorplan
 from repro.thermal.grid import GridThermalModel
 from repro.thermal.hotspot import ChipThermalModel, solve_floorplan
 from repro.thermal.materials import Layer, stack_for_2d, stack_for_3d
+from repro.thermal.transient import TransientThermalModel
 
 
 def tiny_model(rows=10, cols=10, sink_r=10.0):
@@ -100,6 +101,64 @@ class TestGridSolver:
                 sink_r_k_mm2_per_w=10.0, secondary_r_k_mm2_per_w=1e5,
                 ambient_c=47.0,
             )
+
+
+def _layers(**base):
+    """The tiny_model stack, with fields of its base layer overridden."""
+    base = {"thickness_m": 1e-3, "resistivity_mk_per_w": 1.0 / 400.0, **base}
+    return [Layer("base", **base), Layer("active", 1e-6, 0.01, has_power=True)]
+
+
+class TestRejectsSingularOrIndefiniteG:
+    """Inputs that would make G singular or indefinite raise up front."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"width_m": 0.0},
+        {"height_m": float("nan")},
+        {"sink_r_k_mm2_per_w": -10.0},
+        {"sink_r_k_mm2_per_w": float("inf")},
+        {"secondary_r_k_mm2_per_w": 0.0},
+        {"layers": _layers(thickness_m=0.0)},
+        {"layers": _layers(thickness_m=float("inf"))},
+        {"layers": _layers(resistivity_mk_per_w=-0.01)},
+        {"layers": _layers(lateral_scale=0.0)},
+    ], ids=[
+        "zero-width", "nan-height", "negative-sink", "infinite-sink",
+        "zero-secondary", "zero-thickness", "infinite-thickness",
+        "negative-resistivity", "zero-lateral-scale",
+    ])
+    def test_bad_geometry_rejected(self, overrides):
+        kwargs = {
+            "layers": _layers(), "width_m": 5e-3, "height_m": 5e-3,
+            "rows": 4, "cols": 4, "sink_r_k_mm2_per_w": 10.0,
+            "secondary_r_k_mm2_per_w": 1e5, "ambient_c": 47.0, **overrides,
+        }
+        with pytest.raises(ThermalModelError, match="finite and positive"):
+            GridThermalModel(**kwargs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_conductance_fails_the_pivot_check(self):
+        # A subnormal resistivity is finite and positive, but its
+        # conductivity overflows, so the per-mode pivots are not finite.
+        with pytest.raises(ThermalModelError, match="pivot"):
+            GridThermalModel(
+                layers=_layers(resistivity_mk_per_w=1e-320), width_m=5e-3,
+                height_m=5e-3, rows=4, cols=4, sink_r_k_mm2_per_w=10.0,
+                secondary_r_k_mm2_per_w=1e5, ambient_c=47.0,
+            )
+
+    def test_nan_power_rejected(self):
+        power = np.full((4, 4), 0.1)
+        power[0, 0] = np.nan
+        with pytest.raises(ThermalModelError, match="non-finite"):
+            tiny_model(rows=4, cols=4).solve({"active": power})
+
+    def test_infinite_power_rejected_by_transient_step(self):
+        transient = TransientThermalModel(tiny_model(rows=4, cols=4))
+        power = np.full((4, 4), 0.1)
+        power[2, 3] = np.inf
+        with pytest.raises(ThermalModelError, match="non-finite"):
+            transient.step(transient.initial_state(), {"active": power})
 
 
 class TestStacks:

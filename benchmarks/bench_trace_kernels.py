@@ -1,8 +1,8 @@
 """Columnar trace pipeline speedups, recorded to ``BENCH_trace.json``.
 
-Two measurements, both against the per-instruction reference paths that
-the vectorized kernels replaced (and which remain in-tree as the
-bit-identity oracles):
+Three measurements, each against the per-instruction reference path
+that the vectorized kernels replaced (and which remains in-tree as the
+bit-identity oracle), both sides timed in the same run:
 
 * **generation** — ``TraceGenerator.generate_arrays`` vs the
   ``_generate_chunk_reference`` loop, same instruction budget;
@@ -11,12 +11,9 @@ bit-identity oracles):
   trace and memoized schedule;
 * **fig6 end-to-end** — ``fig6_performance`` on the columnar pipeline vs
   the legacy pipeline (object generation, per-address preload, object
-  scheduling), restored via monkeypatching for the duration of the run;
-* **fig6_simbatch** — the same sweep with each benchmark's chip models
-  stepped as one lockstep ``SimBatch`` (shared per-window prepare
-  statics), gated against the previous PR's committed batched time.
+  scheduling), restored via monkeypatching for the duration of the run.
 
-Both comparisons also assert bit-identical results — the speedup only
+Every comparison also asserts bit-identical results — the speedup only
 counts because nothing changed.
 """
 
@@ -43,9 +40,6 @@ from repro.workloads.profiles import get_profile
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_trace.json"
 _GEN_INSTRUCTIONS = 200_000
 _FIG6_SUBSET = ("gzip", "mcf")
-# The fig6_batched baseline committed before the windowed kernel /
-# SimBatch work landed — the acceptance reference for fig6_simbatch.
-_PREV_BATCHED_S = 1.3806
 
 
 @contextmanager
@@ -164,13 +158,13 @@ def test_trace_kernel_speedups(benchmark):
     # round is the least contaminated estimate of the pipeline's cost.
     subset = [get_profile(name) for name in _FIG6_SUBSET]
 
-    def _best_fig6(rounds, **kwargs):
+    def _best_fig6(rounds):
         best_s, rows = float("inf"), None
         for _ in range(rounds):
             memo.clear_cache()
             start = time.perf_counter()
             candidate = fig6_performance(
-                window=BENCH_WINDOW, benchmarks=subset, jobs=1, **kwargs
+                window=BENCH_WINDOW, benchmarks=subset, jobs=1
             )
             elapsed = time.perf_counter() - start
             if elapsed < best_s:
@@ -185,28 +179,6 @@ def test_trace_kernel_speedups(benchmark):
     ]
     fig6_speedup = fig6_legacy_s / fig6_columnar_s
 
-    # -- fig6 batched chunks --------------------------------------------
-    # One oversized chunk groups both benchmarks, so the prepare hook
-    # primes their traces in a single lockstep batch and the memoized
-    # preload plans are shared across all chip models.
-    batched_chunksize = 4 * len(subset)
-    fig6_batched_s, batched_rows = _best_fig6(
-        rounds=3, chunksize=batched_chunksize
-    )
-    assert [dataclasses.asdict(r) for r in batched_rows] == [
-        dataclasses.asdict(r) for r in legacy_rows
-    ]
-    fig6_batched_speedup = fig6_legacy_s / fig6_batched_s
-
-    # -- fig6 lockstep SimBatch -----------------------------------------
-    # Each benchmark's four chip models stepped as one SimBatch, sharing
-    # every window's prepare statics; bit-identical to the per-task path.
-    fig6_simbatch_s, simbatch_rows = _best_fig6(rounds=3, simbatch=True)
-    assert [dataclasses.asdict(r) for r in simbatch_rows] == [
-        dataclasses.asdict(r) for r in legacy_rows
-    ]
-    fig6_simbatch_speedup = fig6_legacy_s / fig6_simbatch_s
-
     print_table(
         "Columnar trace pipeline speedups",
         ["stage", "reference (s)", "columnar (s)", "speedup"],
@@ -218,10 +190,6 @@ def test_trace_kernel_speedups(benchmark):
              round(kernel_s, 3), f"{leading_kernel_speedup:.1f}x"],
             ["fig6 end-to-end", round(fig6_legacy_s, 3),
              round(fig6_columnar_s, 3), f"{fig6_speedup:.1f}x"],
-            ["fig6 batched chunks", round(fig6_legacy_s, 3),
-             round(fig6_batched_s, 3), f"{fig6_batched_speedup:.1f}x"],
-            ["fig6 simbatch", round(fig6_legacy_s, 3),
-             round(fig6_simbatch_s, 3), f"{fig6_simbatch_speedup:.1f}x"],
         ],
     )
 
@@ -240,14 +208,6 @@ def test_trace_kernel_speedups(benchmark):
             "columnar_s": round(fig6_columnar_s, 4),
             "speedup": round(fig6_speedup, 2),
         },
-        "fig6_batched": {
-            "benchmarks": list(_FIG6_SUBSET),
-            "warmup": BENCH_WINDOW.warmup,
-            "measured": BENCH_WINDOW.measured,
-            "chunksize": batched_chunksize,
-            "batched_s": round(fig6_batched_s, 4),
-            "speedup_vs_legacy": round(fig6_batched_speedup, 2),
-        },
         "leading_kernel": {
             "instructions": BENCH_WINDOW.total,
             "warmup": BENCH_WINDOW.warmup,
@@ -255,23 +215,9 @@ def test_trace_kernel_speedups(benchmark):
             "kernel_s": round(kernel_s, 4),
             "speedup": round(leading_kernel_speedup, 2),
         },
-        "fig6_simbatch": {
-            "benchmarks": list(_FIG6_SUBSET),
-            "warmup": BENCH_WINDOW.warmup,
-            "measured": BENCH_WINDOW.measured,
-            "simbatch_s": round(fig6_simbatch_s, 4),
-            "speedup_vs_legacy": round(fig6_simbatch_speedup, 2),
-            "speedup_vs_prev_batched": round(
-                _PREV_BATCHED_S / fig6_simbatch_s, 2
-            ),
-        },
     }, indent=2) + "\n")
 
     # Acceptance floors for the PR; the measured margins are far larger.
     assert generation_speedup >= 3.0
     assert leading_kernel_speedup >= 1.1
     assert fig6_speedup >= 1.5
-    assert fig6_batched_speedup >= 1.5
-    # The lockstep batch must beat the previous PR's committed batched
-    # time by >= 1.5x.
-    assert fig6_simbatch_s <= _PREV_BATCHED_S / 1.5

@@ -28,15 +28,12 @@ _ALLOWED_REGRESSION = 1.20
 _ROUNDS = 3
 
 
-def _best_fig6_time(subset, chunksize=None, simbatch=False) -> float:
+def _best_fig6_time(subset) -> float:
     best = float("inf")
     for _ in range(_ROUNDS):
         memo.clear_cache()
         start = time.perf_counter()
-        fig6_performance(
-            window=BENCH_WINDOW, benchmarks=subset, jobs=1,
-            chunksize=chunksize, simbatch=simbatch,
-        )
+        fig6_performance(window=BENCH_WINDOW, benchmarks=subset, jobs=1)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -55,37 +52,5 @@ def test_fig6_end_to_end_has_not_regressed():
     assert measured <= budget, (
         f"fig6 end-to-end regressed: best of {_ROUNDS} runs took "
         f"{measured:.3f}s against a committed {committed['columnar_s']}s "
-        f"(+20% budget {budget:.3f}s)"
-    )
-
-
-@pytest.mark.bench_guard
-def test_fig6_batched_has_not_regressed():
-    baseline = json.loads(_RESULT_PATH.read_text())
-    committed = baseline.get("fig6_batched")
-    if committed is None:
-        pytest.skip("no fig6_batched baseline committed yet")
-    subset = [get_profile(name) for name in committed["benchmarks"]]
-    measured = _best_fig6_time(subset, chunksize=committed["chunksize"])
-    budget = committed["batched_s"] * _ALLOWED_REGRESSION
-    assert measured <= budget, (
-        f"batched fig6 regressed: best of {_ROUNDS} runs took "
-        f"{measured:.3f}s against a committed {committed['batched_s']}s "
-        f"(+20% budget {budget:.3f}s)"
-    )
-
-
-@pytest.mark.bench_guard
-def test_fig6_simbatch_has_not_regressed():
-    baseline = json.loads(_RESULT_PATH.read_text())
-    committed = baseline.get("fig6_simbatch")
-    if committed is None:
-        pytest.skip("no fig6_simbatch baseline committed yet")
-    subset = [get_profile(name) for name in committed["benchmarks"]]
-    measured = _best_fig6_time(subset, simbatch=True)
-    budget = committed["simbatch_s"] * _ALLOWED_REGRESSION
-    assert measured <= budget, (
-        f"simbatch fig6 regressed: best of {_ROUNDS} runs took "
-        f"{measured:.3f}s against a committed {committed['simbatch_s']}s "
         f"(+20% budget {budget:.3f}s)"
     )

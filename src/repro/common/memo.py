@@ -133,23 +133,6 @@ class ArtifactCache:
         can corrupt the shared stream.
         """
         from repro.isa.soa import TraceArrays
-
-        entry = self._trace_entry(profile, seed)
-        if len(entry.arrays) >= count:
-            self._record("trace", hit=True)
-        else:
-            self._record("trace", hit=False)
-            extension = entry.generator.generate_arrays(
-                count - len(entry.arrays)
-            )
-            entry.arrays = TraceArrays.concat(
-                [entry.arrays, extension]
-            ).freeze()
-        return entry.arrays[:count]
-
-    def _trace_entry(self, profile: WorkloadProfile, seed: int) -> _TraceEntry:
-        """The LRU entry for ``(profile, seed)``, created on demand."""
-        from repro.isa.soa import TraceArrays
         from repro.isa.trace import TraceGenerator
 
         key = (profile, seed)
@@ -163,36 +146,17 @@ class ArtifactCache:
             if len(self._traces) > self._max_trace_entries:
                 self._traces.popitem(last=False)
         self._traces.move_to_end(key)
-        return entry
-
-    def prime_trace_batch(self, requests) -> None:
-        """Pre-generate several trace streams through the lockstep kernels.
-
-        ``requests`` is an iterable of ``(profile, seed, count)``; every
-        stream that is not yet ``count`` instructions long is extended in
-        one batched :func:`~repro.isa.trace.generate_arrays_batch` pass
-        (bit-identical per stream to solo generation).  Subsequent
-        :meth:`trace_arrays` lookups then hit.  Requests beyond the LRU
-        capacity are ignored — they would only evict each other.
-        """
-        from repro.isa.soa import TraceArrays
-        from repro.isa.trace import generate_arrays_batch
-
-        entries, needs = [], []
-        for profile, seed, count in list(requests)[: self._max_trace_entries]:
-            entry = self._trace_entry(profile, seed)
-            if len(entry.arrays) < count:
-                entries.append(entry)
-                needs.append(count - len(entry.arrays))
-        if not entries:
-            return
-        batch = generate_arrays_batch(
-            [entry.generator for entry in entries], needs
-        )
-        for b, entry in enumerate(entries):
+        if len(entry.arrays) >= count:
+            self._record("trace", hit=True)
+        else:
+            self._record("trace", hit=False)
+            extension = entry.generator.generate_arrays(
+                count - len(entry.arrays)
+            )
             entry.arrays = TraceArrays.concat(
-                [entry.arrays, batch.sim(b)]
+                [entry.arrays, extension]
             ).freeze()
+        return entry.arrays[:count]
 
     def trace(self, profile: WorkloadProfile, seed: int, count: int) -> tuple:
         """The first ``count`` instructions of ``(profile, seed)``'s stream

@@ -60,9 +60,7 @@ __all__ = [
     "LeadingRunResult",
     "PreparedWindow",
     "TraceSchedule",
-    "WindowStatics",
     "build_trace_schedule",
-    "prepare_window_statics",
 ]
 
 # Front-end depth from fetch to dispatch (rename/decode stages).
@@ -93,8 +91,8 @@ class PreparedWindow:
 
     Produced by :meth:`LeadingCoreTiming.prepare_window`; every column is
     a NumPy array (one entry per row), kept as arrays end-to-end so
-    downstream consumers — the RMT harness's windowed checker, the
-    batched entry points — can slice them without round-trips.
+    downstream consumers — the windowed kernel and the RMT harness's
+    windowed checker — can slice them without round-trips.
     ``mispredicted`` is an int8 column: ``-1`` for non-branches (the
     object path's ``None``), ``0`` for correctly predicted branches,
     ``1`` for mispredicts.  Memory and predictor side effects have
@@ -139,130 +137,6 @@ class PreparedWindow:
             self.latency.tolist(),
             [None if v < 0 else v == 1 for v in self.mispredicted.tolist()],
         )
-
-
-@dataclass
-class WindowStatics:
-    """The simulation-independent half of a window's preparation.
-
-    Everything :meth:`LeadingCoreTiming.prepare_window` computes that
-    depends only on the trace rows ``[start, end)`` and the incoming
-    fetch-line carry — never on any core's cache, predictor, or counter
-    state.  Lockstep batches (:class:`repro.experiments.runner.SimBatch`)
-    compute this once per window and share it across every simulation of
-    the same stream; each core then finishes with
-    :meth:`LeadingCoreTiming.prepare_from_statics`, which applies only
-    the per-core state machines (memory hierarchy, branch predictor,
-    op counters).
-    """
-
-    n: int
-    prev_line: int
-    last_line: int
-    # Merged fetch/data event stream, in exact object-path order.
-    event_kinds: list
-    event_addrs: list
-    sorted_rows: np.ndarray
-    sorted_kinds: np.ndarray
-    # Latency assembly inputs.
-    is_load: np.ndarray
-    base_latency: np.ndarray
-    # Branch pre-pass inputs.
-    branch_rows: np.ndarray
-    branch_pcs: list
-    branch_takens: list
-    branch_targets: list
-    # Op accounting and static columns.
-    op_counts: list
-    pool: np.ndarray
-    is_mem: np.ndarray
-    is_fp: np.ndarray
-    writes: np.ndarray
-    dst: np.ndarray
-    src1: np.ndarray
-    src2: np.ndarray
-
-
-def prepare_window_statics(
-    arrays: TraceArrays, start: int, end: int, prev_line: int
-) -> WindowStatics:
-    """Compute a window's simulation-independent prepare products.
-
-    ``prev_line`` is the fetch-line carry entering the window
-    (:attr:`LeadingCoreTiming._last_fetch_line`); it determines whether
-    row 0 breaks the fetch line.  All fresh same-stream cores stepped at
-    identical window boundaries share the same carry, which is what makes
-    the whole product shareable.
-    """
-    ops = arrays.op[start:end]
-    pc = arrays.pc[start:end]
-    address = arrays.address[start:end]
-    n = len(ops)
-    if n == 0:
-        zi = np.empty(0, dtype=np.int64)
-        zb = np.empty(0, dtype=bool)
-        return WindowStatics(
-            0, prev_line, prev_line, [], [], zi, zi, zb, zi, zi, [], [],
-            [], [0] * len(OP_BY_CODE), zi, zb, zb, zb, zi, zi, zi,
-        )
-
-    is_load = ops == OP_LOAD
-    is_store = ops == OP_STORE
-    is_branch = ops == OP_BRANCH
-    is_mem = is_load | is_store
-
-    # Fetch-line breaks (carrying the last line across windows).
-    lines = pc >> 6
-    prev_lines = np.concatenate([[prev_line], lines[:-1]])
-    breaks = lines != prev_lines
-
-    # One merged event stream keeps the hierarchy's access order
-    # identical to the object path: fetch (key 2r) before data (2r+1).
-    fetch_rows = np.nonzero(breaks)[0]
-    mem_rows = np.nonzero(is_mem)[0]
-    keys = np.concatenate([2 * fetch_rows, 2 * mem_rows + 1])
-    kinds = np.concatenate(
-        [
-            np.zeros(fetch_rows.size, dtype=np.int64),
-            np.where(is_store[mem_rows], 2, 1),
-        ]
-    )
-    event_addrs = np.concatenate([pc[fetch_rows], address[mem_rows]])
-    order = np.argsort(keys)  # keys are unique: plain sort is stable here
-    sorted_kinds = kinds[order]
-
-    branch_rows = np.nonzero(is_branch)[0]
-    if branch_rows.size:
-        branch_pcs = pc[branch_rows].tolist()
-        branch_takens = arrays.taken[start:end][branch_rows].tolist()
-        branch_targets = arrays.target[start:end][branch_rows].tolist()
-    else:
-        branch_pcs = branch_takens = branch_targets = []
-
-    dst = arrays.dst[start:end]
-    return WindowStatics(
-        n=n,
-        prev_line=prev_line,
-        last_line=int(lines[-1]),
-        event_kinds=sorted_kinds.tolist(),
-        event_addrs=event_addrs[order].tolist(),
-        sorted_rows=keys[order] >> 1,
-        sorted_kinds=sorted_kinds,
-        is_load=is_load,
-        base_latency=_LATENCY_ARR[ops],
-        branch_rows=branch_rows,
-        branch_pcs=branch_pcs,
-        branch_takens=branch_takens,
-        branch_targets=branch_targets,
-        op_counts=np.bincount(ops, minlength=len(OP_BY_CODE)).tolist(),
-        pool=_POOL_ARR[ops],
-        is_mem=is_mem,
-        is_fp=(ops == OP_FALU) | (ops == OP_FMUL),
-        writes=dst >= 0,
-        dst=dst,
-        src1=arrays.src1[start:end],
-        src2=arrays.src2[start:end],
-    )
 
 
 @dataclass
@@ -751,47 +625,47 @@ class LeadingCoreTiming:
         and outcome streams, never the timing.  The event interleaving
         matches the object path: per row, the I-fetch access (on a line
         break) precedes the data access; stores touch L1D only.
-
-        Split into a simulation-independent pre-pass
-        (:func:`prepare_window_statics`) and the per-core completion
-        (:meth:`prepare_from_statics`) so lockstep batches can compute
-        the statics once per window and share them across K cores.
         """
-        statics = prepare_window_statics(
-            arrays, start, end, self._last_fetch_line
-        )
-        return self.prepare_from_statics(statics)
-
-    def prepare_from_statics(self, statics: "WindowStatics") -> PreparedWindow:
-        """Complete a window's columns against *this* core's state.
-
-        Consumes a :class:`WindowStatics` whose ``prev_line`` matches
-        this core's fetch-line carry (asserted): applies the shared
-        event stream to this core's memory hierarchy, advances this
-        core's predictor (or stream view) over the window's branches,
-        and bumps the op counters.  Bit-identical to the fused
-        :meth:`prepare_window` by construction — the statics are exactly
-        the values the fused pass computed inline.
-        """
-        assert statics.prev_line == self._last_fetch_line, (
-            "window statics were computed for a different fetch-line carry"
-        )
-        n = statics.n
+        ops = arrays.op[start:end]
+        n = len(ops)
         if n == 0:
             zi = np.empty(0, dtype=np.int64)
             zb = np.empty(0, dtype=bool)
             z8 = np.empty(0, dtype=np.int8)
             return PreparedWindow(zi, zb, zb, zb, zi, zi, zi, zi, zi, z8)
-        self._last_fetch_line = statics.last_line
+        pc = arrays.pc[start:end]
+        address = arrays.address[start:end]
+        is_load = ops == OP_LOAD
+        is_store = ops == OP_STORE
+        is_mem = is_load | is_store
 
+        # Fetch-line breaks (carrying the last line across windows).
+        lines = pc >> 6
+        prev_lines = np.concatenate([[self._last_fetch_line], lines[:-1]])
+        breaks = lines != prev_lines
+        self._last_fetch_line = int(lines[-1])
+
+        # One merged event stream keeps the hierarchy's access order
+        # identical to the object path: fetch (key 2r) before data (2r+1).
+        fetch_rows = np.nonzero(breaks)[0]
+        mem_rows = np.nonzero(is_mem)[0]
+        keys = np.concatenate([2 * fetch_rows, 2 * mem_rows + 1])
+        kinds = np.concatenate(
+            [
+                np.zeros(fetch_rows.size, dtype=np.int64),
+                np.where(is_store[mem_rows], 2, 1),
+            ]
+        )
+        event_addrs = np.concatenate([pc[fetch_rows], address[mem_rows]])
+        order = np.argsort(keys)  # keys are unique: plain sort is stable here
+        sorted_rows = keys[order] >> 1
+        sorted_kinds = kinds[order]
         latencies = np.array(
             self.memory.access_window(
-                statics.event_kinds, statics.event_addrs
+                sorted_kinds.tolist(), event_addrs[order].tolist()
             ),
             dtype=np.int64,
         )
-        sorted_rows = statics.sorted_rows
-        sorted_kinds = statics.sorted_kinds
 
         fetch_lat = np.zeros(n, dtype=np.int64)
         fmask = sorted_kinds == 0
@@ -802,31 +676,33 @@ class LeadingCoreTiming:
         load_lat = np.zeros(n, dtype=np.int64)
         lmask = sorted_kinds == 1
         load_lat[sorted_rows[lmask]] = latencies[lmask]
-        latency = np.where(statics.is_load, load_lat, statics.base_latency)
+        latency = np.where(is_load, load_lat, _LATENCY_ARR[ops])
 
         # Branch resolution pre-pass (predictor state is trace-ordered).
         mispredicted = np.full(n, -1, dtype=np.int8)
-        if statics.branch_rows.size:
+        branch_rows = np.nonzero(ops == OP_BRANCH)[0]
+        if branch_rows.size:
             flags = self.predictor.update_window(
-                statics.branch_pcs, statics.branch_takens,
-                statics.branch_targets,
+                pc[branch_rows].tolist(),
+                arrays.taken[start:end][branch_rows].tolist(),
+                arrays.target[start:end][branch_rows].tolist(),
             )
-            mispredicted[statics.branch_rows] = np.asarray(
-                flags, dtype=np.int8
-            )
+            mispredicted[branch_rows] = np.asarray(flags, dtype=np.int8)
 
-        for code, count in enumerate(statics.op_counts):
+        op_counts = np.bincount(ops, minlength=len(OP_BY_CODE)).tolist()
+        for code, count in enumerate(op_counts):
             if count:
                 self._op_counts[OP_BY_CODE[code].value] += count
 
+        dst = arrays.dst[start:end]
         return PreparedWindow(
-            pool=statics.pool,
-            is_mem=statics.is_mem,
-            is_fp=statics.is_fp,
-            writes=statics.writes,
-            dst=statics.dst,
-            src1=statics.src1,
-            src2=statics.src2,
+            pool=_POOL_ARR[ops],
+            is_mem=is_mem,
+            is_fp=(ops == OP_FALU) | (ops == OP_FMUL),
+            writes=dst >= 0,
+            dst=dst,
+            src1=arrays.src1[start:end],
+            src2=arrays.src2[start:end],
             fetch_add=fetch_add,
             latency=latency,
             mispredicted=mispredicted,

@@ -250,63 +250,11 @@ class RmtSimulator:
     ) -> RmtTimingResult:
         """Windowed-kernel co-simulation, chunked at checker drains.
 
-        A thin composition of the batch-stepping lifecycle
-        (:meth:`begin_windows` / :meth:`advance_window` /
-        :meth:`end_windows`) so a solo run and a lockstep-batched run
-        execute the identical code path window for window.
+        Enters kernel mode over the fresh leading core, drives
+        :meth:`advance_window` once per trace window (split at the warmup
+        boundary) and finishes with :meth:`end_windows`.
         """
         n = len(arrays)
-        self._begin_windows(arrays, needed_arr, binding_arr, schedule)
-        w = min(warmup, n)
-        for start, end in ((0, w), (w, n)):
-            if start == end:
-                continue
-            if start == warmup and warmup:
-                self.leading.start_measurement()
-            self.advance_window(
-                self.leading.prepare_window(arrays, start, end), start
-            )
-        return self.end_windows(n - warmup)
-
-    # -- lockstep batch stepping ---------------------------------------
-    def begin_windows(
-        self, arrays: TraceArrays, schedule: TraceSchedule | None = None
-    ) -> None:
-        """Enter windowed-kernel mode for external (lockstep) stepping.
-
-        Requires a fresh simulator over a columnar trace — the same
-        precondition as the kernel fast path in :meth:`run_arrays`.  The
-        caller then drives :meth:`advance_window` once per trace window
-        (preparing each window itself, e.g. via shared
-        :class:`~repro.core.leading.WindowStatics`) and finishes with
-        :meth:`end_windows`.
-        """
-        if not (
-            self.leading.kernel_eligible()
-            and not self._commit_times
-            and not self._consume_times
-        ):
-            raise RuntimeError(
-                "windowed stepping requires a fresh simulator"
-            )
-        needed_arr, binding_arr = self._precompute_gates(arrays.op)
-        self._begin_windows(arrays, needed_arr, binding_arr, schedule)
-
-    def _begin_windows(
-        self,
-        arrays: TraceArrays,
-        needed_arr: np.ndarray,
-        binding_arr: np.ndarray,
-        schedule: TraceSchedule | None,
-    ) -> None:
-        self._trace = arrays
-        ops = arrays.op
-        self._cw_pool = _POOL_ARR[ops]
-        self._cw_latency = _LATENCY_ARR[ops]
-        self._cw_src1 = arrays.src1
-        self._cw_src2 = arrays.src2
-        self._cw_dst = arrays.dst
-        self._consume_row = self._consume_row_columnar
         if schedule is None:
             schedule = build_trace_schedule(arrays, self.leading_config)
         self.leading.begin_kernel(schedule)
@@ -318,6 +266,16 @@ class RmtSimulator:
         self._kw_needed_list = needed_arr.tolist()
         self._kw_needed_max = np.maximum.accumulate(needed_arr)
         self._kw_binding_arr = binding_arr
+        w = min(warmup, n)
+        for start, end in ((0, w), (w, n)):
+            if start == end:
+                continue
+            if start == warmup and warmup:
+                self.leading.start_measurement()
+            self.advance_window(
+                self.leading.prepare_window(arrays, start, end), start
+            )
+        return self.end_windows(n - warmup)
 
     def advance_window(self, prepared, start: int) -> None:
         """Co-simulate one prepared window, chunked at checker drains.

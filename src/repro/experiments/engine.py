@@ -821,7 +821,7 @@ def _wave_budget(chunks, policy: TaskPolicy) -> float:
 
 
 def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
-                   prepare, backend: str) -> list:
+                   backend: str) -> list:
     """Run chunks to completion on one backend; return what it stranded.
 
     The scheduler is backend-agnostic: it submits chunks with a lease
@@ -849,7 +849,7 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
     """
     timing = state.timing
     executor = executors_mod.make_executor(
-        backend, fn=fn, policy=policy, chaos=chaos, prepare=prepare,
+        backend, fn=fn, policy=policy, chaos=chaos,
         jobs=max(1, min(jobs, len(chunks))),
     )
     outstanding: dict[int, list] = {}
@@ -1193,7 +1193,7 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
 
 
 def _run_with_executors(fn, chunks, jobs, policy, chaos, state: _SweepState,
-                        prepare, backend: str) -> None:
+                        backend: str) -> None:
     """Drive the sweep down the degradation chain starting at ``backend``.
 
     Each broken backend hands its unfinished chunks to the next link
@@ -1207,7 +1207,7 @@ def _run_with_executors(fn, chunks, jobs, policy, chaos, state: _SweepState,
         name = chain[position]
         state.timing.backends.append(name)
         pending = _drive_backend(
-            fn, pending, jobs, policy, chaos, state, prepare, name
+            fn, pending, jobs, policy, chaos, state, name
         )
         if not pending:
             return
@@ -1234,7 +1234,6 @@ def run_sweep(
     record: bool = True,
     policy: TaskPolicy | None = None,
     chaos: ChaosPolicy | None = None,
-    prepare_chunk: Callable | None = None,
     executor: str | None = None,
 ) -> tuple[list[R], SweepTiming]:
     """Map ``fn`` over ``items``, preserving order, with fault tolerance.
@@ -1248,15 +1247,6 @@ def run_sweep(
     ``chunksize`` controls how many consecutive tasks form one unit of
     worker placement; drivers pass the inner-loop length so one worker
     runs all of a benchmark's chip models and reuses its memoized trace.
-
-    ``prepare_chunk``, when given, is a module-level callable invoked
-    with each chunk's full item list inside the chunk's *first* task
-    (within its metrics window, deadline, and retry loop) before that
-    task's ``fn`` runs.  Drivers use it to warm per-process caches for a
-    whole chunk at once — e.g. lockstep-batched trace generation across
-    the chunk's simulations.  It must be idempotent: it re-runs on
-    retries and on chunk resubmission after a worker crash, each time
-    from exactly the cache state a clean first run would have seen.
 
     ``policy`` (default: :func:`set_default_policy`, else no retries,
     fail fast) governs retries, timeouts, error collection, and pool
@@ -1322,7 +1312,7 @@ def run_sweep(
     try:
         if pending_chunks:
             _run_with_executors(fn, pending_chunks, jobs, policy, chaos,
-                                state, prepare_chunk, backend)
+                                state, backend)
         if ckpt is not None:
             # The sweep ran to completion: publish the crash-consistent
             # "this checkpoint is the full record" marker.
@@ -1389,13 +1379,11 @@ def parallel_map(
     label: str = "sweep",
     policy: TaskPolicy | None = None,
     chaos: ChaosPolicy | None = None,
-    prepare_chunk: Callable | None = None,
     executor: str | None = None,
 ) -> list[R]:
     """:func:`run_sweep` without the timing handle (it is still recorded)."""
     results, _ = run_sweep(
         fn, items, jobs=jobs, chunksize=chunksize, label=label,
-        policy=policy, chaos=chaos, prepare_chunk=prepare_chunk,
-        executor=executor,
+        policy=policy, chaos=chaos, executor=executor,
     )
     return results

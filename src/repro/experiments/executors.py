@@ -184,8 +184,6 @@ def _attempt_task(
     policy,
     chaos: ChaosPolicy | None,
     in_worker: bool,
-    prepare: Callable | None = None,
-    chunk_items: Sequence | None = None,
 ) -> _TaskOutcome:
     """Run one task with in-place retries; never raises task errors.
 
@@ -194,14 +192,6 @@ def _attempt_task(
     part of the merged-metric determinism contract.  Failed attempts
     call ``end_task`` purely to unwind the span stack — their metric
     deltas are discarded.
-
-    ``prepare`` (the chunk's ``prepare_chunk`` hook, passed only to the
-    chunk's first entry) runs with the full ``chunk_items`` list inside
-    this task's metrics window and deadline, on *every* attempt: chaos
-    injections fire before ``begin_task``, so a killed first attempt did
-    no priming and the retry prepares from the same cold state a clean
-    run would have seen.  The hook must therefore be idempotent (warm
-    caches make it a no-op).
 
     Without a usable ``SIGALRM`` the deadline degrades to a post-hoc
     check: an attempt that returns after more than ``timeout_s`` of
@@ -229,8 +219,6 @@ def _attempt_task(
             try:
                 start = time.perf_counter()
                 with _deadline(policy.timeout_s):
-                    if prepare is not None:
-                        prepare(chunk_items)
                     result = fn(item)
                 wall = time.perf_counter() - start
                 if (
@@ -286,22 +274,11 @@ def _run_chunk(
     policy,
     chaos: ChaosPolicy | None,
     in_worker: bool,
-    prepare: Callable | None = None,
 ) -> list[_TaskOutcome]:
-    """Execute one chunk of entries in order (the unit of placement).
-
-    ``prepare`` runs inside the first entry's attempt with the whole
-    chunk's items, so batched warm-up work is attributed to the chunk
-    that benefits from it (see :func:`_attempt_task`).
-    """
-    items = [item for _index, _base, item in entries]
+    """Execute one chunk of entries in order (the unit of placement)."""
     return [
-        _attempt_task(
-            fn, item, index, base, policy, chaos, in_worker,
-            prepare=prepare if pos == 0 else None,
-            chunk_items=items if pos == 0 else None,
-        )
-        for pos, (index, base, item) in enumerate(entries)
+        _attempt_task(fn, item, index, base, policy, chaos, in_worker)
+        for index, base, item in entries
     ]
 
 
@@ -388,7 +365,7 @@ class Executor:
     """Protocol all backends implement; see the module docstring.
 
     Constructed with the sweep-constant context (``fn``, ``policy``,
-    ``chaos``, ``prepare``, ``jobs``) so ``submit_chunk`` carries only
+    ``chaos``, ``jobs``) so ``submit_chunk`` carries only
     the varying part: a chunk id and its entries.
     """
 
@@ -399,11 +376,10 @@ class Executor:
     #: semantics).
     supports_requeue = False
 
-    def __init__(self, *, fn, policy, chaos, prepare=None, jobs=1):
+    def __init__(self, *, fn, policy, chaos, jobs=1):
         self._fn = fn
         self._policy = policy
         self._chaos = chaos
-        self._prepare = prepare
         self._jobs = max(1, jobs)
 
     def submit_chunk(self, chunk_id: int, entries: Sequence) -> None:
@@ -487,12 +463,9 @@ class InlineExecutor(Executor):
             events.append(ChunkStarted(chunk_id, worker="inline"))
         chunk_id, entries, pos = self._current
         index, base, item = entries[pos]
-        items = [entry[2] for entry in entries]
         outcome = _attempt_task(
             self._fn, item, index, base, self._policy, self._chaos,
             in_worker=False,
-            prepare=self._prepare if pos == 0 else None,
-            chunk_items=items if pos == 0 else None,
         )
         events.append(TaskDone(chunk_id, outcome, worker="inline"))
         if pos + 1 >= len(entries):
@@ -547,6 +520,29 @@ def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
             pass
 
 
+#: How often a pool worker checks that its parent is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: end the worker once its parent is gone.
+
+    A controller killed with SIGKILL never shuts its pool down; the
+    workers are reparented and would wait on the call queue forever
+    (the drain handler they inherit makes them ignore SIGTERM too).  A
+    daemon thread watches the parent pid and exits the worker when it
+    changes.
+    """
+    parent = os.getppid()
+
+    def _watch():
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=_watch, daemon=True).start()
+
+
 class LocalPoolExecutor(Executor):
     """Chunk futures on a lazily (re)built ``ProcessPoolExecutor``.
 
@@ -568,10 +564,12 @@ class LocalPoolExecutor(Executor):
 
     def submit_chunk(self, chunk_id: int, entries: Sequence) -> None:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self._jobs)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self._jobs, initializer=_exit_with_parent
+            )
         future = self._pool.submit(
             _run_chunk, self._fn, list(entries), self._policy, self._chaos,
-            True, self._prepare,
+            True,
         )
         self._futures[future] = chunk_id
         self._by_chunk[chunk_id] = future
@@ -745,7 +743,7 @@ class _FrameBuffer:
         return frames
 
 
-def _socket_worker_main(host, port, worker_id, fn, policy, chaos, prepare,
+def _socket_worker_main(host, port, worker_id, fn, policy, chaos,
                         hb_interval):
     """Entry point of one long-lived socket worker process.
 
@@ -809,14 +807,11 @@ def _socket_worker_main(host, port, worker_id, fn, policy, chaos, prepare,
                 # chunk's rerun is clean (attempt bump consumes the
                 # decision).
                 time.sleep(chaos.hang_s)
-            items = [entry[2] for entry in entries]
             progress["chunk"] = chunk_id
             progress["done"] = 0
             for pos, (index, base, item) in enumerate(entries):
                 outcome = _attempt_task(
                     fn, item, index, base, policy, chaos, in_worker=True,
-                    prepare=prepare if pos == 0 else None,
-                    chunk_items=items if pos == 0 else None,
                 )
                 if chaos is not None and chaos.delays_result(index, base):
                     time.sleep(chaos.frame_delay_s)
@@ -907,7 +902,7 @@ class SocketExecutor(Executor):
         proc = self._ctx.Process(
             target=_socket_worker_main,
             args=(host, port, worker_id, self._fn, self._policy,
-                  self._chaos, self._prepare, self._hb_interval),
+                  self._chaos, self._hb_interval),
             daemon=True,
         )
         proc.start()
@@ -1214,8 +1209,7 @@ def resolve_executor(executor: str | None = None,
     return name
 
 
-def make_executor(name: str, *, fn, policy, chaos, prepare=None,
-                  jobs=1) -> Executor:
+def make_executor(name: str, *, fn, policy, chaos, jobs=1) -> Executor:
     """Instantiate the named backend with the sweep-constant context."""
     try:
         cls = _EXECUTORS[name]
@@ -1224,4 +1218,4 @@ def make_executor(name: str, *, fn, policy, chaos, prepare=None,
             f"unknown executor {name!r} (expected one of "
             f"{sorted(_EXECUTORS)})"
         ) from None
-    return cls(fn=fn, policy=policy, chaos=chaos, prepare=prepare, jobs=jobs)
+    return cls(fn=fn, policy=policy, chaos=chaos, jobs=jobs)

@@ -21,8 +21,6 @@ from repro.experiments.runner import (
     DEFAULT_WINDOW,
     SimTask,
     SimulationWindow,
-    prime_sim_tasks,
-    run_batch,
     run_sim_task,
 )
 from repro.workloads.profiles import WorkloadProfile, spec2k_suite
@@ -61,23 +59,11 @@ def fig6_performance(
     benchmarks: list[WorkloadProfile] | None = None,
     models: tuple[ChipModel, ...] = _MODELS,
     jobs: int | None = None,
-    chunksize: int | None = None,
-    simbatch: bool = False,
 ) -> list[Fig6Row]:
     """IPC of every benchmark on every chip model (Figure 6).
 
-    ``chunksize`` defaults to the inner-loop length (one benchmark's
-    chip models), which keeps each benchmark's memoized trace on one
-    worker.  A larger multiple of ``len(models)`` groups several
-    benchmarks per chunk, letting ``prime_sim_tasks`` generate their
-    traces in one lockstep batch — results are identical either way.
-
-    ``simbatch=True`` runs each benchmark's chip models as one
-    :class:`~repro.experiments.runner.SimBatch` — all K simulations
-    stepped in lockstep per trace window, sharing each window's
-    prepare statics.  One work item per benchmark goes to the engine
-    (so it parallelizes across benchmarks at any ``jobs``) and results
-    are bit-identical to the per-task path.
+    One chunk per benchmark (its chip models) keeps each benchmark's
+    memoized trace on one worker.
     """
     benchmarks = benchmarks if benchmarks is not None else spec2k_suite()
     tasks = [
@@ -92,20 +78,10 @@ def fig6_performance(
         for profile in benchmarks
         for chip in models
     ]
-    if simbatch:
-        m = len(models)
-        groups = [tasks[b * m:(b + 1) * m] for b in range(len(benchmarks))]
-        grouped = engine.parallel_map(
-            run_batch, groups, jobs=jobs, chunksize=1,
-            label="fig6_performance",
-        )
-        results = [result for group in grouped for result in group]
-    else:
-        results = engine.parallel_map(
-            run_sim_task, tasks, jobs=jobs,
-            chunksize=chunksize if chunksize is not None else len(models),
-            label="fig6_performance", prepare_chunk=prime_sim_tasks,
-        )
+    results = engine.parallel_map(
+        run_sim_task, tasks, jobs=jobs, chunksize=len(models),
+        label="fig6_performance",
+    )
     rows = []
     for b, profile in enumerate(benchmarks):
         ipc: dict[str, float] = {}
@@ -156,7 +132,7 @@ def nuca_policy_comparison(
     ]
     results = engine.parallel_map(
         run_sim_task, tasks, jobs=jobs, chunksize=len(policies),
-        label="nuca_policy_comparison", prepare_chunk=prime_sim_tasks,
+        label="nuca_policy_comparison",
     )
     totals = {policy: 0.0 for policy in policies}
     for i, task in enumerate(tasks):
@@ -191,7 +167,7 @@ def l2_statistics(
     ]
     results = engine.parallel_map(
         run_sim_task, tasks, jobs=jobs, chunksize=len(configs),
-        label="l2_statistics", prepare_chunk=prime_sim_tasks,
+        label="l2_statistics",
     )
     misses = {tag: 0.0 for _chip, tag in configs}
     latency = {tag: 0.0 for _chip, tag in configs}

@@ -21,6 +21,7 @@ from repro.common.config import (
     NucaConfig,
     NucaPolicy,
 )
+from repro.common.errors import ConfigError
 from repro.core.leading import LeadingCoreTiming, LeadingRunResult
 from repro.core.memory import MemoryHierarchy
 from repro.core.rmt import RmtSimulator, RmtTimingResult
@@ -34,11 +35,8 @@ __all__ = [
     "simulate_leading",
     "simulate_rmt",
     "SimTask",
-    "SimBatch",
     "run_sim_task",
     "run_sim_task_with_metrics",
-    "prime_sim_tasks",
-    "run_batch",
     "DEFAULT_WINDOW",
 ]
 
@@ -55,6 +53,12 @@ class SimulationWindow:
 
     warmup: int = 10_000
     measured: int = 40_000
+
+    def __post_init__(self) -> None:
+        if self.warmup < 0:
+            raise ConfigError(f"warmup must be >= 0, got {self.warmup}")
+        if self.measured < 1:
+            raise ConfigError(f"measured must be >= 1, got {self.measured}")
 
     @property
     def total(self) -> int:
@@ -233,173 +237,6 @@ def run_sim_task(task: SimTask) -> LeadingRunResult | RmtTimingResult:
             checker_peak_ratio=task.checker_peak_ratio,
         )
     raise ValueError(f"unknown simulation kind {task.kind!r}")
-
-
-def prime_sim_tasks(tasks) -> None:
-    """Warm the trace cache for a batch of :class:`SimTask` in lockstep.
-
-    The engine's ``prepare_chunk`` hook for simulation sweeps: collects
-    the distinct ``(profile, seed)`` streams a chunk needs (at each
-    stream's longest requested window) and generates them through one
-    :func:`~repro.isa.trace.generate_arrays_batch` pass, so a chunk
-    spanning several benchmarks pays one set of NumPy kernel invocations
-    instead of one per stream.  Idempotent — already-long-enough streams
-    are skipped — and bit-identical to solo generation, so priming never
-    changes a simulation's result.  A batch containing anything other
-    than :class:`SimTask` is left alone (the hook is a pure
-    optimization).
-    """
-    tasks = list(tasks)
-    if not all(isinstance(task, SimTask) for task in tasks):
-        return
-    needs: dict[tuple[WorkloadProfile, int], int] = {}
-    for task in tasks:
-        key = (task.profile, task.seed)
-        needs[key] = max(needs.get(key, 0), task.window.total)
-    memo.get_cache().prime_trace_batch(
-        [(profile, seed, count) for (profile, seed), count in needs.items()]
-    )
-
-
-class SimBatch:
-    """K same-stream simulations stepped in lockstep, window by window.
-
-    All member tasks must share ``(profile, seed, window)`` — the same
-    trace stream at the same window boundaries.  The batch computes each
-    window's simulation-independent prepare products once
-    (:func:`~repro.core.leading.prepare_window_statics`) and shares them
-    across every member; each member then applies only its own state
-    machines (memory hierarchy, predictor view, scheduling kernel) via
-    ``prepare_from_statics``.  Results and published metrics are
-    bit-identical to running each task solo — the shared statics are
-    exactly the values every solo ``prepare_window`` call recomputes.
-    """
-
-    def __init__(self, tasks: list[SimTask]):
-        if not tasks:
-            raise ValueError("SimBatch requires at least one task")
-        key = (tasks[0].profile, tasks[0].seed, tasks[0].window)
-        for task in tasks:
-            if (task.profile, task.seed, task.window) != key:
-                raise ValueError(
-                    "SimBatch tasks must share (profile, seed, window)"
-                )
-        self.tasks = tasks
-        self.profile, self.seed, self.window = key
-
-    def run(self) -> list[LeadingRunResult | RmtTimingResult]:
-        """Run every member and return results in task order."""
-        from repro.core.leading import prepare_window_statics
-        from repro.core.rmt import RmtSimulator
-
-        window = self.window
-        cache = memo.get_cache()
-        with span("sim.trace"):
-            arrays = cache.trace_arrays(self.profile, self.seed, window.total)
-
-        # Per-member mutable state: hierarchy, predictor view, simulator.
-        sims = []
-        for task in self.tasks:
-            leading_cfg = task.leading or LeadingCoreConfig()
-            with span("sim.prepare"):
-                memory = build_memory(task.chip, leading_cfg, task.policy)
-                memory.preload_profile(self.profile)
-                predictor = cache.branch_stream_view(self.profile, self.seed)
-                schedule = cache.trace_schedule(
-                    self.profile, self.seed, window.total, leading_cfg
-                )
-            if task.kind == "leading":
-                core = LeadingCoreTiming(leading_cfg, memory, predictor)
-                core.begin_kernel(schedule)
-                sims.append(("leading", core, memory))
-            elif task.kind == "rmt":
-                simulator = RmtSimulator(
-                    leading_config=leading_cfg,
-                    checker_config=task.checker or CheckerCoreConfig(),
-                    memory=memory,
-                    predictor=predictor,
-                    transfer_latency_cycles=1 if task.chip.is_3d else 4,
-                    checker_peak_ratio=task.checker_peak_ratio,
-                )
-                simulator.begin_windows(arrays, schedule)
-                sims.append(("rmt", simulator, memory))
-            else:
-                raise ValueError(f"unknown simulation kind {task.kind!r}")
-
-        # Lockstep window stepping: statics once, K applications.
-        n = window.total
-        warmup = min(window.warmup, n)
-        prev_line = -1  # every member is a freshly constructed core
-        with span("sim.batch"):
-            for start, end in ((0, warmup), (warmup, n)):
-                if start == end:
-                    continue
-                statics = prepare_window_statics(arrays, start, end, prev_line)
-                prev_line = statics.last_line
-                for kind, sim, _memory in sims:
-                    core = sim if kind == "leading" else sim.leading
-                    if start == window.warmup and window.warmup:
-                        core.start_measurement()
-                    prepared = core.prepare_from_statics(statics)
-                    if kind == "leading":
-                        core.advance_window(prepared, start)
-                    else:
-                        sim.advance_window(prepared, start)
-
-        results: list[LeadingRunResult | RmtTimingResult] = []
-        measured = n - window.warmup
-        for kind, sim, memory in sims:
-            if kind == "leading":
-                sim.end_kernel()
-                result = sim.result(measured)
-                _publish_sim_metrics(result, memory)
-            else:
-                result = sim.end_windows(measured)
-                _publish_sim_metrics(result.leading, memory)
-            results.append(result)
-        return results
-
-
-def _batch_groups(tasks: list[SimTask]):
-    """Split a task list into maximal consecutive same-stream runs."""
-    groups: list[list[SimTask]] = []
-    key = None
-    for task in tasks:
-        task_key = (task.profile, task.seed, task.window)
-        if task_key != key:
-            groups.append([])
-            key = task_key
-        groups[-1].append(task)
-    return groups
-
-
-def run_batch(
-    tasks, lockstep: bool = True
-) -> list[LeadingRunResult | RmtTimingResult]:
-    """Run several :class:`SimTask` with batched trace generation.
-
-    Primes every distinct trace stream in one lockstep pass
-    (:func:`prime_sim_tasks`), then runs the tasks in order in this
-    process — consecutive tasks over the same ``(profile, seed,
-    window)`` stream as one :class:`SimBatch` (sharing each window's
-    prepare statics), the rest solo.  Results are identical to
-    ``[run_sim_task(t) for t in tasks]`` — batching only changes how
-    shared immutable artifacts are produced.  ``lockstep=False``
-    disables the grouping (solo oracle path for every task).  Sweep
-    drivers get the trace-priming effect across processes by passing
-    ``prepare_chunk=prime_sim_tasks`` to the engine.
-    """
-    tasks = list(tasks)
-    prime_sim_tasks(tasks)
-    if not lockstep or not all(isinstance(t, SimTask) for t in tasks):
-        return [run_sim_task(task) for task in tasks]
-    results: list[LeadingRunResult | RmtTimingResult] = []
-    for group in _batch_groups(tasks):
-        if len(group) == 1:
-            results.append(run_sim_task(group[0]))
-        else:
-            results.extend(SimBatch(group).run())
-    return results
 
 
 def run_sim_task_with_metrics(

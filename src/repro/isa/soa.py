@@ -27,7 +27,7 @@ import numpy as np
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OP_BY_CODE, OP_CODE
 
-__all__ = ["TraceArrays", "TraceBatch"]
+__all__ = ["TraceArrays"]
 
 _COLUMNS = (
     "op", "dst", "src1", "src2", "pc", "address", "taken", "target", "hard",
@@ -199,81 +199,3 @@ class TraceArrays:
 # dataclass would autogenerate __eq__ element-wise over arrays (ambiguous
 # truth value); keep the explicit column-wise comparison defined above.
 assert all(f.name in _COLUMNS + ("seq0",) for f in fields(TraceArrays))
-
-
-# ---------------------------------------------------------------------
-@dataclass
-class TraceBatch:
-    """Many independent dynamic streams stacked along a batch axis.
-
-    Each column is a ``(num_sims, max_len)`` array; sim ``b`` occupies the
-    first ``lengths[b]`` entries of row ``b`` (the tail of shorter rows is
-    padding and must never be read).  This is the container the lockstep
-    batched generator (:func:`repro.isa.trace.generate_arrays_batch`)
-    returns: one set of NumPy kernel passes produces every sim's stream,
-    and :meth:`sim` hands each consumer a zero-copy row view.
-    """
-
-    op: np.ndarray
-    dst: np.ndarray
-    src1: np.ndarray
-    src2: np.ndarray
-    pc: np.ndarray
-    address: np.ndarray
-    taken: np.ndarray
-    target: np.ndarray
-    hard: np.ndarray
-    lengths: np.ndarray          # per-sim valid row count, int64
-    seq0s: tuple[int, ...] = ()  # per-sim sequence number of row 0
-
-    def __post_init__(self):
-        shape = self.op.shape
-        for name in _COLUMNS:
-            if getattr(self, name).shape != shape:
-                raise ValueError(
-                    f"column {name!r} has shape {getattr(self, name).shape}, "
-                    f"expected {shape}"
-                )
-        if len(self.lengths) != shape[0]:
-            raise ValueError(
-                f"{len(self.lengths)} lengths for {shape[0]} sims"
-            )
-        if not self.seq0s:
-            self.seq0s = (0,) * shape[0]
-
-    def __len__(self) -> int:
-        """Number of sims in the batch."""
-        return self.op.shape[0]
-
-    def sim(self, b: int) -> TraceArrays:
-        """Sim ``b``'s stream as a zero-copy :class:`TraceArrays` view."""
-        n = int(self.lengths[b])
-        return TraceArrays(
-            *(getattr(self, name)[b, :n] for name in _COLUMNS),
-            seq0=self.seq0s[b],
-        )
-
-    def to_traces(self) -> list[TraceArrays]:
-        """Every sim's stream (zero-copy views, batch order)."""
-        return [self.sim(b) for b in range(len(self))]
-
-    @classmethod
-    def from_traces(cls, traces) -> "TraceBatch":
-        """Stack per-sim :class:`TraceArrays` into one padded batch."""
-        traces = list(traces)
-        if not traces:
-            raise ValueError("cannot build a TraceBatch from zero traces")
-        lengths = np.array([len(t) for t in traces], dtype=np.int64)
-        max_len = int(lengths.max())
-        columns = {}
-        for name in _COLUMNS:
-            first = getattr(traces[0], name)
-            stacked = np.zeros((len(traces), max_len), dtype=first.dtype)
-            for b, trace in enumerate(traces):
-                stacked[b, : len(trace)] = getattr(trace, name)
-            columns[name] = stacked
-        return cls(
-            **columns,
-            lengths=lengths,
-            seq0s=tuple(t.seq0 for t in traces),
-        )

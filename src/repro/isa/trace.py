@@ -31,12 +31,12 @@ from repro.isa.opcodes import (
     OP_STORE,
     OpClass,
 )
-from repro.isa.soa import TraceArrays, TraceBatch
+from repro.isa.soa import TraceArrays
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
 from repro.workloads.profiles import WorkloadProfile
 
-__all__ = ["TraceGenerator", "generate_trace", "generate_arrays_batch"]
+__all__ = ["TraceGenerator", "generate_trace"]
 
 # Architectural register allocation: integer dsts rotate through 0..29,
 # FP dsts through 32..61.  Registers 30 and 62 act as long-lived "far"
@@ -442,238 +442,3 @@ def generate_trace(
 ) -> list[Instruction]:
     """Convenience: build a generator and produce ``count`` instructions."""
     return TraceGenerator(profile, seed=seed).generate(count)
-
-
-# ---------------------------------------------------------------------
-# Lockstep batched generation: many (benchmark, seed) streams advanced by
-# shared 2D kernels.  Every RNG draw stays on its own generator's streams
-# (the per-sim draw order is the stream contract), but all scan kernels —
-# destination rotation, the recent-dst ring, the pointer chase, the pc
-# chain, the cold pointer — run once over stacked ``(num_sims, chunk)``
-# arrays instead of once per sim.  Batching at ``_CHUNK`` granularity
-# keeps the stacked arrays rectangular: every active sim draws the same
-# chunk size, exactly as its solo ``generate_arrays`` would.
-
-
-def generate_arrays_batch(generators, counts) -> TraceBatch:
-    """Generate ``counts[b]`` further instructions of every generator.
-
-    Bit-identical per sim to calling ``generators[b].generate_arrays(
-    counts[b])`` — same RNG draw order, same chunk boundaries, same
-    buffered remainder — so a generator may freely alternate between the
-    solo and batched paths.  Sims that have enough buffered instructions
-    drop out of the lockstep passes early.
-    """
-    generators = list(generators)
-    counts = [int(c) for c in counts]
-    if len(generators) != len(counts):
-        raise ValueError(
-            f"{len(generators)} generators but {len(counts)} counts"
-        )
-    while True:
-        active = [
-            g for g, c in zip(generators, counts) if len(g._buffer) < c
-        ]
-        if not active:
-            break
-        with span("trace.generate_chunk_batch"):
-            chunks = _generate_chunk_batch(active, _CHUNK)
-        get_registry().counter("trace.instructions_generated").inc(
-            sum(len(chunk) for chunk in chunks)
-        )
-        for g, chunk in zip(active, chunks):
-            g._buffer = TraceArrays.concat([g._buffer, chunk])
-    outs = []
-    for g, c in zip(generators, counts):
-        outs.append(g._buffer[:c])
-        g._buffer = g._buffer[c:]
-    return TraceBatch.from_traces(outs)
-
-
-def _generate_chunk_batch(gens, count: int) -> list[TraceArrays]:
-    """One lockstep chunk across ``gens`` (the 2D mirror of
-    :meth:`TraceGenerator._generate_chunk`).
-
-    Draws come from each generator's own RNG streams; the scan kernels
-    then run once over the stacked ``(B, count)`` arrays, and the mutable
-    per-sim state (dst rotation points, recent-dst ring, last load dst,
-    pc, cold pointer, seq) is written back exactly as each solo chunk
-    would leave it.
-    """
-    B = len(gens)
-    draws = [g._draw_chunk(count) for g in gens]
-
-    def stack(k):
-        return np.stack([d[k] for d in draws])
-
-    ops = stack(0)
-    dep1, dep2 = stack(1), stack(2)
-    far1, far2 = stack(3), stack(4)
-    regions = stack(5)
-    hot_off, warm_off, xl_off = stack(6), stack(7), stack(8)
-    site_idx = stack(9)
-    branch_draw = stack(10)
-    chase = stack(11)
-
-    # Per-sim scalar state and profile constants as (B,) / (B, 1) arrays.
-    code_b = np.array([g.profile.code_bytes for g in gens],
-                      dtype=np.int64)[:, None]
-    line_b = np.array([g._line_bytes for g in gens], dtype=np.int64)
-    pc0 = np.array([g._pc for g in gens], dtype=np.int64)
-    cold0 = np.array([g._cold_ptr for g in gens], dtype=np.int64)
-    lld0 = np.array([g._last_load_dst for g in gens], dtype=np.int64)
-    nfp0 = np.array([g._next_fp_dst for g in gens], dtype=np.int64)
-    nint0 = np.array([g._next_int_dst for g in gens], dtype=np.int64)
-    carried_lens = np.array(
-        [len(g._recent_dsts) for g in gens], dtype=np.int64
-    )
-
-    is_load = ops == 0
-    is_store = ops == 1
-    is_branch = ops == 2
-    is_fp = (ops == 4) | (ops == 5)
-    is_mem = is_load | is_store
-    writes = ~(is_store | is_branch)
-
-    # ---- destination rotation (prefix counts per register file) ----
-    n_fp, n_int = len(_FP_DST_REGS), len(_INT_DST_REGS)
-    write_fp = writes & is_fp
-    write_int = writes & ~is_fp
-    fp_rank = np.cumsum(write_fp, axis=1)
-    int_rank = np.cumsum(write_int, axis=1)
-    fp_val = 32 + (nfp0[:, None] + fp_rank - 1) % n_fp
-    int_val = (nint0[:, None] + int_rank - 1) % n_int
-    dst = np.where(write_fp, fp_val, np.where(write_int, int_val, -1))
-    new_nfp = (nfp0 + fp_rank[:, -1]) % n_fp
-    new_nint = (nint0 + int_rank[:, -1]) % n_int
-
-    # ---- source resolution via the recent-dst ring ----------------
-    # Per sim, the 1D history (carried ring ++ this chunk's writer dsts)
-    # is laid out right-aligned so the carried ring always *ends* at
-    # column _RING_CAP: ring[-d] at row i == history2d[:, _RING_CAP +
-    # writers_before - d], whatever each sim's carried length is.
-    writers_before = np.cumsum(writes, axis=1) - writes
-    history2d = np.zeros((B, _RING_CAP + count), dtype=np.int64)
-    for b, g in enumerate(gens):
-        if g._recent_dsts:
-            history2d[b, _RING_CAP - len(g._recent_dsts):_RING_CAP] = (
-                g._recent_dsts
-            )
-    rows, cols = np.nonzero(writes)
-    history2d[rows, _RING_CAP + writers_before[rows, cols]] = dst[rows, cols]
-    available = np.minimum(_RING_CAP, carried_lens[:, None] + writers_before)
-    far_reg = np.where(is_fp, _FP_FAR_REG, _INT_FAR_REG)
-
-    def resolve(dep, far):
-        take = ~far & (dep <= available) & (available > 0)
-        idx = np.where(take, _RING_CAP + writers_before - dep, 0)
-        vals = np.take_along_axis(history2d, idx, axis=1)
-        return np.where(take, vals, far_reg)
-
-    src1 = resolve(dep1, far1)
-    src2 = resolve(dep2, far2)
-
-    # ---- pointer chase: src1 = previous load's destination --------
-    loads_before = np.cumsum(is_load, axis=1) - is_load
-    load_hist = np.full((B, count + 1), -1, dtype=np.int64)
-    load_hist[:, 0] = lld0
-    rows, cols = np.nonzero(is_load)
-    load_hist[rows, 1 + loads_before[rows, cols]] = dst[rows, cols]
-    prev_load = np.take_along_axis(load_hist, loads_before, axis=1)
-    chased = is_load & chase & (prev_load >= 0)
-    src1 = np.where(chased, prev_load, src1)
-    any_load = is_load.any(axis=1)
-    last_load_col = count - 1 - np.argmax(is_load[:, ::-1], axis=1)
-    new_lld = np.where(
-        any_load, dst[np.arange(B), last_load_col], lld0
-    )
-
-    # ---- branch outcomes and the pc chain -------------------------
-    # Static site tables differ in length per sim; pad to the widest
-    # (site_idx draws never exceed a sim's own table).
-    S = max(len(g._branch_pcs) for g in gens)
-    pcs2d = np.zeros((B, S), dtype=np.int64)
-    bias2d = np.zeros((B, S), dtype=np.float64)
-    hard2d = np.zeros((B, S), dtype=bool)
-    tgt2d = np.zeros((B, S), dtype=np.int64)
-    for b, g in enumerate(gens):
-        L = len(g._branch_pcs)
-        pcs2d[b, :L] = g._branch_pcs
-        bias2d[b, :L] = g._branch_bias
-        hard2d[b, :L] = g._branch_hard
-        tgt2d[b, :L] = g._branch_targets
-    site_pc = np.take_along_axis(pcs2d, site_idx, axis=1)
-    site_hard = np.take_along_axis(hard2d, site_idx, axis=1)
-    site_bias = np.take_along_axis(bias2d, site_idx, axis=1)
-    site_tgt = np.take_along_axis(tgt2d, site_idx, axis=1)
-    threshold = np.where(site_hard, 0.5, site_bias)
-    taken_all = branch_draw < threshold
-    taken = is_branch & taken_all
-    target = np.where(is_branch, site_tgt, 0)
-    hard = is_branch & site_hard
-    # Where the pc resumes after each (potential) branch row; only branch
-    # positions are ever gathered below.
-    after_branch = np.where(taken_all, site_tgt, (site_pc + 4) % code_b)
-
-    positions = np.arange(count, dtype=np.int64)
-    last_branch = np.maximum.accumulate(
-        np.where(is_branch, positions[None, :], -1), axis=1
-    )
-    ab_at_last = np.take_along_axis(
-        after_branch, np.maximum(last_branch, 0), axis=1
-    )
-    base = np.where(last_branch >= 0, ab_at_last, pc0[:, None])
-    steps = np.where(
-        last_branch >= 0, positions[None, :] - last_branch - 1,
-        positions[None, :],
-    )
-    pc = (base + 4 * steps) % code_b
-    pc = np.where(is_branch, site_pc, pc)
-    new_pc = (base[:, -1] + 4 * (steps[:, -1] + 1)) % code_b[:, 0]
-
-    # ---- effective addresses (cold region: strided scan) ----------
-    address = np.zeros((B, count), dtype=np.int64)
-    address = np.where(
-        is_mem & (regions == _REGION_HOT), _HOT_BASE + hot_off, address
-    )
-    address = np.where(
-        is_mem & (regions == _REGION_WARM), _WARM_BASE + warm_off, address
-    )
-    address = np.where(
-        is_mem & (regions == _REGION_XL), _XL_BASE + xl_off, address
-    )
-    cold_rows = is_mem & (regions == _REGION_COLD)
-    cold_rank = np.cumsum(cold_rows, axis=1)
-    cold_off = (
-        cold0[:, None] + (cold_rank - 1) * line_b[:, None]
-    ) % _COLD_SPAN
-    address = np.where(cold_rows, _COLD_BASE + cold_off, address)
-    new_cold = (cold0 + cold_rank[:, -1] * line_b) % _COLD_SPAN
-
-    # ---- write back per-sim state and slice the batch -------------
-    writers_total = writers_before[:, -1] + writes[:, -1]
-    out = []
-    for b, g in enumerate(gens):
-        end = _RING_CAP + int(writers_total[b])
-        keep = min(_RING_CAP, int(carried_lens[b]) + int(writers_total[b]))
-        g._recent_dsts = history2d[b, end - keep:end].tolist()
-        g._next_fp_dst = int(new_nfp[b])
-        g._next_int_dst = int(new_nint[b])
-        g._last_load_dst = int(new_lld[b])
-        g._pc = int(new_pc[b])
-        g._cold_ptr = int(new_cold[b])
-        seq0 = g._seq
-        g._seq += count
-        out.append(TraceArrays(
-            op=_DRAW_TO_CODE[ops[b]],
-            dst=dst[b].astype(np.int16),
-            src1=src1[b].astype(np.int16),
-            src2=src2[b].astype(np.int16),
-            pc=pc[b],
-            address=address[b],
-            taken=taken[b],
-            target=target[b],
-            hard=hard[b],
-            seq0=seq0,
-        ))
-    return out

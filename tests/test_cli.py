@@ -160,6 +160,10 @@ class TestResilience:
         assert main(["list", "--chaos", "explode:1"]) == 2
         assert "error:" in capsys.readouterr().out
 
+    def test_empty_window_exits_2(self, capsys):
+        assert main(["fig6", "--window", "0"]) == 2
+        assert "error:" in capsys.readouterr().out
+
     def test_executor_flag_sets_process_default(self, capsys, monkeypatch):
         seen = {}
 

@@ -6,7 +6,7 @@ path (``_advance``), which itself must match the object path — including
 RMT queue-stall attribution, op counts, and predictor totals.  These
 tests pin that three-way equality property-based over random workloads,
 window shapes and chip models, plus exact Figure 6 goldens through the
-sweep engine and the lockstep :class:`SimBatch` path.
+sweep engine at one and two jobs.
 """
 
 import dataclasses
@@ -21,12 +21,7 @@ from repro.core.leading import LeadingCoreTiming, _PRUNE_PERIOD
 from repro.core.memory import MemoryHierarchy
 from repro.core.rmt import RmtSimulator
 from repro.experiments.perf import fig6_performance
-from repro.experiments.runner import (
-    SimTask,
-    SimulationWindow,
-    run_batch,
-    run_sim_task,
-)
+from repro.experiments.runner import SimulationWindow
 from repro.isa.opcodes import OP_BRANCH
 from repro.isa.trace import TraceGenerator
 from repro.workloads.profiles import get_profile, spec2k_suite
@@ -185,11 +180,11 @@ _GOLDEN_FIG6 = {
 }
 
 
-def _fig6_rows(jobs, **kwargs):
+def _fig6_rows(jobs):
     memo.clear_cache()
     benchmarks = [get_profile(name) for name in _GOLDEN_FIG6]
     rows = fig6_performance(
-        window=_GOLDEN_WINDOW, benchmarks=benchmarks, jobs=jobs, **kwargs
+        window=_GOLDEN_WINDOW, benchmarks=benchmarks, jobs=jobs
     )
     return {row.benchmark: row.ipc for row in rows}
 
@@ -202,32 +197,6 @@ def test_fig6_kernel_golden_jobs1():
 def test_fig6_kernel_golden_jobs2():
     """The same goldens through the process-parallel engine."""
     assert _fig6_rows(jobs=2) == _GOLDEN_FIG6
-
-
-def test_fig6_simbatch_matches_golden():
-    """Lockstep SimBatch stepping reproduces the goldens exactly."""
-    assert _fig6_rows(jobs=1, simbatch=True) == _GOLDEN_FIG6
-
-
-def test_simbatch_equals_solo_runs():
-    """run_batch's lockstep grouping == running every task solo."""
-    window = SimulationWindow(warmup=1500, measured=4000)
-    tasks = [
-        SimTask(
-            kind="rmt" if chip.has_checker else "leading",
-            profile=get_profile(name), chip=chip, window=window,
-        )
-        for name in ("gzip", "swim")
-        for chip in (
-            ChipModel.TWO_D_A, ChipModel.TWO_D_2A,
-            ChipModel.THREE_D_2A, ChipModel.THREE_D_CHECKER,
-        )
-    ]
-    memo.clear_cache()
-    solo = [run_sim_task(task) for task in tasks]
-    memo.clear_cache()
-    batched = run_batch(tasks)
-    assert batched == solo
 
 
 def test_branch_stream_view_equals_clone():

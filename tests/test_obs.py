@@ -312,6 +312,12 @@ class TestSimulationDeterminism:
         assert serial.counters["sim.instructions_retired"] > 0
         assert serial.counters["rmt.simulations"] == len(benchmarks) * 3
         assert serial.counters["memo.trace.hits"] > 0
+        # Each stream is generated once, on its first lookup (TINY's
+        # 8000 rows are one 8192-row chunk); later lookups reuse it.
+        assert serial.counters["memo.trace.misses"] == len(benchmarks)
+        assert serial.counters["trace.instructions_generated"] == (
+            len(benchmarks) * 8192
+        )
         assert "sim.leading" in serial.spans["children"]
 
 

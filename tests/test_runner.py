@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.config import ChipModel, LeadingCoreConfig, NucaPolicy
+from repro.common.errors import ConfigError
 from repro.experiments.runner import (
     DEFAULT_WINDOW,
     SimulationWindow,
@@ -18,9 +19,22 @@ TINY = SimulationWindow(warmup=1000, measured=4000)
 class TestWindow:
     def test_total(self):
         assert SimulationWindow(1000, 4000).total == 5000
+        assert SimulationWindow(0, 1).total == 1
 
     def test_default_window(self):
         assert DEFAULT_WINDOW.measured >= 10_000
+
+    @pytest.mark.parametrize(
+        "warmup,measured", [(1000, -5), (1000, 0), (-10, 2000), (-1, 0)]
+    )
+    def test_impossible_window_rejected(self, warmup, measured):
+        with pytest.raises(ConfigError):
+            SimulationWindow(warmup, measured)
+
+    def test_validation_leaves_repr_unchanged(self):
+        assert repr(SimulationWindow(1000, 4000)) == (
+            "SimulationWindow(warmup=1000, measured=4000)"
+        )
 
 
 class TestBuildMemory:

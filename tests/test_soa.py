@@ -23,8 +23,8 @@ from repro.core.leading import LeadingCoreTiming
 from repro.core.rmt import RmtSimulator
 from repro.experiments.perf import fig6_performance
 from repro.experiments.runner import SimulationWindow, build_memory
-from repro.isa.soa import TraceArrays, TraceBatch
-from repro.isa.trace import TraceGenerator, generate_arrays_batch
+from repro.isa.soa import TraceArrays
+from repro.isa.trace import TraceGenerator
 from repro.workloads.profiles import get_profile
 
 
@@ -86,71 +86,6 @@ class TestVectorizedGeneration:
             [gen.generate_arrays(4000), gen.generate_arrays(5000)]
         )
         assert stitched == one_shot
-
-
-class TestBatchedGeneration:
-    def test_lockstep_batch_matches_solo_generation(self):
-        # Mixed profiles, a duplicate profile under a different seed, and
-        # deliberately ragged counts (sub-chunk, chunk-multiple, and
-        # mid-chunk drop-out of the lockstep passes).
-        specs = [
-            ("gzip", 42, 100),
-            ("mcf", 42, 9000),
-            ("swim", 7, 8192),
-            ("art", 3, 5000),
-            ("gzip", 7, 12000),
-        ]
-        batch = generate_arrays_batch(
-            [TraceGenerator(get_profile(n), seed=s) for n, s, _ in specs],
-            [c for _, _, c in specs],
-        )
-        assert isinstance(batch, TraceBatch)
-        assert len(batch) == len(specs)
-        for b, (name, seed, count) in enumerate(specs):
-            solo = TraceGenerator(get_profile(name), seed=seed)
-            assert batch.sim(b) == solo.generate_arrays(count)
-
-    def test_generators_continue_solo_after_batch(self):
-        # State write-back: a generator that took part in a lockstep
-        # batch must produce the same continuation a solo one does.
-        batched = [
-            TraceGenerator(get_profile(n), seed=11) for n in ("gzip", "mcf")
-        ]
-        first = generate_arrays_batch(batched, [6000, 2500])
-        solo = [
-            TraceGenerator(get_profile(n), seed=11) for n in ("gzip", "mcf")
-        ]
-        for b, gen in enumerate(solo):
-            assert first.sim(b) == gen.generate_arrays(len(first.sim(b)))
-        for b, gen in enumerate(batched):
-            assert gen.generate_arrays(3000) == solo[b].generate_arrays(3000)
-
-    def test_solo_generator_can_join_a_batch(self):
-        # The reverse hand-off: solo generation first, then lockstep.
-        joined = TraceGenerator(get_profile("swim"), seed=2)
-        joined.generate_arrays(1234)
-        other = TraceGenerator(get_profile("gzip"), seed=2)
-        batch = generate_arrays_batch([joined, other], [3000, 3000])
-        reference = TraceGenerator(get_profile("swim"), seed=2)
-        reference.generate_arrays(1234)
-        assert batch.sim(0) == reference.generate_arrays(3000)
-
-    def test_batch_round_trip_through_traces(self):
-        traces = [
-            TraceGenerator(get_profile(n), seed=5).generate_arrays(c)
-            for n, c in (("gzip", 40), ("mcf", 25))
-        ]
-        batch = TraceBatch.from_traces(traces)
-        assert batch.to_traces() == traces
-
-    def test_prime_trace_batch_matches_unprimed_lookup(self):
-        cache = memo.get_cache()
-        profiles = [get_profile(n) for n in ("gzip", "mcf")]
-        cache.prime_trace_batch([(p, 42, 5000) for p in profiles])
-        for p in profiles:
-            primed = cache.trace_arrays(p, 42, 5000)
-            assert primed == TraceGenerator(p, seed=42).generate_arrays(5000)
-        assert cache.stats["trace"].hits == 2
 
 
 class TestPreloadFastPath:
@@ -236,19 +171,5 @@ class TestGoldenFig6:
             window=window,
             benchmarks=[get_profile(name) for name in _GOLDEN_FIG6],
             jobs=jobs,
-        )
-        assert {row.benchmark: row.ipc for row in rows} == _GOLDEN_FIG6
-
-    @pytest.mark.parametrize("jobs,chunksize", [(1, 12), (2, 8)])
-    def test_fig6_batched_chunks_are_exact(self, jobs, chunksize):
-        # Oversized chunks group several benchmarks per chunk, so the
-        # prepare hook primes their traces in one lockstep batch; the
-        # IPC floats must still match the object pipeline exactly.
-        window = SimulationWindow(warmup=1000, measured=4000)
-        rows = fig6_performance(
-            window=window,
-            benchmarks=[get_profile(name) for name in _GOLDEN_FIG6],
-            jobs=jobs,
-            chunksize=chunksize,
         )
         assert {row.benchmark: row.ipc for row in rows} == _GOLDEN_FIG6

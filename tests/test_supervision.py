@@ -478,6 +478,29 @@ def _wait_for_task_done(trace: Path, timeout_s: float = 60.0) -> None:
     raise AssertionError(f"no task_done event within {timeout_s}s")
 
 
+def _task_done_workers(trace: Path) -> set[int]:
+    """The worker pids named by the run's ``task_done`` events."""
+    pids = set()
+    for line in trace.read_text().splitlines():
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue  # a line torn by the kill
+        worker = str(record.get("worker", ""))
+        if record.get("event") == "task_done" and worker.isdigit():
+            pids.add(int(worker))
+    return pids
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def _manifest_counters(path: Path) -> dict:
     manifest = json.loads(path.read_text())
     counters = dict(manifest["metrics"]["counters"])
@@ -504,6 +527,13 @@ class TestCrashRecoverySubprocess:
             # checkpoint writer got out are all that survives.
             proc.kill()
             proc.wait(timeout=30)
+        # The pool workers notice their parent is gone and exit.
+        workers = _task_done_workers(trace)
+        assert workers
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in workers if _running(pid)]
         run_dirs = [p for p in ckpt_dir.iterdir() if p.is_dir()]
         assert len(run_dirs) == 1
         run_id = run_dirs[0].name

@@ -8,16 +8,10 @@ Two guarantees ride on this file:
   of the old engine's serial path, on tasks of a fixed busy-wait length
   so the comparison is stable across hosts;
 * a real CLI invocation survives aggressive chaos (worker kills plus
-  injected first-attempt failures) end to end: ``python -m repro fig6
-  --chaos worker-kill:0.9,task-fail:0.9 --retries 2`` exits 0 and writes
-  a run manifest — once on the default local pool and once on the
-  socket backend, where the kills surface as lost workers whose chunks
-  requeue onto survivors (or degrade down the chain when none is left);
-* a respawn storm (``worker-kill:0.9`` with some respawns chaos-vetoed
-  by ``respawn-fail:0.3``) is absorbed by replacement workers —
-  ``--respawns 8`` keeps the sweep healthy with zero task failures —
-  while the happy-path overhead budget above is unchanged, so the
-  supervision layer is free when nothing goes wrong.
+  injected first-attempt failures) end to end on the process pool:
+  ``python -m repro fig6 --chaos worker-kill:0.9,task-fail:0.9
+  --retries 2`` exits 0, rebuilds the pool at least once, and writes a
+  run manifest with zero task failures.
 """
 
 import json
@@ -138,84 +132,3 @@ def test_cli_survives_chaos(tmp_path):
     assert sweep["tasks"] == 8
     assert sweep["failures"] == 0
     assert sweep["pool_rebuilds"] >= 1   # the kills really fired
-
-
-@pytest.mark.slow
-def test_cli_survives_chaos_on_socket_backend(tmp_path):
-    """The same chaos smoke on ``--executor socket``: worker kills show
-    up as lost TCP workers; the sweep must still complete with zero
-    failures, via requeue onto survivors and — when every worker is
-    gone — degradation down the backend chain."""
-    repo = Path(__file__).resolve().parent.parent
-    manifest_path = tmp_path / "manifest.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(repo / "src")
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "repro", "fig6",
-            "--benchmarks", "gzip,mcf", "--window", "1500", "--jobs", "2",
-            "--executor", "socket", "--retries", "2",
-            "--chaos", "worker-kill:0.4,heartbeat-drop:0.3,result-dup:0.5,seed:1",
-            "--metrics", str(manifest_path),
-        ],
-        cwd=repo,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    manifest = json.loads(manifest_path.read_text())
-    assert manifest["executor"] == "socket"
-    sweep = manifest["sweeps"][0]
-    print_table(
-        "CLI socket chaos smoke (kills + heartbeat drops + dup frames)",
-        ["tasks", "failures", "lost workers", "requeues", "dup results"],
-        [[sweep["tasks"], sweep["failures"], sweep["lost_workers"],
-          sweep["requeues"], sweep["duplicate_results"]]],
-    )
-    assert sweep["tasks"] == 8
-    assert sweep["failures"] == 0
-    assert sweep["executor"] == "socket"
-    assert sweep["lost_workers"] >= 1    # a kill or drop really fired
-
-
-@pytest.mark.slow
-def test_cli_survives_respawn_storm_on_socket_backend(tmp_path):
-    """Respawn-storm stage: heavy worker kills with a respawn budget
-    (and chaos vetoing some respawns) keep the sweep on the socket
-    backend through replacement workers; zero task failures either
-    way — degradation stays the fallback of last resort."""
-    repo = Path(__file__).resolve().parent.parent
-    manifest_path = tmp_path / "manifest.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(repo / "src")
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "repro", "fig6",
-            "--benchmarks", "gzip,mcf", "--window", "1500", "--jobs", "2",
-            "--executor", "socket", "--retries", "2", "--respawns", "8",
-            "--chaos", "worker-kill:0.9,respawn-fail:0.3,seed:3",
-            "--metrics", str(manifest_path),
-        ],
-        cwd=repo,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    manifest = json.loads(manifest_path.read_text())
-    sweep = manifest["sweeps"][0]
-    print_table(
-        "CLI respawn storm (worker kills + chaos-vetoed respawns)",
-        ["tasks", "failures", "lost workers", "respawns",
-         "respawn failures", "degraded"],
-        [[sweep["tasks"], sweep["failures"], sweep["lost_workers"],
-          sweep["respawns"], sweep["respawn_failures"],
-          "yes" if sweep["degraded"] else "no"]],
-    )
-    assert sweep["tasks"] == 8
-    assert sweep["failures"] == 0
-    assert sweep["lost_workers"] >= 1        # the storm really fired
-    assert sweep["respawns"] + sweep["respawn_failures"] >= 1

@@ -309,8 +309,7 @@ def _cmd_report(args) -> None:
         data = render_partial_report(args.partial, args.out,
                                      checkpoint_root=root)
         _say(f"wrote PARTIAL report {args.out}/results_partial.md "
-             f"({data['tasks_committed']} task(s) committed, "
-             f"{len(data['quarantined'])} quarantined)")
+             f"({data['tasks_committed']} task(s) committed)")
         return
     generate_report(args.out, window=_window(args))
     _say(f"wrote {args.out}/results.json and {args.out}/results.md")
@@ -506,13 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measured instructions per simulation")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for sweeps (default: "
-                            "REPRO_JOBS or cpu count)")
-        p.add_argument("--executor", default=None,
-                       choices=("inline", "local", "socket"),
-                       help="sweep executor backend (default: "
-                            "REPRO_EXECUTOR, else inline for --jobs 1 "
-                            "and local otherwise)")
+                       help="worker processes for sweeps: 1 runs them "
+                            "in-process, more use a process pool "
+                            "(default: REPRO_JOBS or cpu count)")
         p.add_argument("--retries", type=int, default=None,
                        help="re-executions allowed per failed sweep task "
                             "(default: REPRO_RETRIES or 0)")
@@ -521,10 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="kill any single sweep task attempt that "
                             "runs longer than this (default: "
                             "REPRO_TASK_TIMEOUT or unlimited)")
-        p.add_argument("--respawns", type=int, default=None, metavar="N",
-                       help="replacement workers the socket backend may "
-                            "spawn after losses before degrading "
-                            "(default: 2)")
         p.add_argument("--drain-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="on SIGTERM, wait this long for in-flight "
@@ -621,19 +612,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.profile:
             # Workers inherit the environment, so the env knob (not the
             # in-process accumulator) is what switches profiling on in
-            # pool and socket worker processes.
+            # pool worker processes.
             profile_env_prior = os.environ.get(profile_mod.PROFILE_ENV_VAR)
             os.environ[profile_mod.PROFILE_ENV_VAR] = "1"
             profile_mod.set_accumulator(profile_mod.ProfileAccumulator())
         engine.set_default_jobs(args.jobs)
-        engine.set_default_executor(args.executor)
         overrides = {
             field: value
             for field, value in (
                 ("max_retries", args.retries),
                 ("timeout_s", args.task_timeout),
                 ("fail_fast", args.fail_fast),
-                ("max_respawns", args.respawns),
                 ("drain_timeout_s", args.drain_timeout),
             )
             if value is not None
@@ -661,7 +650,7 @@ def main(argv: list[str] | None = None) -> int:
                 sweeps=engine.timing_summary(run_id),
                 extra={
                     "executor": engine.resolve_executor(
-                        args.executor, engine.resolve_jobs(args.jobs)
+                        engine.resolve_jobs(args.jobs)
                     ),
                 },
             )
@@ -702,7 +691,6 @@ def main(argv: list[str] | None = None) -> int:
             signal.signal(signal.SIGTERM, prior_sigterm or signal.SIG_DFL)
         engine.clear_drain()
         engine.set_default_jobs(None)
-        engine.set_default_executor(None)
         engine.set_default_policy(None)
         checkpoint_mod.set_checkpoint_dir(None)
         chaos_mod.set_chaos(None)

@@ -80,17 +80,6 @@ class TaskTimeoutError(TaskError):
         self.timeout_s = timeout_s
 
 
-class TaskQuarantinedError(TaskError):
-    """A task was quarantined after repeatedly killing its workers.
-
-    The supervision layer bisected the task's chunk down to a single
-    grain, attributed the worker deaths to this task, and committed a
-    failure for it instead of degrading the whole sweep.  The task is
-    recorded in the checkpoint and the report with this error; a
-    ``--resume`` gives it one fresh chance.
-    """
-
-
 class WorkerCrashError(ReproError):
     """The worker pool kept dying and serial degradation was disabled.
 
@@ -104,14 +93,12 @@ class WorkerCrashError(ReproError):
 
 
 class ExecutorBrokenError(ReproError):
-    """An executor backend ran out of capacity (every worker lost, the
-    pool exceeded its rebuild budget, or the transport failed for good).
+    """The process pool exceeded its rebuild budget.
 
-    Raised *internally* by executor backends to signal the scheduler
-    that the backend cannot make further progress; the scheduler then
-    degrades down the backend chain (``socket -> local -> inline``) or,
-    when degradation is disabled, escalates as
-    :class:`WorkerCrashError`.
+    Raised *internally* by the scheduler to abandon the pool; the
+    sweep then degrades down the backend chain (``local -> inline``).
+    With degradation disabled the scheduler raises
+    :class:`WorkerCrashError` instead.
     """
 
     def __init__(self, message: str, *, backend: str = ""):

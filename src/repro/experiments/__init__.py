@@ -59,14 +59,12 @@ from repro.experiments.engine import (
     resolve_executor,
     resolve_jobs,
     run_sweep,
-    set_default_executor,
     timing_summary,
 )
 from repro.experiments.executors import (
     Executor,
     InlineExecutor,
     LocalPoolExecutor,
-    SocketExecutor,
     make_executor,
 )
 from repro.experiments.runner import (
@@ -143,10 +141,8 @@ __all__ = [
     "Executor",
     "InlineExecutor",
     "LocalPoolExecutor",
-    "SocketExecutor",
     "make_executor",
     "resolve_executor",
-    "set_default_executor",
     "DEFAULT_WINDOW",
     "SimTask",
     "SimulationWindow",

@@ -3,34 +3,14 @@
 The simulated cores get their faults from :mod:`repro.core.faults`; this
 module does the same for the machinery that *runs* the simulations, so
 the engine's recovery paths (retries, pool rebuilds, serial degradation)
-are themselves testable.  A :class:`ChaosPolicy` injects three kinds of
-trouble into sweep tasks:
+are themselves testable.  A :class:`ChaosPolicy` injects four kinds of
+trouble:
 
 * ``task-fail`` — raise :class:`~repro.common.errors.ChaosError` before
   the task body runs;
 * ``worker-kill`` — ``os._exit`` the worker process (surfaces to the
   controller as a ``BrokenProcessPool``), only ever inside pool workers;
-* ``task-delay`` — sleep before the task body runs.
-
-PR 7 adds *transport* faults for the pluggable executor backends
-(:mod:`repro.experiments.executors`):
-
-* ``heartbeat-drop`` — a socket worker suppresses its heartbeat frames
-  while running the chunk whose first entry the decision names, so the
-  controller declares it lost and requeues the chunk;
-* ``result-dup`` — a worker sends a task's result frame twice (the
-  at-most-once commit must drop the second copy);
-* ``result-delay`` — a worker holds a result frame back for
-  ``frame_delay_s`` before sending it (exercises late results racing a
-  requeued rerun).
-
-PR 9 adds *supervision* faults for the self-healing layer:
-
-* ``worker-hang`` — a socket worker sleeps ``hang_s`` after accepting
-  the chunk whose first entry the decision names, while its heartbeats
-  keep beating (only the chunk lease can catch it);
-* ``respawn-fail`` — a scheduled replacement worker fails to come up
-  (decided per respawn ordinal, exercising the degrade fallback);
+* ``task-delay`` — sleep before the task body runs;
 * ``short-write`` — the checkpoint writer persists only a prefix of the
   JSONL line for the named task, simulating a crash torn mid-byte.
 
@@ -81,39 +61,22 @@ def hash01(text: str) -> float:
 
 @dataclass(frozen=True)
 class ChaosPolicy:
-    """Probabilities (and a seed) for the task and transport injections."""
+    """Probabilities (and a seed) for the task and checkpoint injections."""
 
     fail_p: float = 0.0
     kill_p: float = 0.0
     delay_p: float = 0.0
     delay_s: float = 0.01
-    hb_drop_p: float = 0.0
-    dup_result_p: float = 0.0
-    frame_delay_p: float = 0.0
-    frame_delay_s: float = 0.05
-    hang_p: float = 0.0
-    hang_s: float = 3600.0
-    respawn_fail_p: float = 0.0
     short_write_p: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in (
-            "fail_p", "kill_p", "delay_p",
-            "hb_drop_p", "dup_result_p", "frame_delay_p",
-            "hang_p", "respawn_fail_p", "short_write_p",
-        ):
+        for name in ("fail_p", "kill_p", "delay_p", "short_write_p"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"chaos {name} must be in [0, 1], got {p}")
         if self.delay_s < 0:
             raise ConfigError(f"chaos delay_s must be >= 0, got {self.delay_s}")
-        if self.frame_delay_s < 0:
-            raise ConfigError(
-                f"chaos frame_delay_s must be >= 0, got {self.frame_delay_s}"
-            )
-        if self.hang_s < 0:
-            raise ConfigError(f"chaos hang_s must be >= 0, got {self.hang_s}")
 
     def _roll(self, kind: str, index: int) -> float:
         return hash01(f"{self.seed}:{kind}:{index}")
@@ -129,43 +92,6 @@ class ChaosPolicy:
     def delays(self, index: int, attempt: int) -> bool:
         """Whether the task at ``index`` gets an injected delay."""
         return attempt == 0 and self._roll("delay", index) < self.delay_p
-
-    # -- transport faults (executor backends) --------------------------
-    # All follow the same two determinism rules: decided purely from
-    # ``(seed, kind, index)`` and fired only on a chunk's first pass
-    # (``attempt == 0``), so a requeued rerun always runs clean and both
-    # sides of the wire can attribute a loss they observe indirectly.
-
-    def drops_heartbeat(self, index: int, attempt: int) -> bool:
-        """Whether a worker running the chunk whose first entry is
-        ``index`` suppresses its heartbeats (controller will requeue)."""
-        return attempt == 0 and self._roll("hb", index) < self.hb_drop_p
-
-    def duplicates_result(self, index: int, attempt: int) -> bool:
-        """Whether the result frame of task ``index`` is sent twice."""
-        return attempt == 0 and self._roll("dup", index) < self.dup_result_p
-
-    def delays_result(self, index: int, attempt: int) -> bool:
-        """Whether the result frame of task ``index`` is held back for
-        ``frame_delay_s`` before sending."""
-        return (
-            attempt == 0 and self._roll("frame", index) < self.frame_delay_p
-        )
-
-    # -- supervision faults (self-healing layer) -----------------------
-
-    def hangs(self, index: int, attempt: int) -> bool:
-        """Whether a worker running the chunk whose first entry is
-        ``index`` stalls for ``hang_s`` after accepting it.  Heartbeats
-        keep flowing, so only the chunk lease (``timeout_s``) detects
-        the hang; a requeued rerun runs clean."""
-        return attempt == 0 and self._roll("hang", index) < self.hang_p
-
-    def fails_respawn(self, ordinal: int) -> bool:
-        """Whether the ``ordinal``-th replacement worker an executor
-        schedules fails to come up.  Keyed by respawn ordinal, not task
-        index — respawns are an executor-level act with no task yet."""
-        return self._roll("respawn", ordinal) < self.respawn_fail_p
 
     def short_writes(self, index: int) -> bool:
         """Whether the checkpoint append for task ``index`` persists
@@ -199,13 +125,9 @@ class ChaosPolicy:
         Comma-separated ``kind:value`` fields; kinds are ``task-fail``
         (or ``fail``), ``worker-kill`` (``kill``), ``task-delay``
         (``delay``, with an optional second value for the sleep in
-        seconds), the transport kinds ``heartbeat-drop`` (``hb-drop``),
-        ``result-dup`` (``dup``), ``result-delay`` (optional second
-        value: hold-back seconds), the supervision kinds ``worker-hang``
-        (``hang``, optional second value: stall seconds),
-        ``respawn-fail``, ``short-write``, and ``seed``.  Example::
+        seconds), ``short-write`` (``short``), and ``seed``.  Example::
 
-            worker-kill:0.1,respawn-fail:0.3,short-write:0.2,seed:7
+            worker-kill:0.1,short-write:0.2,seed:7
         """
         values: dict = {}
         for field in spec.split(","):
@@ -223,20 +145,6 @@ class ChaosPolicy:
                     values["delay_p"] = float(parts[1])
                     if len(parts) > 2:
                         values["delay_s"] = float(parts[2])
-                elif kind in ("heartbeat-drop", "hb-drop"):
-                    values["hb_drop_p"] = float(parts[1])
-                elif kind in ("result-dup", "dup"):
-                    values["dup_result_p"] = float(parts[1])
-                elif kind in ("result-delay", "frame-delay"):
-                    values["frame_delay_p"] = float(parts[1])
-                    if len(parts) > 2:
-                        values["frame_delay_s"] = float(parts[2])
-                elif kind in ("worker-hang", "hang"):
-                    values["hang_p"] = float(parts[1])
-                    if len(parts) > 2:
-                        values["hang_s"] = float(parts[2])
-                elif kind in ("respawn-fail", "respawn"):
-                    values["respawn_fail_p"] = float(parts[1])
                 elif kind in ("short-write", "short"):
                     values["short_write_p"] = float(parts[1])
                 elif kind == "seed":

@@ -135,13 +135,21 @@ def _decode(text: str):
     return pickle.loads(base64.b64decode(text.encode("ascii")))
 
 
+def _is_quarantine(record: dict) -> bool:
+    """Whether ``record`` is a payload-free quarantine verdict.
+
+    Older checkpoints may carry these lines; they commit nothing, so
+    readers skip them and a resume re-runs the task.
+    """
+    return bool(record.get("quarantined"))
+
+
 class SweepCheckpoint:
     """Append-only JSONL checkpoint for one sweep of one run."""
 
     def __init__(self, path: str | Path, chaos=None):
         self.path = Path(path)
         self.records: dict[str, dict] = {}
-        self.quarantined: dict[str, dict] = {}
         self.truncated_lines = 0
         self.finalized = _done_path(self.path).exists()
         torn = False
@@ -159,11 +167,7 @@ class SweepCheckpoint:
                     # before it is intact, the affected task re-runs.
                     self.truncated_lines += 1
                     continue
-                if record.get("quarantined"):
-                    # Quarantine records carry no payload and are never
-                    # restored: a resume gives the task one fresh chance.
-                    self.quarantined[record["key"]] = record
-                else:
+                if not _is_quarantine(record):
                     self.records[record["key"]] = record
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -246,24 +250,6 @@ class SweepCheckpoint:
         if self._write_line(record, index):
             self.records[key] = record
 
-    def append_quarantine(self, key: str, index: int, task: str,
-                          error: str) -> None:
-        """Record a quarantined task: no payload, just the verdict.
-
-        The record documents *why* the slot is empty; restoration never
-        returns it, so a later ``--resume`` re-runs the task once more
-        on fresh workers.
-        """
-        record = {
-            "key": key,
-            "index": index,
-            "task": task,
-            "quarantined": True,
-            "error": error[:500],
-        }
-        if self._write_line(record, index):
-            self.quarantined[key] = record
-
     def restore(self, key: str) -> tuple[object, float, object] | None:
         """The stored ``(result, wall_s, metrics)`` for ``key``, if any.
 
@@ -305,7 +291,6 @@ class SweepCheckpoint:
         payload = {
             "tasks": tasks,
             "records": len(self.records),
-            "quarantined": len(self.quarantined),
             "failures": failures,
             "completed_unix": round(time.time(), 3),
         }
@@ -360,7 +345,6 @@ def scan_sweep(path: str | Path) -> dict:
         "path": str(path),
         "tasks_committed": 0,
         "wall_s": 0.0,
-        "quarantined": [],
         "truncated_lines": 0,
         "finalized": _done_path(path).exists(),
         "finalize_info": None,
@@ -370,7 +354,6 @@ def scan_sweep(path: str | Path) -> dict:
     except OSError:
         return summary
     committed: dict[str, float] = {}
-    quarantined: dict[str, dict] = {}
     for line in text.splitlines():
         if not line.strip():
             continue
@@ -380,19 +363,10 @@ def scan_sweep(path: str | Path) -> dict:
         except (json.JSONDecodeError, TypeError, KeyError):
             summary["truncated_lines"] += 1
             continue
-        if record.get("quarantined"):
-            quarantined[record["key"]] = {
-                "task_key": record["key"],
-                "index": record.get("index"),
-                "error": record.get("error", ""),
-            }
-        else:
+        if not _is_quarantine(record):
             committed[record["key"]] = float(record.get("wall_s", 0.0))
     summary["tasks_committed"] = len(committed)
     summary["wall_s"] = round(sum(committed.values()), 6)
-    summary["quarantined"] = sorted(
-        quarantined.values(), key=lambda q: (q["index"] is None, q["index"])
-    )
     if summary["finalized"]:
         try:
             summary["finalize_info"] = json.loads(

@@ -9,19 +9,16 @@ instead of running nested loops inline.  The engine provides:
   chunked submission (chunks keep a worker on one benchmark's tasks so
   its per-process artifact cache gets hits; see :mod:`repro.common.memo`);
 * a worker-count policy: an explicit ``jobs`` argument wins, then the
-  ``REPRO_JOBS`` environment variable, then ``os.cpu_count()``.
-  Backend selection mirrors it: ``executor=`` argument, then the CLI's
-  ``--executor``, then ``REPRO_EXECUTOR``, then ``inline`` for one
-  worker (a pure in-process loop — no executor processes, no pickling —
-  so ``pdb``, profilers, and coverage keep working) and the ``local``
-  process pool otherwise; ``socket`` runs long-lived TCP workers;
+  ``REPRO_JOBS`` environment variable, then ``os.cpu_count()``.  The
+  backend follows from it: ``inline`` for one worker (a pure in-process
+  loop — no executor processes, no pickling — so ``pdb``, profilers,
+  and coverage keep working) and the ``local`` process pool otherwise;
 * a backend-agnostic scheduler loop driven by per-chunk **leases**
-  (deadline = the wave's worst-case serial budget) and worker
-  **heartbeats**: a missed heartbeat or expired lease requeues the
-  chunk onto a surviving worker where the backend supports it, results
-  commit **at most once** per task key (a slow original completing
-  after its requeued twin cannot double-count), and repeated backend
-  failure degrades down the chain ``socket -> local -> inline``;
+  (deadline = the wave's worst-case serial budget): an expired lease
+  cancels the chunk and commits its unfinished tasks as timeouts,
+  results commit **at most once** per task key (a duplicate delivery
+  is counted and dropped), and a pool that keeps breaking degrades
+  down the chain ``local -> inline``;
 * a resilience policy (:class:`TaskPolicy`): per-task retries with
   exponential backoff and deterministic jitter, a per-task timeout that
   kills hung attempts from inside the worker, fail-fast vs.
@@ -69,7 +66,6 @@ from repro.common.errors import (
     SweepAbortedError,
     SweepDrainedError,
     TaskError,
-    TaskQuarantinedError,
     TaskTimeoutError,
     WorkerCrashError,
 )
@@ -77,11 +73,7 @@ from repro.experiments import chaos as chaos_mod
 from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments import executors as executors_mod
 from repro.experiments.chaos import ChaosPolicy, hash01
-from repro.experiments.executors import (
-    EXECUTOR_ENV_VAR,
-    resolve_executor,
-    set_default_executor,
-)
+from repro.experiments.executors import resolve_executor
 from repro.obs import events
 from repro.obs import export as export_mod
 from repro.obs import live as live_mod
@@ -104,7 +96,6 @@ __all__ = [
     "JOBS_ENV_VAR",
     "RETRIES_ENV_VAR",
     "TASK_TIMEOUT_ENV_VAR",
-    "EXECUTOR_ENV_VAR",
     "TaskPolicy",
     "SweepTiming",
     "resolve_jobs",
@@ -113,7 +104,6 @@ __all__ = [
     "policy_from_env",
     "resolve_policy",
     "resolve_executor",
-    "set_default_executor",
     "parallel_map",
     "run_sweep",
     "run_metrics",
@@ -157,19 +147,9 @@ class TaskPolicy:
     collected, failed slots return ``None``, and the sweep completes.
     A pool that keeps dying is rebuilt ``max_pool_rebuilds`` times, then
     the remaining tasks run serially in-process (``degrade_serial``) or
-    :class:`WorkerCrashError` is raised.  On backends that support
-    work-stealing requeue (the socket executor), a chunk stranded by a
-    lost worker or an expired lease is resubmitted to a surviving
-    worker at most ``max_requeues`` times before its unfinished tasks
-    are declared failed.  A lost socket worker is replaced by a fresh
-    process after ``respawn_backoff_s``, at most ``max_respawns`` times
-    per sweep (``0`` restores the old shrink-onto-survivors behaviour);
-    the local pool's equivalent is its ``max_pool_rebuilds`` budget.
-    ``drain_timeout_s`` bounds how long a drain (SIGTERM) waits for
-    in-flight chunks to finish before giving up on them.
-    ``degrade_serial`` also governs the backend degradation chain: when
-    off, a broken backend raises instead of falling back to the next
-    one.
+    :class:`WorkerCrashError` is raised.  ``drain_timeout_s`` bounds how
+    long a drain (SIGTERM) waits for in-flight chunks to finish before
+    giving up on them.
     """
 
     max_retries: int = 0
@@ -180,9 +160,6 @@ class TaskPolicy:
     fail_fast: bool = True
     max_pool_rebuilds: int = 3
     degrade_serial: bool = True
-    max_requeues: int = 3
-    max_respawns: int = 2
-    respawn_backoff_s: float = 0.1
     drain_timeout_s: float = 30.0
 
     def __post_init__(self):
@@ -199,19 +176,6 @@ class TaskPolicy:
         if self.max_pool_rebuilds < 0:
             raise ConfigError(
                 f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds}"
-            )
-        if self.max_requeues < 0:
-            raise ConfigError(
-                f"max_requeues must be >= 0, got {self.max_requeues}"
-            )
-        if self.max_respawns < 0:
-            raise ConfigError(
-                f"max_respawns must be >= 0, got {self.max_respawns}"
-            )
-        if self.respawn_backoff_s < 0:
-            raise ConfigError(
-                f"respawn_backoff_s must be >= 0, got "
-                f"{self.respawn_backoff_s}"
             )
         if self.drain_timeout_s <= 0:
             raise ConfigError(
@@ -309,14 +273,8 @@ class SweepTiming:
     empty: bool = False      # sweep had no tasks (not recorded)
     executor: str = ""       # backend the sweep started on
     backends: list[str] = field(default_factory=list)  # backends used, in order
-    requeues: int = 0        # chunks resubmitted after worker loss/lease expiry
-    lost_workers: int = 0    # workers declared dead (crash or heartbeat)
     lease_expiries: int = 0  # chunk leases that expired at the controller
     duplicate_results: int = 0  # late/duplicate commits dropped per task key
-    respawns: int = 0        # replacement workers spawned after a loss
-    respawn_failures: int = 0  # respawn attempts that failed to come up
-    bisections: int = 0      # chunks split while isolating a poison task
-    quarantined: list = field(default_factory=list)  # poison tasks, as dicts
 
     @property
     def tasks(self) -> int:
@@ -386,14 +344,8 @@ def timing_summary(
             "degraded": t.degraded,
             "executor": t.executor,
             "backends": list(t.backends),
-            "requeues": t.requeues,
-            "lost_workers": t.lost_workers,
             "lease_expiries": t.lease_expiries,
             "duplicate_results": t.duplicate_results,
-            "respawns": t.respawns,
-            "respawn_failures": t.respawn_failures,
-            "bisections": t.bisections,
-            "quarantined": list(t.quarantined),
         }
         if include_metrics:
             row["metrics"] = (t.metrics or MetricsSnapshot()).as_dict()
@@ -470,8 +422,8 @@ def resolve_jobs(jobs: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------
-# Controller side: chunk scheduling, lease/heartbeat supervision,
-# backend degradation, checkpointing.  (Worker-side execution — the
+# Controller side: chunk scheduling, lease supervision, backend
+# degradation, checkpointing.  (Worker-side execution — the
 # attempt loop, SIGALRM deadline, and chunk runner — lives in
 # repro.experiments.executors and is re-exported above.)
 
@@ -501,9 +453,8 @@ class _SweepState:
         # every use below is observation-only).
         self.live: live_mod.LiveStats | None = None
         # At-most-once commit: task keys whose slot is already decided.
-        # A requeued chunk can race its slow original (or a chaos-
-        # duplicated result frame can arrive twice) — the first commit
-        # wins, every later arrival for the key is dropped.
+        # The first commit wins; every later arrival for the key is
+        # counted as a duplicate and dropped.
         self.committed: set[str] = set()
 
     def is_committed(self, index: int) -> bool:
@@ -528,9 +479,8 @@ class _SweepState:
                worker: str = "") -> None:
         """Fold one final task outcome into the sweep (and checkpoint).
 
-        Commits at most once per task key: a duplicate arrival (late
-        original after a requeue, or a chaos-duplicated result frame)
-        is counted and dropped, keeping results, metrics, and the
+        Commits at most once per task key: a duplicate arrival is
+        counted and dropped, keeping results, metrics, and the
         checkpoint identical to a single clean delivery.
 
         ``chunk_id`` and ``worker`` are trace context for the live /
@@ -582,8 +532,6 @@ class _SweepState:
         )
         if outcome.error_kind == "timeout":
             cls = TaskTimeoutError
-        elif outcome.error_kind == "quarantine":
-            cls = TaskQuarantinedError
         else:
             cls = TaskError
         kwargs = dict(
@@ -654,48 +602,6 @@ class _SweepState:
             worker=worker,
         )
 
-    def quarantine(self, index: int, base: int, reason: str) -> None:
-        """Declare one task poisonous and commit a failure for it.
-
-        Records the verdict in the sweep timing, the checkpoint (as a
-        payload-free quarantine record — a later resume re-runs the task
-        once more), and the event stream, then folds a failed outcome
-        through the normal at-most-once commit so fail-fast and failure
-        accounting behave exactly like any exhausted task.
-        """
-        if self.is_committed(index):
-            return
-        item = self.tasks[index]
-        key = checkpoint_mod.task_key(item, index)
-        error = (
-            f"task quarantined after repeatedly killing its worker "
-            f"(last loss: {reason})"
-        )
-        self.timing.quarantined.append({
-            "task_key": key,
-            "index": index,
-            "task": repr(item)[:160],
-            "error": error,
-        })
-        if self.ckpt is not None:
-            self.ckpt.append_quarantine(key, index, repr(item)[:160], error)
-        if self.live is not None:
-            self.live.quarantined_task()
-        events.emit(
-            "task_quarantined",
-            run_id=self.timing.run_id,
-            label=self.label,
-            task_index=index,
-            task_key=key,
-            reason=reason,
-        )
-        self.absorb(_TaskOutcome(
-            index=index,
-            attempts=base + 1,
-            error_kind="quarantine",
-            error=error,
-        ))
-
     def absorb_chunk_error(self, chunk, exc: Exception) -> None:
         """An infrastructure failure lost a whole chunk (e.g. the result
         would not unpickle); every not-yet-committed task in it counts
@@ -733,42 +639,10 @@ def _bump_killed_entries(chunk, chaos: ChaosPolicy | None):
     ]
 
 
-def _bump_lost_entries(chunk, chaos: ChaosPolicy | None, reason: str):
-    """Attribute a lost socket worker to the chaos decisions that caused
-    it, consuming the disturbed first attempts so the requeued rerun is
-    injection-free.  ``crash`` losses attribute kills (same logic as the
-    pool's :func:`_bump_killed_entries`); ``heartbeat`` losses also
-    consume the chunk-level heartbeat drop, which is decided from the
-    first entry.  A chaos ``worker-hang`` is consumed for *any* reason —
-    including lease-driven requeues, which are exactly how a hang
-    surfaces — while a real hang (no chaos decision) resubmits
-    unchanged.
-    """
-    if chaos is None:
-        return list(chunk)
-    bumped = []
-    for pos, (index, base, item) in enumerate(chunk):
-        bump = pos == 0 and chaos.hangs(index, base)
-        if reason != "lease":
-            bump = bump or chaos.kills(index, base) or (
-                reason == "heartbeat"
-                and pos == 0
-                and chaos.drops_heartbeat(index, base)
-            )
-        bumped.append((index, base + 1, item) if bump else (index, base, item))
-    return bumped
-
-
 # Controller-deadline slack over the serial worst case: covers dispatch,
 # pickling, and scheduler noise without masking a genuinely stuck worker.
 _DEADLINE_SLACK = 1.25
 _DEADLINE_GRACE_S = 2.0
-
-# Unattributed worker losses a chunk survives before the scheduler
-# suspects a poison task and bisects (or, at single-task grain,
-# quarantines).  Chaos-attributed losses never count — they are one-shot
-# by construction and the rerun is clean.
-_POISON_LOSS_LIMIT = 2
 
 
 # ---------------------------------------------------------------------
@@ -827,18 +701,14 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
     The scheduler is backend-agnostic: it submits chunks with a lease
     (deadline = the wave's worst-case serial budget, armed only when the
     policy carries a per-task timeout), consumes the executor's event
-    stream, and supervises three failure paths —
+    stream, and supervises two failure paths —
 
-    * **worker loss** (socket EOF or missed heartbeats): the chunk is
-      requeued onto a surviving worker, at most
-      ``policy.max_requeues`` times, with the chaos decisions that
-      caused the loss attributed so the rerun is injection-free;
-    * **lease expiry**: on a requeue-capable backend the chunk's worker
-      is cancelled and the chunk requeued; elsewhere (inline, local
-      pool — the old wave-expiry semantics) its unfinished tasks are
-      declared timed out by the controller;
+    * **lease expiry**: the chunk is cancelled (a running pool chunk
+      gets its workers killed) and its unfinished tasks are declared
+      timed out by the controller;
     * **pool breakage**: counted against ``policy.max_pool_rebuilds``
-      and resubmitted whole onto a rebuilt pool.
+      and resubmitted whole onto a rebuilt pool, with the chaos kills
+      that caused it attributed so the rerun is injection-free.
 
     A chunk that is resubmitted whole re-runs from a cold cache for its
     task keys, so re-produced metric deltas are bit-identical and the
@@ -854,8 +724,6 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
     )
     outstanding: dict[int, list] = {}
     leases: dict[int, float | None] = {}
-    requeue_counts: dict[int, int] = {}
-    loss_counts: dict[int, int] = {}
     ids = itertools.count()
     pool_rebuilds = 0
 
@@ -869,7 +737,7 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
             leases[chunk_id] = deadline
             executor.submit_chunk(chunk_id, chunk)
 
-    def expire_chunk(chunk_id: int, chunk) -> None:
+    def expire_chunk(chunk) -> None:
         # The controller backstop fired: no result inside the worst-case
         # serial budget.  Raises SweepAbortedError via absorb when the
         # policy is fail-fast.
@@ -887,89 +755,6 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
                     f"(per-attempt timeout {policy.timeout_s}s)"
                 ),
             ))
-
-    def bisect_chunk(chunk_id: int, reason: str) -> None:
-        # A chunk that keeps killing workers without a chaos decision to
-        # blame hides a poison task: split it so the halves isolate the
-        # culprit (fresh chunk ids, fresh requeue and loss budgets) —
-        # one bad task no longer costs every retry of its chunk-mates.
-        chunk = outstanding.pop(chunk_id)
-        leases.pop(chunk_id, None)
-        timing.bisections += 1
-        mid = len(chunk) // 2
-        deadline = None
-        if policy.timeout_s is not None:
-            deadline = time.monotonic() + _wave_budget([chunk], policy)
-        half_ids = []
-        for half in (chunk[:mid], chunk[mid:]):
-            half_id = next(ids)
-            half_ids.append(half_id)
-            outstanding[half_id] = half
-            leases[half_id] = deadline
-            executor.submit_chunk(half_id, half)
-        events.emit(
-            "chunk_bisected",
-            run_id=timing.run_id,
-            label=state.label,
-            chunk_id=chunk_id,
-            reason=reason,
-            halves=half_ids,
-            tasks=len(chunk),
-        )
-
-    def requeue_chunk(chunk_id: int, reason: str) -> None:
-        original = outstanding[chunk_id]
-        chunk = _bump_lost_entries(original, chaos, reason)
-        outstanding[chunk_id] = chunk
-        attributed = any(
-            b_new != b_old
-            for (_i1, b_old, _t1), (_i2, b_new, _t2) in zip(original, chunk)
-        )
-        if reason in ("crash", "heartbeat") and not attributed:
-            losses = loss_counts[chunk_id] = loss_counts.get(chunk_id, 0) + 1
-            if losses >= _POISON_LOSS_LIMIT:
-                if len(chunk) > 1:
-                    bisect_chunk(chunk_id, reason)
-                else:
-                    outstanding.pop(chunk_id)
-                    leases.pop(chunk_id, None)
-                    index, base, _item = chunk[0]
-                    state.quarantine(index, base, reason)
-                return
-        count = requeue_counts[chunk_id] = requeue_counts.get(chunk_id, 0) + 1
-        if count > policy.max_requeues:
-            outstanding.pop(chunk_id)
-            leases.pop(chunk_id, None)
-            if reason == "lease":
-                expire_chunk(chunk_id, chunk)
-                return
-            for index, base, _item in chunk:
-                if state.is_committed(index):
-                    continue
-                state.absorb(_TaskOutcome(
-                    index=index,
-                    attempts=base + 1,
-                    error_kind="error",
-                    error=(
-                        f"chunk abandoned after {count - 1} requeues "
-                        f"(last worker loss: {reason})"
-                    ),
-                ))
-            return
-        timing.requeues += 1
-        if state.live is not None:
-            state.live.requeued()
-        events.emit(
-            "chunk_requeued",
-            run_id=timing.run_id,
-            label=state.label,
-            chunk_id=chunk_id,
-            reason=reason,
-            requeues=count,
-        )
-        if policy.timeout_s is not None:
-            leases[chunk_id] = time.monotonic() + _wave_budget([chunk], policy)
-        executor.submit_chunk(chunk_id, chunk)
 
     def handle_event(event) -> None:
         nonlocal pool_rebuilds
@@ -993,44 +778,6 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
             leases.pop(event.chunk_id, None)
             if chunk is not None:
                 state.absorb_chunk_error(chunk, event.error)
-        elif isinstance(event, executors_mod.WorkerLost):
-            timing.lost_workers += 1
-            if state.live is not None:
-                state.live.worker_lost(event.worker, event.reason)
-            events.emit(
-                "worker_lost",
-                run_id=timing.run_id,
-                label=state.label,
-                backend=backend,
-                worker=event.worker,
-                reason=event.reason,
-                chunks=len(event.chunk_ids),
-            )
-            for chunk_id in event.chunk_ids:
-                if chunk_id in outstanding:
-                    requeue_chunk(chunk_id, event.reason)
-        elif isinstance(event, executors_mod.WorkerRespawned):
-            timing.respawns += 1
-            if state.live is not None:
-                state.live.respawned(event.worker)
-            events.emit(
-                "worker_respawned",
-                run_id=timing.run_id,
-                label=state.label,
-                backend=backend,
-                worker=event.worker,
-                replaced=event.replaced,
-            )
-        elif isinstance(event, executors_mod.RespawnFailed):
-            timing.respawn_failures += 1
-            events.emit(
-                "worker_respawn_failed",
-                run_id=timing.run_id,
-                label=state.label,
-                backend=backend,
-                replaced=event.replaced,
-                ordinal=event.ordinal,
-            )
         elif isinstance(event, executors_mod.PoolBroken):
             pool_rebuilds += 1
             timing.pool_rebuilds += 1
@@ -1150,13 +897,10 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
                     chunk_id=chunk_id,
                     timeout_s=policy.timeout_s,
                 )
-                cancelled = executor.cancel(chunk_id)
-                if executor.supports_requeue and cancelled:
-                    requeue_chunk(chunk_id, "lease")
-                else:
-                    chunk = outstanding.pop(chunk_id)
-                    leases.pop(chunk_id, None)
-                    expire_chunk(chunk_id, chunk)
+                executor.cancel(chunk_id)
+                chunk = outstanding.pop(chunk_id)
+                leases.pop(chunk_id, None)
+                expire_chunk(chunk)
         if draining:
             for chunk in outstanding.values():
                 stranded_tasks += sum(
@@ -1177,14 +921,6 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
     except ExecutorBrokenError:
         broken = True
         remaining = [outstanding[cid] for cid in sorted(outstanding)]
-        if not policy.degrade_serial:
-            executor.shutdown(kill=True)
-            raise WorkerCrashError(
-                f"sweep {state.label!r}: executor backend {backend!r} "
-                f"failed with {sum(len(c) for c in remaining)} task(s) "
-                "unfinished and degradation disabled",
-                rebuilds=pool_rebuilds,
-            ) from None
     except BaseException:
         executor.shutdown(kill=True)
         raise
@@ -1196,9 +932,9 @@ def _run_with_executors(fn, chunks, jobs, policy, chaos, state: _SweepState,
                         backend: str) -> None:
     """Drive the sweep down the degradation chain starting at ``backend``.
 
-    Each broken backend hands its unfinished chunks to the next link
-    (``socket -> local -> inline``); ``inline`` is the in-process loop
-    and cannot break, so the chain always terminates.
+    A broken pool hands its unfinished chunks to the next link
+    (``local -> inline``); ``inline`` is the in-process loop and cannot
+    break, so the chain always terminates.
     """
     chain = executors_mod.DEGRADATION_CHAIN
     position = chain.index(backend)
@@ -1234,16 +970,13 @@ def run_sweep(
     record: bool = True,
     policy: TaskPolicy | None = None,
     chaos: ChaosPolicy | None = None,
-    executor: str | None = None,
 ) -> tuple[list[R], SweepTiming]:
     """Map ``fn`` over ``items``, preserving order, with fault tolerance.
 
     ``fn`` must be a module-level callable and every item picklable when
-    the work leaves the process (the ``local`` and ``socket`` backends).
-    With ``jobs=1`` (the ``inline`` backend) nothing is pickled and
-    everything runs in-process.  ``executor`` picks the backend by name
-    (``inline``/``local``/``socket``; default per
-    :func:`~repro.experiments.executors.resolve_executor`).
+    the work leaves the process (the ``local`` pool, used whenever more
+    than one worker runs).  With ``jobs=1`` (the ``inline`` backend)
+    nothing is pickled and everything runs in-process.
     ``chunksize`` controls how many consecutive tasks form one unit of
     worker placement; drivers pass the inner-loop length so one worker
     runs all of a benchmark's chip models and reuses its memoized trace.
@@ -1285,7 +1018,7 @@ def run_sweep(
         pending_chunks.append(chunk)
     jobs = min(jobs, max(1, len(pending_chunks)))
     timing.jobs = jobs
-    backend = resolve_executor(executor, jobs)
+    backend = resolve_executor(jobs)
     timing.executor = backend
     events.emit(
         "sweep_begin",
@@ -1363,10 +1096,6 @@ def run_sweep(
             pool_rebuilds=timing.pool_rebuilds,
             resumed_tasks=timing.resumed_tasks,
             executor=backend,
-            requeues=timing.requeues,
-            lost_workers=timing.lost_workers,
-            respawns=timing.respawns,
-            quarantined=len(timing.quarantined),
         )
     return state.results, timing
 
@@ -1379,11 +1108,10 @@ def parallel_map(
     label: str = "sweep",
     policy: TaskPolicy | None = None,
     chaos: ChaosPolicy | None = None,
-    executor: str | None = None,
 ) -> list[R]:
     """:func:`run_sweep` without the timing handle (it is still recorded)."""
     results, _ = run_sweep(
         fn, items, jobs=jobs, chunksize=chunksize, label=label,
-        policy=policy, chaos=chaos, executor=executor,
+        policy=policy, chaos=chaos,
     )
     return results

@@ -4,24 +4,17 @@ The engine (:mod:`repro.experiments.engine`) schedules chunks of sweep
 tasks; *how* a chunk actually runs is this module's concern.  An
 :class:`Executor` turns ``submit_chunk`` calls into a stream of
 :class:`ChunkStarted` / :class:`TaskDone` / :class:`ChunkDone` /
-:class:`WorkerLost` events that the engine's backend-agnostic scheduler
-loop consumes.  Three implementations ship:
+:class:`ChunkFailed` / :class:`PoolBroken` events that the engine's
+backend-agnostic scheduler loop consumes.  Two implementations ship:
 
 * :class:`InlineExecutor` — serial, in-process, one task per ``poll``
   call so the scheduler can checkpoint and fail-fast *between* tasks
   exactly like the old ``_run_serial`` path.  Nothing is pickled;
   ``pdb``, profilers, and coverage keep working.
-* :class:`LocalPoolExecutor` — today's ``ProcessPoolExecutor`` shape:
-  chunk futures, ``BrokenProcessPool`` surfaced as a single
-  :class:`PoolBroken` event so the scheduler can rebuild and resubmit.
-* :class:`SocketExecutor` — long-lived worker processes speaking a
-  localhost TCP protocol of length-prefixed pickled frames, standing in
-  for the multi-host case.  Workers send heartbeats from a daemon
-  thread and stream per-task results, so the controller detects a lost
-  or silent worker (EOF, missed heartbeats), requeues its chunk onto
-  a survivor without restarting the backend, and — within
-  ``TaskPolicy.max_respawns`` — spawns a replacement worker so the
-  sweep recovers full capacity.
+* :class:`LocalPoolExecutor` — chunk futures on a
+  ``ProcessPoolExecutor``, with ``BrokenProcessPool`` surfaced as a
+  single :class:`PoolBroken` event so the scheduler can rebuild and
+  resubmit.
 
 This module also owns the *worker-side* execution layer the backends
 share — the per-attempt retry loop (:func:`_attempt_task`), the
@@ -36,24 +29,17 @@ converted to a timeout and retried) and true hangs are left to the
 controller-side lease, which fabricates the timeout when the chunk
 outlives its worst-case budget.
 
-Selection: :func:`resolve_executor` picks the backend — explicit
-argument, then :func:`set_default_executor` (the CLI's ``--executor``),
-then the ``REPRO_EXECUTOR`` environment variable, then ``inline`` for
-``jobs=1`` and ``local`` otherwise.  When a backend fails for good
-(every socket worker lost, pool rebuild budget exhausted) it raises
-:class:`~repro.common.errors.ExecutorBrokenError` and the scheduler
-degrades down :data:`DEGRADATION_CHAIN` (``socket -> local ->
-inline``).
+Selection: :func:`resolve_executor` derives the backend from the worker
+count — ``inline`` for ``jobs=1`` and ``local`` otherwise.  When the
+pool fails for good (its rebuild budget exhausted) the scheduler raises
+:class:`~repro.common.errors.ExecutorBrokenError` internally and
+degrades down :data:`DEGRADATION_CHAIN` (``local -> inline``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
-import selectors
 import signal
-import socket
 import threading
 import time
 import traceback as traceback_mod
@@ -62,40 +48,32 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.common.errors import ChaosError, ConfigError, ExecutorBrokenError
+from repro.common.errors import ChaosError, ConfigError
 from repro.experiments.chaos import ChaosPolicy
 from repro.obs import profile as profile_mod
 from repro.obs.metrics import MetricsSnapshot, get_registry
 
 __all__ = [
-    "EXECUTOR_ENV_VAR",
     "DEGRADATION_CHAIN",
     "ChunkStarted",
     "TaskDone",
     "ChunkDone",
     "ChunkFailed",
-    "WorkerLost",
     "PoolBroken",
-    "WorkerRespawned",
-    "RespawnFailed",
     "Executor",
     "InlineExecutor",
     "LocalPoolExecutor",
-    "SocketExecutor",
     "make_executor",
     "resolve_executor",
-    "set_default_executor",
 ]
-
-EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 
 #: Fallback order when a backend fails for good: each link degrades to
 #: the next.  ``inline`` cannot fail (it is the in-process loop), so the
 #: chain always terminates.
-DEGRADATION_CHAIN = ("socket", "local", "inline")
+DEGRADATION_CHAIN = ("local", "inline")
 
 #: Whether this platform can arm the in-worker interval-timer deadline.
 #: Module-level so tests can monkeypatch the no-SIGALRM fallback.
@@ -106,9 +84,9 @@ _HAS_ALARM = hasattr(signal, "SIGALRM") and hasattr(signal, "setitimer")
 # Worker-side task execution: attempts, timeouts, chaos.
 #
 # A sweep entry is the tuple ``(index, base_attempt, item)``.
-# ``base_attempt`` is nonzero only after a chaos kill (or heartbeat
-# drop) was attributed to the task, so its rerun counts the consumed
-# attempt and skips further first-attempt injections.
+# ``base_attempt`` is nonzero only after a chaos kill was attributed to
+# the task, so its rerun counts the consumed attempt and skips further
+# first-attempt injections.
 
 
 class _TaskTimeout(BaseException):
@@ -126,7 +104,7 @@ def _deadline(timeout_s: float | None):
     """Kill the enclosed block after ``timeout_s`` via an interval timer.
 
     Enforcement requires ``SIGALRM`` (Unix) and the main thread — both
-    true for pool/socket workers and for the inline in-process path.
+    true for pool workers and for the inline in-process path.
     Anywhere else the block runs unlimited rather than failing; the
     caller's post-hoc wall check and the controller-side lease take
     over (see the module docstring).
@@ -299,8 +277,8 @@ class TaskDone:
     """One task of a chunk finished (ok or exhausted); carries the outcome.
 
     ``worker`` names the executing worker when the backend knows it
-    (``"inline"``, a pool pid, a socket worker id) — live telemetry
-    attribution only, never scheduling state.
+    (``"inline"`` or a pool pid) — live telemetry attribution only,
+    never scheduling state.
     """
 
     chunk_id: int
@@ -325,40 +303,11 @@ class ChunkFailed:
 
 
 @dataclass(frozen=True)
-class WorkerLost:
-    """A worker died (``crash``) or went silent (``heartbeat``); its
-    chunks need requeueing onto a survivor."""
-
-    worker: str
-    chunk_ids: tuple = ()
-    reason: str = "crash"
-
-
-@dataclass(frozen=True)
 class PoolBroken:
     """The whole process pool died; the scheduler rebuilds and
     resubmits every listed chunk (``BrokenProcessPool`` semantics)."""
 
     chunk_ids: tuple = ()
-
-
-@dataclass(frozen=True)
-class WorkerRespawned:
-    """A replacement worker came up after a loss (socket backend);
-    ``replaced`` names the worker it stands in for."""
-
-    worker: str
-    replaced: str = ""
-
-
-@dataclass(frozen=True)
-class RespawnFailed:
-    """A scheduled replacement worker failed to come up (chaos
-    ``respawn-fail`` or a real spawn error); the respawn budget was
-    still consumed."""
-
-    replaced: str = ""
-    ordinal: int = 0
 
 
 class Executor:
@@ -370,11 +319,6 @@ class Executor:
     """
 
     name = "base"
-    #: Whether a cancelled/lost chunk can be resubmitted to a surviving
-    #: worker (socket) or the backend only supports terminal
-    #: cancellation (inline, local pool — matching the old wave-expiry
-    #: semantics).
-    supports_requeue = False
 
     def __init__(self, *, fn, policy, chaos, jobs=1):
         self._fn = fn
@@ -414,14 +358,11 @@ class Executor:
 
         Every backend reports the same schema — each value is a dict
         with ``worker`` (the same id), ``age_s`` (seconds since the
-        worker was last heard from, monotonic clock; ``0.0`` for
-        in-process or pool workers whose liveness is implicit), and
-        ``inflight_chunk`` (the chunk id currently placed on the
-        worker, or ``None`` when idle).  Backends may add keys — the
-        socket backend adds ``tasks_done``, the worker's self-reported
-        progress within its current chunk.  Observation-only: the
-        scheduler never reads this; it feeds ``LiveStats`` and the
-        metrics endpoint.
+        worker was last heard from; ``0.0`` for the in-process and pool
+        workers, whose liveness is implicit), and ``inflight_chunk``
+        (the chunk id currently placed on the worker, or ``None`` when
+        idle or unknown).  Observation-only: the scheduler never reads
+        this; it feeds ``LiveStats`` and the metrics endpoint.
         """
         return {}
 
@@ -443,7 +384,6 @@ class InlineExecutor(Executor):
     """
 
     name = "inline"
-    supports_requeue = False
 
     def __init__(self, **context):
         super().__init__(**context)
@@ -506,8 +446,10 @@ class InlineExecutor(Executor):
 
 # ---------------------------------------------------------------------
 def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
-    """Best-effort terminate of pool workers on abnormal exits, so an
-    abort or Ctrl-C is not held hostage by a long or hung task.  Reaches
+    """Best-effort SIGKILL of pool workers on abnormal exits, so an
+    abort, a drain timeout, or a lease expiry is not held hostage by a
+    long or hung task.  SIGKILL rather than SIGTERM: workers forked by
+    the CLI inherit its drain handler and would ignore SIGTERM.  Reaches
     into executor internals, hence the broad guard."""
     try:
         processes = list((pool._processes or {}).values())
@@ -515,7 +457,7 @@ def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
         return
     for process in processes:
         try:
-            process.terminate()
+            process.kill()
         except Exception:
             pass
 
@@ -553,7 +495,6 @@ class LocalPoolExecutor(Executor):
     """
 
     name = "local"
-    supports_requeue = False
 
     def __init__(self, **context):
         super().__init__(**context)
@@ -680,533 +621,18 @@ class LocalPoolExecutor(Executor):
 
 
 # ---------------------------------------------------------------------
-# Socket transport: 4-byte big-endian length prefix + pickled payload.
-
-_FRAME_HEADER_BYTES = 4
-_HB_INTERVAL_S = 0.25
-_SEND_TIMEOUT_S = 10.0
-
-
-def _send_frame(sock: socket.socket, obj, lock: threading.Lock | None = None):
-    """Serialise ``obj`` and write one length-prefixed frame."""
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    payload = len(data).to_bytes(_FRAME_HEADER_BYTES, "big") + data
-    if lock is None:
-        sock.sendall(payload)
-    else:
-        with lock:
-            sock.sendall(payload)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Blocking read of exactly ``n`` bytes; None on EOF."""
-    buf = bytearray()
-    while len(buf) < n:
-        part = sock.recv(n - len(buf))
-        if not part:
-            return None
-        buf += part
-    return bytes(buf)
-
-
-def _recv_frame(sock: socket.socket):
-    """Blocking read of one frame; None on EOF."""
-    header = _recv_exact(sock, _FRAME_HEADER_BYTES)
-    if header is None:
-        return None
-    size = int.from_bytes(header, "big")
-    data = _recv_exact(sock, size)
-    if data is None:
-        return None
-    return pickle.loads(data)
-
-
-class _FrameBuffer:
-    """Reassembles frames from a non-blocking socket's byte stream."""
-
-    def __init__(self):
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> list:
-        """Absorb ``data``; return every now-complete frame."""
-        self._buf += data
-        frames = []
-        while True:
-            if len(self._buf) < _FRAME_HEADER_BYTES:
-                break
-            size = int.from_bytes(self._buf[:_FRAME_HEADER_BYTES], "big")
-            end = _FRAME_HEADER_BYTES + size
-            if len(self._buf) < end:
-                break
-            frames.append(pickle.loads(bytes(self._buf[_FRAME_HEADER_BYTES:end])))
-            del self._buf[:end]
-        return frames
-
-
-def _socket_worker_main(host, port, worker_id, fn, policy, chaos,
-                        hb_interval):
-    """Entry point of one long-lived socket worker process.
-
-    Connects back to the controller, heartbeats from a daemon thread
-    (suppressed while chaos says this chunk drops heartbeats), and
-    streams ``task_result`` frames as the chunk progresses — with
-    chaos-injected duplicate and delayed frames when asked, so the
-    controller's at-most-once commit is exercised for real.
-
-    While observability is on, heartbeat frames piggyback a tiny
-    telemetry dict — the in-flight chunk id and tasks completed within
-    it — updated by the main loop and read by the beat thread (plain
-    dict-key stores, safe under the GIL).  ``REPRO_OBS=off`` drops the
-    piggyback entirely.
-    """
-    sock = socket.create_connection((host, port))
-    send_lock = threading.Lock()
-    suppress_hb = threading.Event()
-    stop = threading.Event()
-    telemetry_on = get_registry().enabled
-    progress = {"chunk": None, "done": 0}
-    _send_frame(sock, {"type": "hello", "worker": worker_id}, send_lock)
-
-    def _beat():
-        while not stop.wait(hb_interval):
-            if suppress_hb.is_set():
-                continue
-            frame = {"type": "hb", "worker": worker_id}
-            if telemetry_on:
-                frame["telemetry"] = dict(progress)
-            try:
-                _send_frame(sock, frame, send_lock)
-            except OSError:
-                return
-
-    threading.Thread(target=_beat, daemon=True).start()
-    try:
-        while True:
-            frame = _recv_frame(sock)
-            if frame is None or frame.get("type") == "shutdown":
-                return
-            if frame.get("type") != "run":
-                continue
-            chunk_id = frame["chunk_id"]
-            entries = frame["entries"]
-            first_index, first_base, _item = entries[0]
-            if chaos is not None and chaos.drops_heartbeat(
-                first_index, first_base
-            ):
-                suppress_hb.set()
-            _send_frame(
-                sock,
-                {"type": "started", "chunk_id": chunk_id,
-                 "worker": worker_id},
-                send_lock,
-            )
-            if chaos is not None and chaos.hangs(first_index, first_base):
-                # The worker stalls *after* accepting the chunk while
-                # heartbeats keep flowing — only the chunk lease can
-                # notice; the controller cancels (kills) us and the
-                # chunk's rerun is clean (attempt bump consumes the
-                # decision).
-                time.sleep(chaos.hang_s)
-            progress["chunk"] = chunk_id
-            progress["done"] = 0
-            for pos, (index, base, item) in enumerate(entries):
-                outcome = _attempt_task(
-                    fn, item, index, base, policy, chaos, in_worker=True,
-                )
-                if chaos is not None and chaos.delays_result(index, base):
-                    time.sleep(chaos.frame_delay_s)
-                result = {
-                    "type": "task_result", "chunk_id": chunk_id,
-                    "worker": worker_id, "outcome": outcome,
-                }
-                _send_frame(sock, result, send_lock)
-                progress["done"] = pos + 1
-                if chaos is not None and chaos.duplicates_result(index, base):
-                    _send_frame(sock, result, send_lock)
-            _send_frame(
-                sock,
-                {"type": "chunk_done", "chunk_id": chunk_id,
-                 "worker": worker_id},
-                send_lock,
-            )
-            progress["chunk"] = None
-            suppress_hb.clear()
-    except OSError:
-        pass
-    finally:
-        stop.set()
-        try:
-            sock.close()
-        except OSError:
-            pass
-
-
-class SocketExecutor(Executor):
-    """Long-lived worker processes over localhost TCP.
-
-    The controller is single-threaded: a ``selectors`` loop accepts
-    worker connections and reassembles their frames inside
-    :meth:`poll`.  Liveness is judged *only* from heartbeat (and hello)
-    frames — result frames do not count — so a worker whose heartbeat
-    thread is muted is declared lost even while it is still streaming
-    results, which is exactly the failure the at-most-once commit must
-    absorb.  A lost worker's chunks requeue onto survivors, and — when
-    ``TaskPolicy.max_respawns`` allows — a replacement process is
-    spawned after ``respawn_backoff_s`` (same frame protocol, fresh
-    worker id, cold caches), so the sweep recovers full capacity
-    instead of only shrinking.  When the respawn budget is spent and no
-    worker is left the executor raises
-    :class:`~repro.common.errors.ExecutorBrokenError` so the scheduler
-    degrades to the next backend.
-    """
-
-    name = "socket"
-    supports_requeue = True
-
-    def __init__(self, *, hb_interval=_HB_INTERVAL_S, hb_timeout=None,
-                 **context):
-        super().__init__(**context)
-        self._hb_interval = hb_interval
-        self._hb_timeout = hb_timeout if hb_timeout is not None \
-            else hb_interval * 6.0
-        self._selector = selectors.DefaultSelector()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(self._jobs)
-        self._listener.setblocking(False)
-        self._selector.register(self._listener, selectors.EVENT_READ,
-                                {"kind": "listener"})
-        self._addr = self._listener.getsockname()
-        self._ctx = multiprocessing.get_context()
-        self._procs: dict = {}       # worker_id -> Process
-        self._states: dict = {}      # worker_id -> connection state
-        self._last_hb: dict = {}     # worker_id -> monotonic timestamp
-        self._hb_meta: dict = {}     # worker_id -> piggybacked telemetry
-        self._busy: dict = {}        # worker_id -> chunk_id
-        self._assigned: dict = {}    # chunk_id -> worker_id
-        self._queue: deque = deque()  # (chunk_id, entries)
-        self._next_worker_id = self._jobs
-        self._respawns_used = 0
-        self._max_respawns = max(0, getattr(
-            self._policy, "max_respawns", 0) or 0)
-        self._respawn_backoff = max(0.0, getattr(
-            self._policy, "respawn_backoff_s", 0.0) or 0.0)
-        self._pending_spawns: list = []  # (due monotonic, replaced id)
-        self._pending_events: list = []  # RespawnFailed queued for poll
-        for worker_id in range(self._jobs):
-            self._spawn_worker(worker_id)
-
-    def _spawn_worker(self, worker_id: int) -> None:
-        host, port = self._addr
-        proc = self._ctx.Process(
-            target=_socket_worker_main,
-            args=(host, port, worker_id, self._fn, self._policy,
-                  self._chaos, self._hb_interval),
-            daemon=True,
-        )
-        proc.start()
-        self._procs[worker_id] = proc
-
-    def _schedule_respawn(self, replaced) -> None:
-        """Book a replacement for a lost worker, if budget remains.
-
-        The budget is consumed at scheduling time, so a chaos-vetoed
-        respawn (``respawn-fail``) costs an attempt exactly like a real
-        spawn failure would.
-        """
-        if replaced is None or self._respawns_used >= self._max_respawns:
-            return
-        ordinal = self._respawns_used
-        self._respawns_used += 1
-        if self._chaos is not None and self._chaos.fails_respawn(ordinal):
-            self._pending_events.append(
-                RespawnFailed(replaced=str(replaced), ordinal=ordinal))
-            return
-        due = time.monotonic() + self._respawn_backoff
-        self._pending_spawns.append((due, replaced))
-
-    def _spawn_due_replacements(self, events: list) -> None:
-        now = time.monotonic()
-        for entry in [e for e in self._pending_spawns if e[0] <= now]:
-            self._pending_spawns.remove(entry)
-            _due, replaced = entry
-            worker_id = self._next_worker_id
-            self._next_worker_id += 1
-            try:
-                self._spawn_worker(worker_id)
-            except OSError:
-                events.append(RespawnFailed(
-                    replaced=str(replaced),
-                    ordinal=self._respawns_used - 1))
-                continue
-            events.append(WorkerRespawned(worker=str(worker_id),
-                                          replaced=str(replaced)))
-
-    # -- wiring --------------------------------------------------------
-    def _accept(self) -> None:
-        try:
-            conn, _addr = self._listener.accept()
-        except OSError:
-            return
-        conn.settimeout(_SEND_TIMEOUT_S)
-        state = {"kind": "worker", "sock": conn, "buf": _FrameBuffer(),
-                 "worker": None}
-        self._selector.register(conn, selectors.EVENT_READ, state)
-
-    def _drop_conn(self, state) -> None:
-        try:
-            self._selector.unregister(state["sock"])
-        except (KeyError, ValueError):
-            pass
-        try:
-            state["sock"].close()
-        except OSError:
-            pass
-
-    def _kill_proc(self, worker_id) -> None:
-        proc = self._procs.pop(worker_id, None)
-        if proc is None:
-            return
-        try:
-            proc.terminate()
-            proc.join(timeout=1.0)
-        except Exception:
-            pass
-
-    def _lose_worker(self, state, reason: str, events: list,
-                     silent: bool = False) -> None:
-        self._drop_conn(state)
-        worker_id = state.get("worker")
-        if worker_id is None:
-            return
-        self._states.pop(worker_id, None)
-        self._last_hb.pop(worker_id, None)
-        self._hb_meta.pop(worker_id, None)
-        self._kill_proc(worker_id)
-        chunk_id = self._busy.pop(worker_id, None)
-        chunk_ids = ()
-        if chunk_id is not None:
-            self._assigned.pop(chunk_id, None)
-            chunk_ids = (chunk_id,)
-        if not silent:
-            events.append(WorkerLost(worker=str(worker_id),
-                                     chunk_ids=chunk_ids, reason=reason))
-        self._schedule_respawn(worker_id)
-
-    def _read_worker(self, state, events: list) -> None:
-        try:
-            data = state["sock"].recv(65536)
-        except (OSError, socket.timeout):
-            data = b""
-        if not data:
-            self._lose_worker(state, "crash", events)
-            return
-        for frame in state["buf"].feed(data):
-            kind = frame.get("type")
-            if kind == "hello":
-                worker_id = frame["worker"]
-                state["worker"] = worker_id
-                self._states[worker_id] = state
-                self._last_hb[worker_id] = time.monotonic()
-            elif kind == "hb":
-                worker_id = frame["worker"]
-                self._last_hb[worker_id] = time.monotonic()
-                meta = frame.get("telemetry")
-                if meta:
-                    self._hb_meta[worker_id] = meta
-            elif kind == "started":
-                events.append(ChunkStarted(frame["chunk_id"],
-                                           worker=str(frame["worker"])))
-            elif kind == "task_result":
-                events.append(TaskDone(frame["chunk_id"], frame["outcome"],
-                                       worker=str(frame["worker"])))
-            elif kind == "chunk_done":
-                chunk_id = frame["chunk_id"]
-                self._busy.pop(frame["worker"], None)
-                self._assigned.pop(chunk_id, None)
-                events.append(ChunkDone(chunk_id))
-
-    def _dispatch(self, events: list) -> None:
-        while self._queue:
-            idle = sorted(
-                worker_id for worker_id in self._states
-                if worker_id not in self._busy
-            )
-            if not idle:
-                return
-            worker_id = idle[0]
-            chunk_id, entries = self._queue.popleft()
-            state = self._states[worker_id]
-            try:
-                _send_frame(state["sock"], {
-                    "type": "run", "chunk_id": chunk_id, "entries": entries,
-                })
-            except (OSError, socket.timeout):
-                self._queue.appendleft((chunk_id, entries))
-                self._lose_worker(state, "crash", events)
-                continue
-            self._busy[worker_id] = chunk_id
-            self._assigned[chunk_id] = worker_id
-
-    def _check_capacity(self) -> None:
-        if not (self._queue or self._assigned):
-            return
-        if self._states:
-            return
-        if self._pending_spawns:
-            return  # a replacement is booked but not yet started
-        if any(proc.is_alive() for proc in self._procs.values()):
-            return  # spawned but not yet connected
-        raise ExecutorBrokenError(
-            "socket backend lost every worker", backend=self.name
-        )
-
-    # -- Executor protocol ---------------------------------------------
-    def submit_chunk(self, chunk_id: int, entries: Sequence) -> None:
-        self._queue.append((chunk_id, list(entries)))
-
-    def poll(self, timeout_s: float | None = None) -> list:
-        events: list = list(self._pending_events)
-        self._pending_events.clear()
-        self._spawn_due_replacements(events)
-        budget = self._hb_interval
-        if timeout_s is not None:
-            budget = max(0.0, min(timeout_s, self._hb_interval))
-        for key, _mask in self._selector.select(budget):
-            if key.data["kind"] == "listener":
-                self._accept()
-            else:
-                self._read_worker(key.data, events)
-        now = time.monotonic()
-        for worker_id, last in list(self._last_hb.items()):
-            if now - last > self._hb_timeout:
-                state = self._states.get(worker_id)
-                if state is not None:
-                    self._lose_worker(state, "heartbeat", events)
-        self._dispatch(events)
-        if not events:
-            # Only declare the backend dead on a quiet poll: pending
-            # events (WorkerLost in particular) must reach the scheduler
-            # first so it can requeue and attribute the losses.
-            self._check_capacity()
-        return events
-
-    def cancel(self, chunk_id: int) -> bool:
-        for queued in list(self._queue):
-            if queued[0] == chunk_id:
-                self._queue.remove(queued)
-                return True
-        worker_id = self._assigned.pop(chunk_id, None)
-        if worker_id is None:
-            return False
-        # The assigned worker is hung or silent on this chunk: kill it
-        # (scheduler-initiated, so no WorkerLost event) and let the
-        # requeue land on a survivor.
-        state = self._states.get(worker_id)
-        if state is not None:
-            self._lose_worker(state, "cancelled", [], silent=True)
-        else:
-            self._kill_proc(worker_id)
-            self._busy.pop(worker_id, None)
-            self._schedule_respawn(worker_id)
-        return True
-
-    def cancel_pending(self, chunk_id: int) -> bool:
-        for queued in list(self._queue):
-            if queued[0] == chunk_id:
-                self._queue.remove(queued)
-                return True
-        return False
-
-    def heartbeat(self) -> dict:
-        now = time.monotonic()
-        health = {}
-        for worker_id, last in self._last_hb.items():
-            meta = self._hb_meta.get(worker_id) or {}
-            inflight = meta.get("chunk")
-            if inflight is None:  # worker silent on placement: ask the
-                inflight = self._busy.get(worker_id)  # controller's book
-            entry = {"worker": str(worker_id), "age_s": now - last,
-                     "inflight_chunk": inflight}
-            if "done" in meta:
-                entry["tasks_done"] = meta["done"]
-            health[str(worker_id)] = entry
-        return health
-
-    def shutdown(self, kill: bool = False) -> None:
-        for state in list(self._states.values()):
-            if not kill:
-                try:
-                    _send_frame(state["sock"], {"type": "shutdown"})
-                except (OSError, socket.timeout):
-                    pass
-            self._drop_conn(state)
-        self._states.clear()
-        self._last_hb.clear()
-        self._hb_meta.clear()
-        self._busy.clear()
-        self._assigned.clear()
-        self._queue.clear()
-        self._pending_spawns.clear()
-        self._pending_events.clear()
-        for worker_id in list(self._procs):
-            self._kill_proc(worker_id)
-        try:
-            self._selector.unregister(self._listener)
-        except (KeyError, ValueError):
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        self._selector.close()
-
-
-# ---------------------------------------------------------------------
 # Backend selection.
 
 _EXECUTORS = {
     "inline": InlineExecutor,
     "local": LocalPoolExecutor,
-    "socket": SocketExecutor,
 }
 
-_DEFAULT_EXECUTOR: str | None = None
 
-
-def set_default_executor(name: str | None) -> None:
-    """Set the process-wide backend (the CLI's ``--executor``).
-
-    Outranks ``REPRO_EXECUTOR``; ``None`` restores environment/auto
-    selection.
-    """
-    global _DEFAULT_EXECUTOR
-    if name is not None and name not in _EXECUTORS:
-        raise ConfigError(
-            f"unknown executor {name!r} (expected one of "
-            f"{sorted(_EXECUTORS)})"
-        )
-    _DEFAULT_EXECUTOR = name
-
-
-def resolve_executor(executor: str | None = None,
-                     jobs: int | None = None) -> str:
-    """The backend name: argument, then :func:`set_default_executor`,
-    then ``REPRO_EXECUTOR``, then ``inline`` for one worker and
-    ``local`` otherwise."""
-    name = executor or _DEFAULT_EXECUTOR
-    if name is None:
-        raw = os.environ.get(EXECUTOR_ENV_VAR, "").strip().lower()
-        name = raw or None
-    if name is None:
-        return "inline" if (jobs or 1) <= 1 else "local"
-    if name not in _EXECUTORS:
-        raise ConfigError(
-            f"unknown executor {name!r} (expected one of "
-            f"{sorted(_EXECUTORS)})"
-        )
-    return name
+def resolve_executor(jobs: int | None = None) -> str:
+    """The backend for ``jobs`` workers: ``inline`` for one, ``local``
+    (the process pool) otherwise."""
+    return "inline" if (jobs or 1) <= 1 else "local"
 
 
 def make_executor(name: str, *, fn, policy, chaos, jobs=1) -> Executor:

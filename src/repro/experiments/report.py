@@ -133,63 +133,43 @@ def _render_markdown(data: dict) -> str:
             t for t in data["sweep_timings"]
             if t.get("failures") or t.get("retries") or t.get("timeouts")
             or t.get("pool_rebuilds") or t.get("resumed_tasks")
-            or t.get("degraded") or t.get("requeues")
-            or t.get("lost_workers") or t.get("lease_expiries")
-            or t.get("duplicate_results") or t.get("respawns")
-            or t.get("respawn_failures") or t.get("bisections")
-            or t.get("quarantined")
+            or t.get("degraded") or t.get("lease_expiries")
+            or t.get("duplicate_results")
         ]
         if disturbed:
             sections.append(format_table(
                 "Sweep resilience (failures, retries, recovery)",
                 ["sweep", "failures", "retries", "timeouts",
-                 "pool rebuilds", "respawns", "quarantined", "resumed",
-                 "degraded"],
+                 "pool rebuilds", "resumed", "degraded"],
                 [
                     [t["label"], t.get("failures", 0), t.get("retries", 0),
                      t.get("timeouts", 0), t.get("pool_rebuilds", 0),
-                     t.get("respawns", 0), len(t.get("quarantined") or ()),
                      t.get("resumed_tasks", 0),
                      "yes" if t.get("degraded") else "no"]
                     for t in disturbed
                 ],
             ))
-        quarantined_rows = [
-            [t["label"], q.get("task_key", "?"), q.get("index", "?"),
-             q.get("error", "")]
-            for t in data["sweep_timings"]
-            for q in (t.get("quarantined") or ())
-        ]
-        if quarantined_rows:
-            sections.append(format_table(
-                "Quarantined tasks (poisonous grains isolated by bisection)",
-                ["sweep", "task key", "index", "error"],
-                quarantined_rows,
-            ))
         backends: dict[str, dict] = {}
         for t in data["sweep_timings"]:
             for name in (t.get("backends") or [t.get("executor") or "?"]):
                 row = backends.setdefault(name, {
-                    "sweeps": 0, "requeues": 0, "lost_workers": 0,
-                    "lease_expiries": 0, "duplicate_results": 0,
-                    "pool_rebuilds": 0, "respawns": 0, "degraded": 0,
+                    "sweeps": 0, "lease_expiries": 0, "duplicate_results": 0,
+                    "pool_rebuilds": 0, "degraded": 0,
                 })
                 row["sweeps"] += 1
-                for key in ("requeues", "lost_workers", "lease_expiries",
-                            "duplicate_results", "pool_rebuilds", "respawns"):
+                for key in ("lease_expiries", "duplicate_results",
+                            "pool_rebuilds"):
                     row[key] += t.get(key, 0)
                 row["degraded"] += 1 if t.get("degraded") else 0
         if backends:
             sections.append(format_table(
                 "Executor backends (per-backend resilience)",
-                ["backend", "sweeps", "requeues", "lost workers",
-                 "lease expiries", "dup results dropped",
-                 "pool rebuilds", "respawns", "degraded sweeps"],
+                ["backend", "sweeps", "lease expiries",
+                 "dup results dropped", "pool rebuilds", "degraded sweeps"],
                 [
-                    [name, row["sweeps"], row["requeues"],
-                     row["lost_workers"], row["lease_expiries"],
+                    [name, row["sweeps"], row["lease_expiries"],
                      row["duplicate_results"], row["pool_rebuilds"],
-                     row["respawns"], row["degraded"]]
+                     row["degraded"]]
                     for name, row in sorted(backends.items())
                 ],
             ))
@@ -236,9 +216,8 @@ def render_partial_report(
     Scans every sweep checkpoint under ``<checkpoint_root>/<run_id>``
     (read-only — safe against a live run) and writes
     ``results_partial.json``/``results_partial.md``: committed task
-    counts per sweep, quarantined tasks with their errors, and the
-    resume hint.  The markdown is prominently marked PARTIAL so it
-    cannot be mistaken for a complete report.
+    counts per sweep and the resume hint.  The markdown is prominently
+    marked PARTIAL so it cannot be mistaken for a complete report.
     """
     root = Path(checkpoint_root) if checkpoint_root is not None else (
         checkpoint_mod.checkpoint_dir()
@@ -259,9 +238,6 @@ def render_partial_report(
         "checkpoint_dir": str(root),
         "sweeps": sweeps,
         "tasks_committed": sum(s["tasks_committed"] for s in sweeps),
-        "quarantined": [
-            dict(q, sweep=s["label"]) for s in sweeps for q in s["quarantined"]
-        ],
         "finalized_sweeps": sum(1 for s in sweeps if s["finalized"]),
     }
 
@@ -290,15 +266,6 @@ def render_partial_report(
             f"No sweep checkpoints found under {run_dir} — the run "
             "stopped before any task committed."
         )
-    if data["quarantined"]:
-        sections.append(format_table(
-            "Quarantined tasks (excluded from resume until retried)",
-            ["sweep", "task key", "index", "error"],
-            [
-                [q["sweep"], q["task_key"], q["index"], q["error"]]
-                for q in data["quarantined"]
-            ],
-        ))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "results_partial.json").write_text(

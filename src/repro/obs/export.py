@@ -10,8 +10,8 @@ The engine records each into the process :class:`TraceCollector`
 trace-event JSON — the ``{"traceEvents": [...]}`` format Perfetto and
 ``chrome://tracing`` load directly.
 
-Layout: one trace *process* per worker (socket worker id / pool pid /
-``inline``), one *thread* row per worker, ``"X"`` complete events with
+Layout: one trace *process* per worker (pool pid or ``inline``), one
+*thread* row per worker, ``"X"`` complete events with
 microsecond ``ts``/``dur`` relative to the earliest task start.  Within
 one worker row events are sorted by start and clamped so they never
 overlap (a worker executes tasks sequentially; wall-clock stamps from

@@ -4,11 +4,11 @@ Everything in :mod:`repro.obs` up to this module is *post-hoc*: per-task
 :class:`~repro.obs.metrics.MetricsSnapshot` deltas merge at sweep end
 into ``SweepTiming.metrics`` and render in a static report.  This module
 is the *while-it-runs* layer.  The experiment engine folds the telemetry
-that workers already piggyback on their heartbeat / ``TaskDone`` frames
-into a :class:`LiveStats` aggregator — tasks done/total, an ETA from a
-moving-window completion rate, per-worker health (last-heartbeat age,
-in-flight chunk, tasks completed), requeues, lease expiries — and three
-consumers sit on top:
+that workers already piggyback on their ``TaskDone`` events, plus the
+executor's heartbeat view, into a :class:`LiveStats` aggregator — tasks
+done/total, an ETA from a moving-window completion rate, per-worker
+health (last-heartbeat age, in-flight chunk, tasks completed), lease
+expiries — and three consumers sit on top:
 
 * **listeners** (:func:`add_listener`): callbacks invoked on every fold
   and poll tick.  :class:`LiveRenderer` is the built-in one — the CLI's
@@ -89,14 +89,13 @@ _HB_FOLD_INTERVAL_S = 0.2
 class WorkerHealth:
     """Live view of one worker: heartbeat age, placement, throughput."""
 
-    __slots__ = ("worker", "age_s", "inflight_chunk", "tasks_done", "lost")
+    __slots__ = ("worker", "age_s", "inflight_chunk", "tasks_done")
 
     def __init__(self, worker: str):
         self.worker = worker
         self.age_s = 0.0
         self.inflight_chunk: int | None = None
         self.tasks_done = 0
-        self.lost = ""  # reason, once declared dead
 
     def as_dict(self) -> dict:
         return {
@@ -104,7 +103,6 @@ class WorkerHealth:
             "age_s": round(self.age_s, 3),
             "inflight_chunk": self.inflight_chunk,
             "tasks_done": self.tasks_done,
-            "lost": self.lost,
         }
 
 
@@ -133,12 +131,8 @@ class LiveStats:
         self.resumed = 0
         self.retries = 0
         self.timeouts = 0
-        self.requeues = 0
-        self.lost_workers = 0
         self.lease_expiries = 0
         self.duplicate_results = 0
-        self.respawns = 0
-        self.quarantined = 0
         self.finished = False
         self.task_wall_s = 0.0
         self.started_mono = time.monotonic()
@@ -203,32 +197,11 @@ class LiveStats:
         if worker:
             self._worker(worker).inflight_chunk = chunk_id
 
-    def worker_lost(self, worker: str, reason: str) -> None:
-        self.lost_workers += 1
-        if worker:
-            health = self._worker(worker)
-            health.lost = reason
-            health.inflight_chunk = None
-        _notify("worker_lost", self)
-
-    def requeued(self) -> None:
-        self.requeues += 1
-
     def lease_expired(self) -> None:
         self.lease_expiries += 1
 
     def note_duplicate(self) -> None:
         self.duplicate_results += 1
-
-    def respawned(self, worker: str) -> None:
-        self.respawns += 1
-        if worker:
-            self._worker(worker)  # the replacement shows up immediately
-        _notify("respawn", self)
-
-    def quarantined_task(self) -> None:
-        self.quarantined += 1
-        _notify("quarantine", self)
 
     def fold_heartbeat(self, heartbeat: dict) -> None:
         """Absorb one normalized ``Executor.heartbeat()`` mapping."""
@@ -304,12 +277,8 @@ class LiveStats:
             "resumed": self.resumed,
             "retries": self.retries,
             "timeouts": self.timeouts,
-            "requeues": self.requeues,
-            "lost_workers": self.lost_workers,
             "lease_expiries": self.lease_expiries,
             "duplicate_results": self.duplicate_results,
-            "respawns": self.respawns,
-            "quarantined": self.quarantined,
             "elapsed_s": round(self.elapsed_s(), 3),
             "rate_per_s": round(self.rate(), 3),
             "eta_s": None if eta is None else round(eta, 1),
@@ -332,9 +301,9 @@ _RUN_TOTALS = {"sweeps": 0, "tasks_done": 0, "failures": 0}
 def add_listener(listener) -> None:
     """Register a ``listener(kind, stats)`` callback for live updates.
 
-    ``kind`` is ``"begin"``, ``"task"``, ``"tick"``, ``"worker_lost"``,
-    ``"respawn"``, ``"quarantine"``, or ``"sweep_end"``.  Listener
-    exceptions are swallowed — rendering must never disturb a sweep.
+    ``kind`` is ``"begin"``, ``"task"``, ``"tick"``, or ``"sweep_end"``.
+    Listener exceptions are swallowed — rendering must never disturb a
+    sweep.
     """
     if listener not in _LISTENERS:
         _LISTENERS.append(listener)
@@ -493,12 +462,8 @@ def render_prometheus() -> str:
         ("resumed", "Tasks restored from a checkpoint."),
         ("retries", "Failed attempts retried in place."),
         ("timeouts", "Attempts killed by the per-task timeout."),
-        ("requeues", "Chunks requeued after worker loss or lease expiry."),
-        ("lost_workers", "Workers declared dead."),
         ("lease_expiries", "Chunk leases expired at the controller."),
         ("duplicate_results", "Late or duplicated commits dropped."),
-        ("respawns", "Replacement workers spawned after a loss."),
-        ("quarantined", "Tasks quarantined as poisonous."),
         ("elapsed_s", "Seconds since the sweep began."),
         ("rate_per_s", "Moving-window completion rate."),
     )
@@ -753,33 +718,17 @@ def fold_event(stats: LiveStats | None, record: dict) -> LiveStats | None:
         stats.tasks_done += 1
         stats.failures += 1
         _window_stamp(stats, record)
-    elif kind == "chunk_requeued":
-        stats.requeues += 1
-    elif kind == "worker_lost":
-        stats.lost_workers += 1
-        worker = str(record.get("worker", "") or "")
-        if worker:
-            health = stats._worker(worker)
-            health.lost = record.get("reason", "crash")
-            health.inflight_chunk = None
     elif kind == "lease_expired":
         stats.lease_expiries += 1
     elif kind == "duplicate_result_dropped":
         stats.duplicate_results += 1
-    elif kind == "worker_respawned":
-        stats.respawns += 1
-        worker = str(record.get("worker", "") or "")
-        if worker:
-            stats._worker(worker)
-    elif kind == "task_quarantined":
-        stats.quarantined += 1
     elif kind == "sweep":
         stats.finished = True
     return stats
 
 
 _EVENT_SUMMARY_FIELDS = (
-    "run_id", "label", "task_index", "worker", "replaced", "reason",
+    "run_id", "label", "task_index", "worker", "reason",
     "chunk_id", "tasks", "executor", "wall_s", "failures",
     "stranded_tasks", "error", "path",
 )

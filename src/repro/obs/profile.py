@@ -3,8 +3,8 @@
 ``--profile`` (or ``REPRO_PROFILE=1``) makes every task attempt run
 under :class:`cProfile.Profile` inside the worker.  The profile is
 collapsed *in the worker* to a small ``stack -> seconds`` dict (no
-pickling of profiler state across the socket), shipped back on the
-``TaskDone`` outcome's telemetry, and folded sweep-wide by the
+pickling of profiler state across the process boundary), shipped back
+on the ``TaskDone`` outcome's telemetry, and folded sweep-wide by the
 :class:`ProfileAccumulator` the CLI installs.  The accumulated dict
 writes out in collapsed-stack format — ``caller;callee count`` lines,
 one per stack, counts in integer microseconds — which flamegraph.pl,

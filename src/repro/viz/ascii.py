@@ -141,10 +141,9 @@ def render_dashboard(row: dict, width: int = 40) -> str:
     if workers:
         parts = []
         for health in workers:
-            mark = "✗" if health.get("lost") else "·"
             chunk = health.get("inflight_chunk")
             parts.append(
-                f"{mark}{health.get('worker', '?')}"
+                f"{health.get('worker', '?')}"
                 f"[{'-' if chunk is None else f'c{chunk}'}"
                 f" {health.get('tasks_done', 0)}t"
                 f" {health.get('age_s', 0.0):.1f}s]"
@@ -152,8 +151,8 @@ def render_dashboard(row: dict, width: int = 40) -> str:
         lines.append("workers: " + " ".join(parts))
     trouble = {
         key: row.get(key, 0)
-        for key in ("failures", "retries", "timeouts", "requeues",
-                    "lost_workers", "lease_expiries", "duplicate_results")
+        for key in ("failures", "retries", "timeouts", "lease_expiries",
+                    "duplicate_results")
         if row.get(key)
     }
     if trouble:

@@ -164,29 +164,24 @@ class TestResilience:
         assert main(["fig6", "--window", "0"]) == 2
         assert "error:" in capsys.readouterr().out
 
-    def test_executor_flag_sets_process_default(self, capsys, monkeypatch):
-        seen = {}
-
-        def _capture(_args):
-            seen["backend"] = engine.resolve_executor(None, 4)
-
-        monkeypatch.setitem(cli._COMMANDS, "vias", _capture)
-        assert main(["vias", "--executor", "socket"]) == 0
-        assert seen["backend"] == "socket"
-        # Restored on exit: auto selection again picks the pool.
-        assert engine.resolve_executor(None, 4) == "local"
-
     def test_executor_flag_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["vias", "--executor", "carrier"])
+        # The backend follows --jobs; the removed backend flags are
+        # rejected by the parser.
+        for argv in (["vias", "--executor", "socket"],
+                     ["vias", "--executor", "local"],
+                     ["vias", "--respawns", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_manifest_records_executor(self, tmp_path, capsys, monkeypatch):
-        manifest_path = tmp_path / "m.json"
         monkeypatch.setitem(cli._COMMANDS, "vias", lambda _args: None)
-        assert main([
-            "vias", "--executor", "inline", "--metrics", str(manifest_path),
-        ]) == 0
-        assert json.loads(manifest_path.read_text())["executor"] == "inline"
+        for jobs, backend in (("1", "inline"), ("3", "local")):
+            manifest_path = tmp_path / f"m{jobs}.json"
+            assert main([
+                "vias", "--jobs", jobs, "--metrics", str(manifest_path),
+            ]) == 0
+            manifest = json.loads(manifest_path.read_text())
+            assert manifest["executor"] == backend
 
     def test_keyboard_interrupt_exits_130(self, capsys, monkeypatch):
         def _interrupt(_args):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.common import memo
 from repro.common.errors import (
     ConfigError,
@@ -154,6 +155,10 @@ class TestTaskPolicy:
             TaskPolicy(backoff_s=-1.0)
         with pytest.raises(ConfigError):
             TaskPolicy(max_pool_rebuilds=-2)
+        # The socket backend's requeue and respawn budgets are gone.
+        for name in ("max_requeues", "max_respawns", "respawn_backoff_s"):
+            with pytest.raises(TypeError):
+                TaskPolicy(**{name: 1})
 
     def test_backoff_deterministic_jitter(self):
         policy = TaskPolicy(backoff_s=0.1, max_backoff_s=10.0)
@@ -177,7 +182,7 @@ class TestChaosPolicy:
         assert policy.delay_s == 0.5
         assert policy.seed == 7
 
-    def test_parse_rejects_garbage(self):
+    def test_parse_rejects_garbage(self, capsys):
         with pytest.raises(ConfigError):
             ChaosPolicy.parse("explode:0.5")
         with pytest.raises(ConfigError):
@@ -186,6 +191,20 @@ class TestChaosPolicy:
             ChaosPolicy.parse("task-fail:lots")
         with pytest.raises(ConfigError):
             ChaosPolicy(fail_p=1.5)
+        # The socket backend's transport and supervision kinds (and
+        # their aliases) are unknown now, not silently ignored.
+        for kind in ("heartbeat-drop", "hb-drop", "result-dup", "dup",
+                     "result-delay", "frame-delay", "worker-hang", "hang",
+                     "respawn-fail", "respawn"):
+            with pytest.raises(ConfigError, match="unknown chaos kind"):
+                ChaosPolicy.parse(f"{kind}:0.3")
+        capsys.readouterr()
+        assert main(["fig6", "--chaos", "heartbeat-drop:0.3"]) == 2
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.strip()] == [
+            "error: unknown chaos kind 'heartbeat-drop' in "
+            "'heartbeat-drop:0.3'"
+        ]
 
     def test_only_first_attempts_are_disturbed(self):
         policy = ChaosPolicy(fail_p=1.0, kill_p=1.0)

@@ -1,11 +1,10 @@
-"""Pluggable executor backends and the backend-agnostic scheduler.
+"""Executor backends (inline, local pool) and the backend-agnostic scheduler.
 
-Covers backend selection precedence, per-backend equivalence to the
-serial path, socket-worker loss and heartbeat supervision (requeue onto
-survivors, no pool-level restart), transport chaos (duplicated and
-delayed result frames), the degradation chain, the at-most-once result
-commit (including a hypothesis interleaving property), the no-SIGALRM
-timeout fallback, truncated-checkpoint recovery, and gc hardening.
+Covers backend selection from the worker count, per-backend equivalence
+to the serial path, the shared heartbeat schema, fig6 under worker-kill
+chaos on both backends, the at-most-once result commit (including a
+hypothesis interleaving property), the no-SIGALRM timeout fallback,
+truncated-checkpoint recovery, and gc hardening.
 """
 
 import dataclasses
@@ -18,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common import memo
-from repro.common.errors import ConfigError, WorkerCrashError
+from repro.common.errors import ConfigError
 from repro.experiments import chaos as chaos_mod
 from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments import engine
@@ -28,10 +27,8 @@ from repro.experiments.engine import TaskPolicy, run_sweep
 from repro.experiments.executors import (
     InlineExecutor,
     LocalPoolExecutor,
-    SocketExecutor,
     make_executor,
     resolve_executor,
-    set_default_executor,
 )
 from repro.experiments.perf import fig6_performance
 from repro.experiments.runner import SimulationWindow
@@ -47,13 +44,13 @@ TINY = SimulationWindow(warmup=2000, measured=6000)
 def _clean_engine():
     engine.clear_timings()
     engine.set_default_policy(None)
-    set_default_executor(None)
+    engine.set_default_jobs(None)
     chaos_mod.set_chaos(None)
     checkpoint_mod.set_checkpoint_dir(None)
     yield
     engine.clear_timings()
     engine.set_default_policy(None)
-    set_default_executor(None)
+    engine.set_default_jobs(None)
     chaos_mod.set_chaos(None)
     checkpoint_mod.set_checkpoint_dir(None)
 
@@ -71,13 +68,6 @@ def _bump_delta(x):
     return x + 1
 
 
-def _slow_bump(x):
-    # Long enough that a chunk of three outlives the socket backend's
-    # heartbeat timeout (6 x 0.25s), so a muted worker is detectable.
-    time.sleep(0.65)
-    return _bump_delta(x)
-
-
 def _sleepy_once(item):
     value, marker = item
     path = Path(marker)
@@ -90,187 +80,60 @@ def _sleepy_once(item):
 # ---------------------------------------------------------------------
 class TestSelection:
     def test_precedence_argument_default_env_auto(self, monkeypatch):
-        monkeypatch.delenv(executors_mod.EXECUTOR_ENV_VAR, raising=False)
-        assert resolve_executor(None, 1) == "inline"
-        assert resolve_executor(None, 4) == "local"
-        monkeypatch.setenv(executors_mod.EXECUTOR_ENV_VAR, "socket")
-        assert resolve_executor(None, 1) == "socket"
-        set_default_executor("local")
-        assert resolve_executor(None, 1) == "local"   # default beats env
-        assert resolve_executor("inline", 8) == "inline"  # arg beats all
+        # The backend follows the resolved worker count, whose own
+        # precedence is argument, then set_default_jobs, then REPRO_JOBS.
+        def backend(jobs=None):
+            return resolve_executor(engine.resolve_jobs(jobs))
 
-    def test_unknown_names_raise(self, monkeypatch):
-        with pytest.raises(ConfigError):
-            resolve_executor("carrier-pigeon", 2)
-        with pytest.raises(ConfigError):
-            set_default_executor("carrier-pigeon")
-        with pytest.raises(ConfigError):
-            make_executor("carrier-pigeon", fn=_double,
-                          policy=TaskPolicy(), chaos=None)
-        monkeypatch.setenv(executors_mod.EXECUTOR_ENV_VAR, "quantum")
-        with pytest.raises(ConfigError):
-            resolve_executor(None, 2)
+        monkeypatch.setenv(engine.JOBS_ENV_VAR, "1")
+        assert backend() == "inline"
+        monkeypatch.setenv(engine.JOBS_ENV_VAR, "3")
+        assert backend() == "local"
+        engine.set_default_jobs(1)
+        assert backend() == "inline"      # default beats env
+        assert backend(4) == "local"      # argument beats all
+        assert resolve_executor(1) == "inline"
+        assert resolve_executor(None) == "inline"
+        assert resolve_executor(2) == "local"
+
+    def test_unknown_names_raise(self):
+        for name in ("carrier-pigeon", "socket"):
+            with pytest.raises(ConfigError):
+                make_executor(name, fn=_double, policy=TaskPolicy(),
+                              chaos=None)
 
     def test_make_executor_builds_the_named_backend(self):
         context = dict(fn=_double, policy=TaskPolicy(), chaos=None)
         assert isinstance(make_executor("inline", **context), InlineExecutor)
         assert isinstance(make_executor("local", **context), LocalPoolExecutor)
-        sock = make_executor("socket", **context)
-        try:
-            assert isinstance(sock, SocketExecutor)
-        finally:
-            sock.shutdown(kill=True)
 
     def test_sweep_records_backend_name(self):
         _results, timing = run_sweep(_double, [1, 2], jobs=1)
         assert timing.executor == "inline"
         assert timing.backends == ["inline"]
-
-
-class TestTransportChaosParse:
-    def test_parse_round_trip(self):
-        policy = ChaosPolicy.parse(
-            "heartbeat-drop:0.2,result-dup:0.1,result-delay:0.3:0.02,seed:7"
-        )
-        assert policy.hb_drop_p == 0.2
-        assert policy.dup_result_p == 0.1
-        assert policy.frame_delay_p == 0.3
-        assert policy.frame_delay_s == 0.02
-        assert ChaosPolicy.parse("hb-drop:0.5").hb_drop_p == 0.5
-        assert ChaosPolicy.parse("dup:0.5").dup_result_p == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ChaosPolicy(hb_drop_p=1.5)
-        with pytest.raises(ConfigError):
-            ChaosPolicy(dup_result_p=-0.1)
-        with pytest.raises(ConfigError):
-            ChaosPolicy(frame_delay_s=-1.0)
-
-    def test_transport_faults_only_disturb_first_attempts(self):
-        policy = ChaosPolicy(hb_drop_p=1.0, dup_result_p=1.0,
-                             frame_delay_p=1.0)
-        assert policy.drops_heartbeat(0, 0)
-        assert policy.duplicates_result(0, 0)
-        assert policy.delays_result(0, 0)
-        assert not policy.drops_heartbeat(0, 1)
-        assert not policy.duplicates_result(0, 1)
-        assert not policy.delays_result(0, 1)
+        _results, timing = run_sweep(_double, [1, 2], jobs=2, chunksize=1)
+        assert timing.executor == "local"
+        assert timing.backends == ["local"]
 
 
 # ---------------------------------------------------------------------
+#: The worker count that selects each backend.
+_JOBS = {"inline": 1, "local": 2}
+
+
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", ["inline", "local", "socket"])
+    @pytest.mark.parametrize("backend", ["inline", "local"])
     def test_results_and_metrics_match_serial(self, backend):
         clean, clean_t = run_sweep(_bump_delta, list(range(6)), jobs=1,
                                    record=False)
         got, timing = run_sweep(
-            _bump_delta, list(range(6)), jobs=2, chunksize=2,
-            executor=backend, record=False,
+            _bump_delta, list(range(6)), jobs=_JOBS[backend], chunksize=2,
+            record=False,
         )
         assert got == clean
         assert timing.executor == backend
         assert timing.metrics.counters == clean_t.metrics.counters
         assert timing.metrics.histograms == clean_t.metrics.histograms
-
-
-# ---------------------------------------------------------------------
-class TestSocketResilience:
-    def test_worker_kill_requeues_without_pool_restart(self):
-        # A chaos kill in exactly one chunk: the victim's chunk must
-        # requeue onto the surviving worker — no backend restart, no
-        # degradation — and still match the undisturbed serial run.
-        seed = next(
-            s for s in range(500)
-            if any(ChaosPolicy(kill_p=0.3, seed=s).kills(i, 0)
-                   for i in range(0, 3))
-            and not any(ChaosPolicy(kill_p=0.3, seed=s).kills(i, 0)
-                        for i in range(3, 6))
-        )
-        clean, clean_t = run_sweep(_bump_delta, list(range(6)), jobs=1,
-                                   record=False)
-        got, timing = run_sweep(
-            _bump_delta, list(range(6)), jobs=2, chunksize=3,
-            executor="socket", record=False,
-            chaos=ChaosPolicy(kill_p=0.3, seed=seed),
-        )
-        assert got == clean
-        assert timing.lost_workers >= 1
-        assert timing.requeues >= 1
-        assert timing.pool_rebuilds == 0
-        assert not timing.degraded
-        assert timing.failures == 0
-        assert timing.metrics.counters == clean_t.metrics.counters
-        assert timing.metrics.histograms == clean_t.metrics.histograms
-
-    def test_heartbeat_drop_is_detected_and_requeued(self):
-        # One chunk mutes its worker's heartbeats; the chunk is slow
-        # enough (3 x 0.65s > the 1.5s heartbeat timeout) that the
-        # controller declares the worker lost mid-chunk and requeues
-        # onto the survivor.  Results the muted worker already streamed
-        # race the rerun's copies — the at-most-once commit keeps them
-        # single-counted.
-        seed = next(
-            s for s in range(500)
-            if ChaosPolicy(hb_drop_p=0.5, seed=s).drops_heartbeat(0, 0)
-            and not ChaosPolicy(hb_drop_p=0.5, seed=s).drops_heartbeat(3, 0)
-        )
-        clean, clean_t = run_sweep(_slow_bump, list(range(6)), jobs=1,
-                                   record=False)
-        got, timing = run_sweep(
-            _slow_bump, list(range(6)), jobs=2, chunksize=3,
-            executor="socket", record=False,
-            chaos=ChaosPolicy(hb_drop_p=0.5, seed=seed),
-        )
-        assert got == clean
-        assert timing.lost_workers >= 1
-        assert timing.requeues >= 1
-        assert timing.pool_rebuilds == 0
-        assert not timing.degraded
-        assert timing.metrics.counters == clean_t.metrics.counters
-        assert timing.metrics.histograms == clean_t.metrics.histograms
-
-    def test_duplicated_and_delayed_result_frames_commit_once(self):
-        clean, clean_t = run_sweep(_bump_delta, list(range(6)), jobs=1,
-                                   record=False)
-        got, timing = run_sweep(
-            _bump_delta, list(range(6)), jobs=2, chunksize=3,
-            executor="socket", record=False,
-            chaos=ChaosPolicy(dup_result_p=1.0, frame_delay_p=1.0,
-                              frame_delay_s=0.01),
-        )
-        assert got == clean
-        assert timing.duplicate_results == 6
-        assert timing.failures == 0
-        assert timing.metrics.counters == clean_t.metrics.counters
-        assert timing.metrics.histograms == clean_t.metrics.histograms
-
-    def test_losing_every_worker_degrades_down_the_chain(self):
-        # kill_p=1.0 takes out each socket worker on its first chunk;
-        # once none is left the backend raises and the scheduler hands
-        # the unfinished chunks to the local pool, which finishes.
-        clean, _ = run_sweep(_double, [1, 2, 3, 4], jobs=1, record=False)
-        got, timing = run_sweep(
-            _double, [1, 2, 3, 4], jobs=2, chunksize=1,
-            executor="socket", record=False,
-            chaos=ChaosPolicy(kill_p=1.0),
-            policy=TaskPolicy(max_respawns=0),
-        )
-        assert got == clean
-        assert timing.degraded
-        assert timing.backends[0] == "socket"
-        assert "local" in timing.backends
-        assert timing.lost_workers >= 2
-        assert timing.failures == 0
-
-    def test_degradation_disabled_raises_worker_crash(self):
-        with pytest.raises(WorkerCrashError):
-            run_sweep(
-                _double, [1, 2, 3, 4], jobs=2, chunksize=1,
-                executor="socket", record=False,
-                chaos=ChaosPolicy(kill_p=1.0),
-                policy=TaskPolicy(degrade_serial=False, max_respawns=0),
-            )
 
 
 # ---------------------------------------------------------------------
@@ -318,38 +181,11 @@ class TestHeartbeatSchema:
         finally:
             ex.shutdown(kill=True)
 
-    def test_socket_reports_ages_and_progress(self):
-        ex = make_executor("socket", fn=_slow_bump, policy=TaskPolicy(),
-                           chaos=None, jobs=2)
-        try:
-            ex.submit_chunk(0, [(0, 0, 1), (1, 0, 2)])
-            deadline = time.monotonic() + 15.0
-            seen_inflight = None
-            events_: list = []
-            while time.monotonic() < deadline:
-                events_.extend(ex.poll(timeout_s=0.1))
-                heartbeat = ex.heartbeat()
-                if heartbeat:
-                    assert _schema_ok(heartbeat)
-                busy = [info for info in heartbeat.values()
-                        if info["inflight_chunk"] is not None]
-                if busy:
-                    seen_inflight = busy[0]
-                if any(isinstance(e, executors_mod.ChunkDone)
-                       for e in events_):
-                    break
-            assert seen_inflight is not None
-            assert seen_inflight["inflight_chunk"] == 0
-            # The socket backend adds self-reported chunk progress.
-            assert "tasks_done" in seen_inflight
-        finally:
-            ex.shutdown(kill=True)
-
 
 # ---------------------------------------------------------------------
 class TestFig6AcrossBackends:
-    """The PR's acceptance criterion: fig6 on every backend under
-    combined transport chaos is bit-identical to a clean serial run."""
+    """fig6 on every backend under worker-kill chaos is bit-identical to
+    a clean serial run."""
 
     _clean: dict = {}
 
@@ -365,32 +201,31 @@ class TestFig6AcrossBackends:
             cls._clean["metrics"] = engine.run_metrics(run)
         return cls._clean["rows"], cls._clean["metrics"]
 
-    @pytest.mark.parametrize("backend", ["inline", "local", "socket"])
+    @pytest.mark.parametrize("backend", ["inline", "local"])
     def test_transport_chaos_is_bit_identical_to_serial(self, backend):
+        # Chaos crosses the process boundary only as worker kills: the
+        # pool attributes each crash and reruns the chunk clean, while
+        # inline skips kills outright.
         benchmarks = [get_profile(n) for n in ("gzip", "mcf")]
         n_tasks = len(benchmarks) * 4
         seed = next(
             s for s in range(500)
             if any(ChaosPolicy(kill_p=0.15, seed=s).kills(i, 0)
                    for i in range(n_tasks))
-            and any(ChaosPolicy(dup_result_p=0.5, seed=s)
-                    .duplicates_result(i, 0) for i in range(n_tasks))
         )
-        chaos = ChaosPolicy(
-            kill_p=0.15, hb_drop_p=0.2, dup_result_p=0.5,
-            frame_delay_p=0.3, frame_delay_s=0.01, seed=seed,
-        )
+        chaos = ChaosPolicy(kill_p=0.15, seed=seed)
         clean_rows, clean_metrics = self._clean_run()
 
         memo.clear_cache()
         chaos_mod.set_chaos(chaos)
         engine.set_default_policy(TaskPolicy(max_retries=2))
-        engine.set_default_executor(backend)
         run = events.begin_run(f"fig6-exec-{backend}")
-        noisy = fig6_performance(window=TINY, benchmarks=benchmarks, jobs=2)
+        noisy = fig6_performance(window=TINY, benchmarks=benchmarks,
+                                 jobs=_JOBS[backend])
         noisy_metrics = engine.run_metrics(run)
         timing = engine.timings(run)[-1]
 
+        assert timing.executor == backend
         assert timing.failures == 0
         assert [dataclasses.asdict(r) for r in noisy] == clean_rows
         assert noisy_metrics.counters == clean_metrics.counters
@@ -412,9 +247,9 @@ class TestFig6AcrossBackends:
     order=st.lists(st.integers(0, 7), max_size=30),
 )
 def test_any_result_interleaving_commits_at_most_once(n, order):
-    """Property: whatever interleaving of late, duplicated, or lost
-    chunk results reaches the scheduler, every task key commits exactly
-    once (first delivery wins) and the merged metrics equal those of a
+    """Property: whatever interleaving of duplicated or lost chunk
+    results reaches the scheduler, every task key commits exactly once
+    (first delivery wins) and the merged metrics equal those of a
     single clean delivery per task."""
     tasks = list(range(n))
     timing = engine.SweepTiming(label="interleave", jobs=1)

@@ -22,7 +22,6 @@ from repro.cli import main
 from repro.common.errors import ConfigError
 from repro.experiments import engine
 from repro.experiments.engine import run_sweep
-from repro.experiments.executors import set_default_executor
 from repro.experiments.perf import fig6_performance
 from repro.experiments.runner import SimulationWindow
 from repro.obs import events, metrics
@@ -60,7 +59,6 @@ def _clean_live():
     metrics.reset()
     engine.clear_timings()
     engine.set_default_jobs(None)
-    set_default_executor(None)
     live_mod._LISTENERS.clear()
     live_mod._ACTIVE = None
     live_mod.stop_metrics_server()
@@ -90,7 +88,7 @@ def _snapshot(counter: int, gauge: float, values=()) -> MetricsSnapshot:
     return snap
 
 
-# -- module-level worker fns (must pickle into pool/socket workers) ----
+# -- module-level worker fns (must pickle into pool workers) -----------
 
 def _bump_live(x):
     m = metrics.get_registry()
@@ -146,15 +144,9 @@ class TestLiveStatsFold:
         stats = LiveStats("s", 2)
         stats.chunk_started(3, "w7")
         assert stats.workers["w7"].inflight_chunk == 3
-        stats.worker_lost("w7", "heartbeat lost")
-        assert stats.lost_workers == 1
-        assert stats.workers["w7"].lost == "heartbeat lost"
-        assert stats.workers["w7"].inflight_chunk is None
-        stats.requeued()
         stats.lease_expired()
         stats.note_duplicate()
-        assert (stats.requeues, stats.lease_expiries,
-                stats.duplicate_results) == (1, 1, 1)
+        assert (stats.lease_expiries, stats.duplicate_results) == (1, 1)
 
     def test_fold_heartbeat_updates_health(self):
         stats = LiveStats("s", 2)
@@ -179,7 +171,7 @@ class TestLiveStatsFold:
         assert stats.eta_s() == 0.0         # nothing remaining
 
     def test_as_row_shape(self):
-        stats = LiveStats("fig6", 8, run_id="run-1", backend="socket",
+        stats = LiveStats("fig6", 8, run_id="run-1", backend="local",
                           jobs=2)
         stats.fold_task(0, True, 0.1, None, worker="w0")
         row = stats.as_row()
@@ -235,15 +227,13 @@ class TestSweepBeginGating:
 class TestBackendBitIdentity:
     """The determinism contract: live totals == post-hoc merged metrics."""
 
-    @pytest.mark.parametrize("backend,jobs", [
-        ("inline", 1), ("local", 2), ("socket", 2),
-    ])
+    @pytest.mark.parametrize("backend,jobs", [("inline", 1), ("local", 2)])
     def test_live_merge_bit_identical(self, backend, jobs):
         live_mod.add_listener(_noop_listener)
         results, timing = run_sweep(
             _bump_live, list(range(8)), jobs=jobs, label=f"bit-{backend}",
-            executor=backend,
         )
+        assert timing.executor == backend
         assert results == [x + 1 for x in range(8)]
         stats = live_mod.current()
         assert stats is not None and stats.finished
@@ -257,13 +247,15 @@ class TestBackendBitIdentity:
         assert stats.histograms["livetest.values"][1] == \
             list(timing.metrics.histograms["livetest.values"][1])
 
-    def test_worker_attribution_socket(self):
+    def test_worker_attribution_pool(self):
         live_mod.add_listener(_noop_listener)
         run_sweep(_bump_live, list(range(6)), jobs=2, label="attr",
-                  executor="socket", chunksize=1)
+                  chunksize=1)
         stats = live_mod.current()
+        # Every completion is attributed to the pool pid that ran it.
         assert sum(h.tasks_done for h in stats.workers.values()) == 6
-        assert all(not h.lost for h in stats.workers.values())
+        assert stats.workers
+        assert all(worker.isdigit() for worker in stats.workers)
 
 
 # ---------------------------------------------------------------------
@@ -294,7 +286,7 @@ class TestPrometheus:
     def test_render_with_active_sweep(self):
         live_mod.add_listener(_noop_listener)
         stats = live_mod.sweep_begin("fig6", 8, run_id="run-x",
-                                     backend="socket", jobs=2)
+                                     backend="local", jobs=2)
         stats.fold_task(0, True, 0.1, _snapshot(3, 1.5, values=(0.5, 9.0)),
                         worker="w0")
         stats.fold_heartbeat(
@@ -302,7 +294,7 @@ class TestPrometheus:
         body = render_prometheus()
         _assert_valid_exposition(body)
         assert ('repro_sweep_tasks_done{sweep="fig6",run_id="run-x",'
-                'backend="socket"} 1') in body
+                'backend="local"} 1') in body
         assert 'worker="w0"' in body
         assert "repro_metric_live_test_total" in body
         # Histogram: cumulative buckets, +Inf, and _count agree.
@@ -552,12 +544,14 @@ class TestEventFollower:
         stats = None
         stats = fold_event(stats, {
             "event": "sweep_begin", "ts": now, "label": "fig6",
-            "tasks": 4, "run_id": "r", "executor": "socket", "jobs": 2,
+            "tasks": 4, "run_id": "r", "executor": "local", "jobs": 2,
         })
-        assert stats.tasks_total == 4 and stats.backend == "socket"
+        assert stats.tasks_total == 4 and stats.backend == "local"
         stats = fold_event(stats, {"event": "task_done", "ts": now,
                                    "wall_s": 0.5, "worker": "w0"})
         stats = fold_event(stats, {"event": "task_failed", "ts": now})
+        # Event kinds of older streams (worker losses, requeues) pass
+        # through without touching the aggregate.
         stats = fold_event(stats, {"event": "worker_lost", "ts": now,
                                    "worker": "w0", "reason": "crash"})
         stats = fold_event(stats, {"event": "chunk_requeued", "ts": now})
@@ -565,8 +559,8 @@ class TestEventFollower:
         stats = fold_event(stats, {"event": "sweep", "ts": now})
         assert stats.tasks_done == 2 and stats.tasks_ok == 1
         assert stats.failures == 1
-        assert stats.workers["w0"].lost == "crash"
-        assert stats.requeues == 1 and stats.lease_expiries == 1
+        assert stats.workers["w0"].tasks_done == 1
+        assert stats.lease_expiries == 1
         assert stats.finished
 
     def test_fold_event_before_begin_and_passthrough(self):
@@ -634,7 +628,7 @@ class TestCliTailTop:
         now = time.time()
         records = [
             {"event": "sweep_begin", "ts": now, "run_id": "run-t",
-             "label": "fig6", "tasks": 2, "executor": "socket", "jobs": 2},
+             "label": "fig6", "tasks": 2, "executor": "local", "jobs": 2},
             {"event": "task_done", "ts": now, "run_id": "run-t",
              "label": "fig6", "task_index": 0, "wall_s": 0.5,
              "worker": "w0"},
@@ -667,7 +661,7 @@ class TestCliTailTop:
         path = self._write_run(tmp_path)
         assert main(["top", str(path), "--once"]) == 0
         out = capsys.readouterr().out
-        assert "fig6 · socket · jobs=2" in out
+        assert "fig6 · local · jobs=2" in out
         assert "2/2" in out
         assert "done" in out
 
@@ -686,7 +680,7 @@ class TestCliLiveSweep:
         ev = tmp_path / "ev.jsonl"
         code = main([
             "fig6", "--benchmarks", "gzip", "--window", "1500",
-            "--jobs", "1", "--executor", "inline",
+            "--jobs", "1",
             "--progress", "live", "--metrics-port", "0",
             "--trace-export", str(trace), "--trace-out", str(ev),
         ])
@@ -711,7 +705,7 @@ class TestCliLiveSweep:
         prof = tmp_path / "prof.collapsed"
         code = main([
             "fig6", "--benchmarks", "gzip", "--window", "1500",
-            "--jobs", "1", "--executor", "inline",
+            "--jobs", "1",
             "--profile", str(prof),
         ])
         assert code == 0

@@ -1,20 +1,16 @@
-"""Self-healing sweep supervision (worker respawn, poison quarantine,
-crash-consistent checkpoints, drains).
+"""Sweep supervision: crash-consistent checkpoints, drains, pool kills.
 
-Covers the PR 9 robustness layer end to end: the new supervision chaos
-kinds, the socket backend's respawn budget (and its chaos-vetoed
-failure path), worker-hang recovery through the chunk lease, poison-task
-bisection and quarantine with a *real* worker-killing task, the
-checkpoint durability policy (``REPRO_CKPT_FSYNC``), the atomic
-finalize marker, short-write chaos and resume convergence, graceful
-drains (``SIGTERM``), the partial report, a hypothesis interleaving
-property over the at-most-once commit, and two real-subprocess
-recovery tests (``kill -9`` mid-checkpoint-write, SIGTERM drain with
-``--resume``).
+Covers the ``short-write`` chaos kind, the checkpoint durability policy
+(``REPRO_CKPT_FSYNC``), the atomic finalize marker, short-write chaos
+and resume convergence, graceful drains (``SIGTERM``), the partial
+report (including checkpoints that carry quarantine lines from older
+versions), a hypothesis interleaving property over the at-most-once
+commit, the pool kill that ends workers ignoring SIGTERM, and two
+real-subprocess recovery tests (``kill -9`` mid-checkpoint-write,
+SIGTERM drain with ``--resume``).
 """
 
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -26,19 +22,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import (
-    ConfigError,
-    SweepDrainedError,
-    TaskQuarantinedError,
-)
+from repro.common.errors import ConfigError, SweepDrainedError
 from repro.experiments import chaos as chaos_mod
 from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments import engine
 from repro.experiments.chaos import ChaosPolicy
 from repro.experiments.engine import TaskPolicy, run_sweep
-from repro.experiments.executors import _TaskOutcome, set_default_executor
+from repro.experiments.executors import _TaskOutcome, make_executor
 from repro.experiments.report import render_partial_report
-from repro.obs import metrics
+from repro.obs import events
 
 
 @pytest.fixture(autouse=True)
@@ -46,14 +38,12 @@ def _clean_engine():
     engine.clear_timings()
     engine.clear_drain()
     engine.set_default_policy(None)
-    set_default_executor(None)
     chaos_mod.set_chaos(None)
     checkpoint_mod.set_checkpoint_dir(None)
     yield
     engine.clear_timings()
     engine.clear_drain()
     engine.set_default_policy(None)
-    set_default_executor(None)
     chaos_mod.set_chaos(None)
     checkpoint_mod.set_checkpoint_dir(None)
 
@@ -64,22 +54,10 @@ def _double(x):
     return x * 2
 
 
-def _bump_delta(x):
-    m = metrics.get_registry()
-    m.counter("supertest.calls").inc()
-    return x + 1
-
-
-_POISON_VALUE = 13
-
-
-def _poison(x):
-    # A genuinely poisonous task: kills any *worker* process it runs in
-    # (never the controller, so inline/degraded execution would survive).
-    if x == _POISON_VALUE \
-            and multiprocessing.current_process().name != "MainProcess":
-        os._exit(21)
-    return x * 2
+def _report_pid_then_sleep(path):
+    Path(path).write_text(str(os.getpid()))
+    time.sleep(60)
+    return path
 
 
 def _drain_then_double(x):
@@ -90,145 +68,24 @@ def _drain_then_double(x):
 # ---------------------------------------------------------------------
 class TestSupervisionChaosParse:
     def test_parse_new_kinds(self):
-        policy = ChaosPolicy.parse(
-            "worker-hang:0.5:1.5,respawn-fail:0.3,short-write:0.2,seed:7"
-        )
-        assert policy.hang_p == 0.5
-        assert policy.hang_s == 1.5
-        assert policy.respawn_fail_p == 0.3
+        policy = ChaosPolicy.parse("worker-kill:0.1,short-write:0.2,seed:7")
+        assert policy.kill_p == 0.1
         assert policy.short_write_p == 0.2
         assert policy.seed == 7
-        assert ChaosPolicy.parse("hang:0.4").hang_p == 0.4
-        assert ChaosPolicy.parse("respawn:0.4").respawn_fail_p == 0.4
         assert ChaosPolicy.parse("short:0.4").short_write_p == 0.4
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            ChaosPolicy(hang_p=1.5)
-        with pytest.raises(ConfigError):
-            ChaosPolicy(respawn_fail_p=-0.1)
-        with pytest.raises(ConfigError):
             ChaosPolicy(short_write_p=2.0)
         with pytest.raises(ConfigError):
-            ChaosPolicy(hang_s=-1.0)
+            ChaosPolicy(short_write_p=-0.1)
 
     def test_decisions_are_deterministic(self):
-        a = ChaosPolicy(hang_p=0.5, respawn_fail_p=0.5, short_write_p=0.5,
-                        seed=3)
-        b = ChaosPolicy(hang_p=0.5, respawn_fail_p=0.5, short_write_p=0.5,
-                        seed=3)
-        for i in range(20):
-            assert a.hangs(i, 0) == b.hangs(i, 0)
-            assert a.fails_respawn(i) == b.fails_respawn(i)
-            assert a.short_writes(i) == b.short_writes(i)
-        # Hangs only ever fire on a chunk's first pass.
-        full = ChaosPolicy(hang_p=1.0)
-        assert full.hangs(0, 0) and not full.hangs(0, 1)
-
-
-# ---------------------------------------------------------------------
-class TestRespawn:
-    def test_respawn_keeps_sweep_on_socket(self):
-        # Every first attempt kills its worker; with respawn budget the
-        # sweep completes on the socket backend itself (no degradation)
-        # and the replacements' reruns are attributed, so results and
-        # metrics stay bit-identical to a clean serial run.
-        clean, clean_t = run_sweep(_bump_delta, [1, 2, 3, 4], jobs=1,
-                                   record=False)
-        got, timing = run_sweep(
-            _bump_delta, [1, 2, 3, 4], jobs=2, chunksize=1,
-            executor="socket", record=False,
-            chaos=ChaosPolicy(kill_p=1.0),
-            policy=TaskPolicy(max_respawns=8, respawn_backoff_s=0.0),
-        )
-        assert got == clean
-        assert not timing.degraded
-        assert timing.backends == ["socket"]
-        assert timing.respawns >= 1
-        assert timing.lost_workers >= 1
-        assert timing.failures == 0
-        assert timing.metrics.counters == clean_t.metrics.counters
-
-    def test_respawn_fail_chaos_exhausts_budget_and_degrades(self):
-        # Chaos vetoes every replacement: the budget is spent without a
-        # single worker coming back, so the old degradation chain is the
-        # final fallback and the sweep still completes correctly.
-        clean, _ = run_sweep(_double, [1, 2, 3, 4], jobs=1, record=False)
-        got, timing = run_sweep(
-            _double, [1, 2, 3, 4], jobs=2, chunksize=1,
-            executor="socket", record=False,
-            chaos=ChaosPolicy(kill_p=1.0, respawn_fail_p=1.0),
-            policy=TaskPolicy(max_respawns=4, respawn_backoff_s=0.0),
-        )
-        assert got == clean
-        assert timing.degraded
-        assert timing.backends[0] == "socket"
-        assert timing.respawn_failures >= 1
-        assert timing.respawns == 0
-        assert timing.failures == 0
-
-
-# ---------------------------------------------------------------------
-class TestWorkerHang:
-    def test_hung_worker_recovered_by_lease(self):
-        # The hang keeps heartbeats flowing, so only the chunk lease can
-        # catch it; the hung worker is cancelled, the chunk requeues with
-        # the hang attributed (the rerun is injection-free), and a
-        # replacement restores capacity.
-        clean, _ = run_sweep(_double, [1, 2, 3, 4], jobs=1, record=False)
-        got, timing = run_sweep(
-            _double, [1, 2, 3, 4], jobs=2, chunksize=2,
-            executor="socket", record=False,
-            chaos=ChaosPolicy(hang_p=1.0, hang_s=60.0),
-            policy=TaskPolicy(timeout_s=0.3, respawn_backoff_s=0.0),
-        )
-        assert got == clean
-        assert timing.lease_expiries >= 1
-        assert timing.failures == 0
-        assert timing.timeouts == 0
-
-
-# ---------------------------------------------------------------------
-class TestPoisonQuarantine:
-    def test_poison_task_is_bisected_and_quarantined(self, tmp_path):
-        # One task genuinely kills every worker that runs it (no chaos to
-        # attribute): the supervisor bisects its chunk down to the single
-        # grain, quarantines it, and the rest of the sweep completes.
-        checkpoint_mod.set_checkpoint_dir(tmp_path)
-        items = [1, 2, _POISON_VALUE, 4]
-        got, timing = run_sweep(
-            _poison, items, jobs=2, chunksize=2,
-            executor="socket", label="poison",
-            policy=TaskPolicy(fail_fast=False, max_respawns=16,
-                              respawn_backoff_s=0.0),
-        )
-        assert got == [2, 4, None, 8]
-        assert timing.bisections >= 1
-        assert len(timing.quarantined) == 1
-        verdict = timing.quarantined[0]
-        assert verdict["index"] == 2
-        assert "quarantined" in verdict["error"]
-        assert timing.failures == 1
-        # The verdict is durable: the checkpoint records the quarantine
-        # (payload-free) and the read-only scan surfaces it.
-        ckpt_files = list(tmp_path.glob("*/poison.jsonl"))
-        assert len(ckpt_files) == 1
-        summary = checkpoint_mod.scan_sweep(ckpt_files[0])
-        assert summary["tasks_committed"] == 3
-        assert len(summary["quarantined"]) == 1
-        assert summary["quarantined"][0]["index"] == 2
-
-    def test_quarantine_raises_under_fail_fast(self):
-        with pytest.raises(TaskQuarantinedError):
-            try:
-                run_sweep(
-                    _poison, [1, 2, _POISON_VALUE, 4], jobs=2, chunksize=2,
-                    executor="socket", record=False,
-                    policy=TaskPolicy(fail_fast=True, max_respawns=16,
-                                      respawn_backoff_s=0.0),
-                )
-            except engine.SweepAbortedError as exc:
-                raise exc.failures[0]
+        a = ChaosPolicy(short_write_p=0.5, seed=3)
+        b = ChaosPolicy(short_write_p=0.5, seed=3)
+        decisions = [a.short_writes(i) for i in range(20)]
+        assert decisions == [b.short_writes(i) for i in range(20)]
+        assert any(decisions) and not all(decisions)
 
 
 # ---------------------------------------------------------------------
@@ -362,28 +219,87 @@ class TestDrain:
         assert not engine.drain_requested()
 
 
+class TestPoolKill:
+    def test_kill_ends_workers_that_ignore_sigterm(self, tmp_path):
+        # Mimic the CLI: its drain handler is installed before the pool
+        # forks, so every worker inherits it and shrugs off SIGTERM.  A
+        # killing shutdown must still end a worker busy on a long task.
+        marker = tmp_path / "pid"
+        prior = signal.signal(signal.SIGTERM, lambda _signum, _frame: None)
+        ex = make_executor("local", fn=_report_pid_then_sleep,
+                           policy=TaskPolicy(), chaos=None, jobs=1)
+        try:
+            ex.submit_chunk(0, [(0, 0, str(marker))])
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline and not (
+                    marker.exists() and marker.read_text()):
+                time.sleep(0.02)
+            pid = int(marker.read_text())
+        finally:
+            ex.shutdown(kill=True)
+            signal.signal(signal.SIGTERM, prior)
+        deadline = time.monotonic() + 3.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid)
+
+
 # ---------------------------------------------------------------------
+def _quarantine_line(key: str, index: int) -> str:
+    """A payload-free quarantine record as older versions wrote it."""
+    return json.dumps({
+        "key": key, "index": index, "task": "mcf", "quarantined": True,
+        "error": "task quarantined after repeatedly killing its worker",
+    }) + "\n"
+
+
 class TestPartialReport:
-    def test_renders_partial_marker_and_quarantine_table(self, tmp_path):
+    def test_renders_partial_marker_and_skips_quarantine_lines(
+            self, tmp_path):
+        # Checkpoints from older versions may hold quarantine lines: the
+        # partial report still renders and does not count them.
         root = tmp_path / "ckpt"
         run_dir = root / "run-abc"
         run_dir.mkdir(parents=True)
         ckpt = checkpoint_mod.SweepCheckpoint(run_dir / "fig6.jsonl")
         ckpt.append("00000:aa", 0, "gzip", 0.5, 1.0, None)
-        ckpt.append_quarantine("00001:bb", 1, "mcf", "killed its worker")
         ckpt.close()
+        with (run_dir / "fig6.jsonl").open("a") as fh:
+            fh.write(_quarantine_line("00001:bb", 1))
         out = tmp_path / "out"
         data = render_partial_report("run-abc", out, checkpoint_root=root)
         assert data["partial"] is True
         assert data["tasks_committed"] == 1
-        assert len(data["quarantined"]) == 1
+        assert data["sweeps"][0]["truncated_lines"] == 0
         text = (out / "results_partial.md").read_text()
         assert "PARTIAL" in text
         assert "interrupted" in text
         assert "--resume run-abc" in text
-        assert "00001:bb" in text
+        assert "Quarantined" not in text
         payload = json.loads((out / "results_partial.json").read_text())
         assert payload["run_id"] == "run-abc"
+
+    def test_resume_reruns_a_quarantined_task(self, tmp_path):
+        checkpoint_mod.set_checkpoint_dir(tmp_path)
+        run_id = events.begin_run("quarantine-resume")
+        run_sweep(_double, [1, 2], jobs=1, chunksize=1, label="q")
+        path = tmp_path / run_id / "q.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        key = json.loads(lines[1])["key"]
+        path.write_text(lines[0] + _quarantine_line(key, 1))
+        (tmp_path / run_id / "q.jsonl.done").unlink()
+        assert checkpoint_mod.scan_sweep(path)["tasks_committed"] == 1
+        sink = tmp_path / "events.jsonl"
+        events.set_sink(sink)
+        try:
+            got, timing = run_sweep(_double, [1, 2], jobs=1, chunksize=1,
+                                    label="q")
+        finally:
+            events.set_sink(None)
+        assert got == [2, 4]
+        assert timing.resumed_tasks == 1      # the quarantined task re-ran
+        assert '"checkpoint_truncated"' not in sink.read_text()
+        assert checkpoint_mod.scan_sweep(path)["tasks_committed"] == 2
 
     def test_requires_a_checkpoint_root(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -395,43 +311,39 @@ class TestAtMostOnceInterleavings:
     @settings(deadline=None, max_examples=60,
               suppress_health_check=[HealthCheck.too_slow])
     @given(ops=st.lists(
-        st.tuples(st.integers(0, 4), st.sampled_from(["ok", "quarantine"])),
+        st.tuples(st.integers(0, 4), st.sampled_from(["ok", "failed"])),
         max_size=30,
     ))
     def test_any_interleaving_commits_each_key_once(self, ops):
-        # Quarantine verdicts and (possibly duplicated) successful
-        # results may interleave arbitrarily during requeue/respawn
-        # storms; whatever the order, each task key is decided exactly
-        # once — by its first event — and duplicates are only counted.
+        # Failed and successful outcomes for the same task may arrive in
+        # any order (a chunk error racing a result, a duplicate
+        # delivery); whatever the order, each task key is decided
+        # exactly once — by its first event — and later arrivals are
+        # only counted.
         tasks = list(range(5))
         timing = engine.SweepTiming(label="prop", jobs=1, run_id="prop")
         state = engine._SweepState(
             tasks, "prop", TaskPolicy(fail_fast=False), timing, None
         )
         for index, op in ops:
-            if op == "quarantine":
-                state.quarantine(index, 0, "crash")
-            else:
-                state.absorb(_TaskOutcome(
-                    index=index, ok=True, result=index * 2, attempts=1,
-                ))
+            state.absorb(_TaskOutcome(
+                index=index, ok=op == "ok",
+                result=index * 2 if op == "ok" else None,
+                attempts=1, error_kind="" if op == "ok" else "error",
+                error="" if op == "ok" else "boom",
+            ))
         first: dict = {}
-        dup_ok = 0
         for index, op in ops:
-            if index in first:
-                dup_ok += op == "ok"
-            else:
-                first[index] = op
+            first.setdefault(index, op)
         assert len(state.committed) == len(first)
         for index, op in first.items():
-            if op == "quarantine":
+            if op == "failed":
                 assert state.results[index] is None
             else:
                 assert state.results[index] == index * 2
-        quarantined = sum(op == "quarantine" for op in first.values())
-        assert timing.failures == quarantined
-        assert len(timing.quarantined) == quarantined
-        assert timing.duplicate_results == dup_ok
+        assert timing.failures == sum(op == "failed" for op in first.values())
+        assert len(state.failures) == timing.failures
+        assert timing.duplicate_results == len(ops) - len(first)
 
 
 # ---------------------------------------------------------------------
@@ -517,9 +429,7 @@ class TestCrashRecoverySubprocess:
             self, tmp_path):
         env = _cli_env(tmp_path)
         env[checkpoint_mod.FSYNC_ENV_VAR] = "line"
-        proc, ckpt_dir, trace = _spawn_fig6(
-            tmp_path, env, "--executor", "local"
-        )
+        proc, ckpt_dir, trace = _spawn_fig6(tmp_path, env)
         try:
             _wait_for_task_done(trace)
         finally:
@@ -551,7 +461,7 @@ class TestCrashRecoverySubprocess:
         resumed = subprocess.run(
             [sys.executable, "-m", "repro", "fig6",
              "--benchmarks", "gzip,mcf,mesa,art", "--window", "8000",
-             "--jobs", "2", "--executor", "local",
+             "--jobs", "2",
              "--checkpoint", str(ckpt_dir), "--resume", run_id,
              "--metrics", str(tmp_path / "resumed.json")],
             env=env, cwd=tmp_path, capture_output=True, text=True,
@@ -579,7 +489,7 @@ class TestCrashRecoverySubprocess:
             self, tmp_path):
         env = _cli_env(tmp_path)
         proc, ckpt_dir, trace = _spawn_fig6(
-            tmp_path, env, "--executor", "socket", "--window", "20000"
+            tmp_path, env, "--window", "20000"
         )
         try:
             _wait_for_task_done(trace)
@@ -613,7 +523,7 @@ class TestCrashRecoverySubprocess:
         resumed = subprocess.run(
             [sys.executable, "-m", "repro", "fig6",
              "--benchmarks", "gzip,mcf,mesa,art", "--window", "20000",
-             "--jobs", "2", "--executor", "socket",
+             "--jobs", "2",
              "--checkpoint", str(ckpt_dir), "--resume", run_id],
             env=env, cwd=tmp_path, capture_output=True, text=True,
             timeout=300,

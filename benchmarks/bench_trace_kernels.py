@@ -7,11 +7,12 @@ bit-identity oracle), both sides timed in the same run:
 * **generation** — ``TraceGenerator.generate_arrays`` vs the
   ``_generate_chunk_reference`` loop, same instruction budget;
 * **leading_kernel** — the windowed issue/retire kernel
-  (``_scan_window``) vs the retained per-row ``_advance`` oracle, same
-  trace and memoized schedule;
+  (``LeadingCoreTiming.run``) vs the per-row ``_advance`` oracle
+  (``_run_reference``), same trace and memoized schedule;
 * **fig6 end-to-end** — ``fig6_performance`` on the columnar pipeline vs
-  the legacy pipeline (object generation, per-address preload, object
-  scheduling), restored via monkeypatching for the duration of the run.
+  the legacy pipeline (object generation, per-address preload, per-row
+  oracle scheduling), restored via monkeypatching for the duration of
+  the run.
 
 Every comparison also asserts bit-identical results — the speedup only
 counts because nothing changed.
@@ -42,6 +43,17 @@ _GEN_INSTRUCTIONS = 200_000
 _FIG6_SUBSET = ("gzip", "mcf")
 
 
+def _oracle_run(cls):
+    """``cls.run`` with the kernel swapped for the per-row oracle (which
+    needs no memoized schedule)."""
+    reference = cls._run_reference
+
+    def run(self, arrays, warmup=0, schedule=None):
+        return reference(self, arrays, warmup)
+
+    return run
+
+
 @contextmanager
 def _legacy_pipeline():
     """Swap the vectorized hot paths for their per-instruction references
@@ -65,20 +77,10 @@ def _legacy_pipeline():
         self.l1d.stats.reset()
         self.l2.stats.reset()
 
-    def object_leading_run(self, trace, warmup=0, schedule=None):
-        if isinstance(trace, TraceArrays):
-            trace = trace.to_instructions()
-        return saved[2](self, trace, warmup)
-
-    def object_rmt_run(self, trace, warmup=0, schedule=None):
-        if isinstance(trace, TraceArrays):
-            trace = trace.to_instructions()
-        return saved[3](self, trace, warmup)
-
     TraceGenerator._generate_chunk = reference_chunk
     MemoryHierarchy.preload_profile = reference_preload
-    LeadingCoreTiming.run = object_leading_run
-    RmtSimulator.run = object_rmt_run
+    LeadingCoreTiming.run = _oracle_run(LeadingCoreTiming)
+    RmtSimulator.run = _oracle_run(RmtSimulator)
     try:
         yield
     finally:
@@ -135,12 +137,13 @@ def test_trace_kernel_speedups(benchmark):
         core = LeadingCoreTiming(
             kernel_cfg.leading, memory, BranchPredictor()
         )
-        if force_oracle:
-            core.kernel_eligible = lambda: False
         start = time.perf_counter()
-        result = core.run_arrays(
-            kernel_trace, BENCH_WINDOW.warmup, schedule=kernel_schedule
-        )
+        if force_oracle:
+            result = core._run_reference(kernel_trace, BENCH_WINDOW.warmup)
+        else:
+            result = core.run(
+                kernel_trace, BENCH_WINDOW.warmup, schedule=kernel_schedule
+            )
         return time.perf_counter() - start, result
 
     kernel_s = oracle_s = float("inf")

@@ -13,8 +13,7 @@ share and rebuilds the ones that are not:
   arrays instead of thousands of objects.  The generator is kept alive
   per ``(profile, seed)`` so a longer request extends the existing
   stream instead of starting over (chunked generation makes prefixes
-  stable).  Object consumers go through :meth:`ArtifactCache.trace`,
-  which materializes an immutable tuple of ``Instruction``.
+  stable).
 * **pretrained branch predictors** — pretraining replays thousands of
   outcomes through pure-Python tables; the cache trains once and hands
   out :meth:`~repro.core.branch.BranchPredictor.clone` copies, because
@@ -157,13 +156,6 @@ class ArtifactCache:
                 [entry.arrays, extension]
             ).freeze()
         return entry.arrays[:count]
-
-    def trace(self, profile: WorkloadProfile, seed: int, count: int) -> tuple:
-        """The first ``count`` instructions of ``(profile, seed)``'s stream
-        as an immutable tuple of ``Instruction`` objects (legacy adapter
-        over :meth:`trace_arrays`; object consumers like the fault-injection
-        harness still use this form)."""
-        return tuple(self.trace_arrays(profile, seed, count).to_instructions())
 
     # -- cache preload plans -------------------------------------------
     def preload_plan(self, key: tuple, compute):

@@ -205,14 +205,14 @@ class BranchStreamView:
     """One simulation's read cursor over a :class:`BranchStream`.
 
     Duck-types the slice of the :class:`BranchPredictor` interface the
-    scheduling paths use — ``config``, ``update_window`` / ``update``,
+    leading core's window prepass uses — ``config``, ``update_window``,
     and the ``lookups`` / ``mispredicts`` counters — while sharing the
-    underlying memoized stream.  Both update forms require the caller to
-    present the stream's branches *in order* (which every trace-driven
-    scheduling path does by construction).  Deliberately does *not*
-    expose ``predict``: a caller needing free-form out-of-order probes
-    must take a real clone, since mutating the shared predictor out of
-    stream order would corrupt every other view.
+    underlying memoized stream.  ``update_window`` requires the caller
+    to present the stream's branches *in order* (which the trace-ordered
+    prepass does by construction).  Deliberately does *not* expose
+    ``predict`` or the per-branch ``update``: a caller needing free-form
+    probes must take a real clone, since mutating the shared predictor
+    out of stream order would corrupt every other view.
     """
 
     __slots__ = ("_stream", "_cursor")
@@ -242,10 +242,6 @@ class BranchStreamView:
             stream.extend(pcs[skip:], takens[skip:], targets[skip:])
         self._cursor = cursor + count
         return stream.flags[cursor:self._cursor]
-
-    def update(self, pc: int, taken: bool, target: int) -> bool:
-        """Resolve the stream's next branch (per-row object path)."""
-        return self.update_window((pc,), (taken,), (target,))[0]
 
     @property
     def lookups(self) -> int:

@@ -16,13 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.config import CheckerCoreConfig
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import (
-    EXECUTION_LATENCY_BY_CODE,
-    OP_CODE,
-    POOL_BY_CODE,
-    OpClass,
-)
+from repro.isa.opcodes import OP_CODE, POOL_BY_CODE, OpClass
 
 __all__ = ["InOrderCheckerTiming"]
 
@@ -74,20 +68,6 @@ class InOrderCheckerTiming:
         return self._ratio
 
     # ------------------------------------------------------------------
-    def consume(self, instr: Instruction, available_time: float) -> float:
-        """Check instruction ``instr`` whose RVQ entry arrives at
-        ``available_time`` (leading cycles); returns the check-commit time.
-        """
-        code = OP_CODE[instr.op]
-        return self.consume_op(
-            POOL_BY_CODE[code],
-            instr.src1,
-            instr.src2,
-            instr.dst,
-            EXECUTION_LATENCY_BY_CODE[code],
-            available_time,
-        )
-
     def consume_op(
         self,
         pool: int,
@@ -97,10 +77,13 @@ class InOrderCheckerTiming:
         latency: int,
         available_time: float,
     ) -> float:
-        """Check one instruction given its resolved integer fields.
+        """Check one instruction whose RVQ entry arrives at
+        ``available_time`` (leading cycles); returns the check-commit time.
 
-        The columnar RMT path calls this directly with precomputed pool
-        codes and latencies; :meth:`consume` is the object adapter.
+        Takes the row's resolved integer fields (FU pool code, operands,
+        execution latency).  This is the reference oracle of
+        :meth:`consume_window`, and the RMT harness's path for the rows
+        whose arrival crosses a DFS interval boundary.
         """
         earliest = available_time
         if not self.config.uses_register_value_prediction:

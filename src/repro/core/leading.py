@@ -18,14 +18,16 @@ closely for the quantities the paper's evaluation needs (relative IPC across
 L2 organizations, commit-time streams for the checker co-simulation) at a
 small fraction of the cost.
 
-Two entry points share one state machine (:meth:`LeadingCoreTiming._advance`):
-:meth:`~LeadingCoreTiming.schedule` feeds it one :class:`Instruction` at a
-time, and the columnar batch path (:meth:`~LeadingCoreTiming.run_arrays` /
-:meth:`~LeadingCoreTiming.prepare_window`) precomputes whole windows of
-memory latencies, fetch-line breaks and mispredict flags as NumPy passes
-first — legal because the cache and predictor access order is a pure
-function of the trace order, independent of the cycle timing — then drives
-the same state machine with plain ints.  Results are bit-identical.
+One production path: :meth:`LeadingCoreTiming.run` takes a whole columnar
+trace.  :meth:`~LeadingCoreTiming.prepare_window` first resolves a window's
+memory latencies, fetch-line breaks and mispredict flags as NumPy passes —
+legal because the cache and predictor access order is a pure function of
+the trace order, independent of the cycle timing — and the windowed
+issue/retire kernel (:func:`_scan_window`) then closes every cycle from the
+positional indices of a :class:`TraceSchedule`.  The per-row state machine
+(:meth:`LeadingCoreTiming._advance`, driven by
+:meth:`~LeadingCoreTiming._run_reference`) is the kernel's reference
+oracle; only tests and the kernel bench run it.  Results are bit-identical.
 """
 
 from __future__ import annotations
@@ -37,15 +39,14 @@ from itertools import repeat
 import numpy as np
 
 from repro.common.config import LeadingCoreConfig
+from repro.common.errors import ConfigError, SimulationError
 from repro.common.stats import StatGroup
 from repro.core.branch import BranchPredictor
 from repro.core.memory import MemoryHierarchy
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import (
     EXECUTION_LATENCY_BY_CODE,
     OP_BRANCH,
     OP_BY_CODE,
-    OP_CODE,
     OP_FALU,
     OP_FMUL,
     OP_LOAD,
@@ -93,10 +94,9 @@ class PreparedWindow:
     a NumPy array (one entry per row), kept as arrays end-to-end so
     downstream consumers — the windowed kernel and the RMT harness's
     windowed checker — can slice them without round-trips.
-    ``mispredicted`` is an int8 column: ``-1`` for non-branches (the
-    object path's ``None``), ``0`` for correctly predicted branches,
-    ``1`` for mispredicts.  Memory and predictor side effects have
-    already been applied when this exists.
+    ``mispredicted`` is an int8 column: ``-1`` for non-branches, ``0``
+    for correctly predicted branches, ``1`` for mispredicts.  Memory and
+    predictor side effects have already been applied when this exists.
     """
 
     pool: np.ndarray
@@ -126,16 +126,14 @@ class PreparedWindow:
         """Iterate rows as `_advance` argument tuples (sans commit gate).
 
         Columns convert to plain lists here, once per window: the
-        scheduling state machine's integer arithmetic must touch Python
-        ints, never NumPy scalars.  ``mispredicted`` converts back to the
-        object path's ``None`` / ``bool`` values.
+        oracle's integer arithmetic must touch Python ints, never NumPy
+        scalars.
         """
         return zip(
             self.fetch_add.tolist(), self.pool.tolist(),
             self.is_mem.tolist(), self.is_fp.tolist(), self.writes.tolist(),
             self.dst.tolist(), self.src1.tolist(), self.src2.tolist(),
-            self.latency.tolist(),
-            [None if v < 0 else v == 1 for v in self.mispredicted.tolist()],
+            self.latency.tolist(), (self.mispredicted == 1).tolist(),
         )
 
 
@@ -158,21 +156,12 @@ class TraceSchedule:
     * ``w1``/``w2`` — last-writer rows for each source operand (``-1``
       when the operand has no in-trace writer), replacing the rename
       map with a completion-time gather.
-    * ``mem_rows`` / ``int_rows`` / ``fp_rows`` / ``writer_rows`` /
-      ``writer_regs`` — the positional streams needed to rebuild the
-      scalar state machine's deques and rename map when a kernel run
-      hands back to :meth:`LeadingCoreTiming._advance`.
     """
 
     cg: list[int]
     ig: list[int]
     w1: list[int]
     w2: list[int]
-    mem_rows: np.ndarray
-    int_rows: np.ndarray
-    fp_rows: np.ndarray
-    writer_rows: np.ndarray
-    writer_regs: np.ndarray
 
 
 def build_trace_schedule(
@@ -238,12 +227,16 @@ def build_trace_schedule(
         ig=ig.tolist(),
         w1=last_writer(arrays.src1).tolist(),
         w2=last_writer(arrays.src2).tolist(),
-        mem_rows=mem_rows,
-        int_rows=int_rows,
-        fp_rows=fp_rows,
-        writer_rows=writer_rows,
-        writer_regs=writer_regs,
     )
+
+
+def _check_warmup(arrays: TraceArrays, warmup: int) -> None:
+    """Reject a warmup outside ``[0, len(arrays)]`` before a run starts."""
+    if not 0 <= warmup <= len(arrays):
+        raise ConfigError(
+            f"warmup must be in [0, {len(arrays)}] (the trace length), "
+            f"got {warmup}"
+        )
 
 
 class _KernelState:
@@ -251,8 +244,9 @@ class _KernelState:
 
     ``commits`` / ``issues`` / ``completes`` are absolute (row 0 of the
     trace onward) plain-int lists: the scan's gate gathers index them by
-    the :class:`TraceSchedule` rows, and the RMT harness shares
-    ``commits`` directly as its commit-time stream.
+    the :class:`TraceSchedule` rows.  ``commits`` is the core's own
+    :attr:`LeadingCoreTiming.commits` list, which the RMT harness in turn
+    shares as its commit-time stream.
     """
 
     __slots__ = (
@@ -260,9 +254,9 @@ class _KernelState:
         "fetch", "group", "redirect", "lcc", "cic",
     )
 
-    def __init__(self, schedule: TraceSchedule):
+    def __init__(self, schedule: TraceSchedule, commits: list[int]):
         self.schedule = schedule
-        self.commits: list[int] = []
+        self.commits = commits
         self.issues: list[int] = []
         self.completes: list[int] = []
         self.fetch = 0
@@ -294,7 +288,7 @@ def _scan_window(
     window-local slices holding *absolute* row values; ``gates`` is any
     per-row iterable of commit gates (``repeat(0)`` when the RMT harness
     is absent — a zero gate never binds).  ``prune`` fires every
-    ``countdown`` rows at exactly the scalar path's cadence — prune
+    ``countdown`` rows at exactly the oracle's cadence — prune
     timing is part of the bit-identity contract.
     """
     commits = ks.commits
@@ -391,8 +385,7 @@ def _scan_window(
 
 
 class LeadingCoreTiming:
-    """Incremental OoO timing model; feed instructions via :meth:`schedule`
-    (object path) or whole traces via :meth:`run_arrays` (columnar path)."""
+    """OoO timing model of one leading core over one trace (:meth:`run`)."""
 
     def __init__(
         self,
@@ -421,11 +414,20 @@ class LeadingCoreTiming:
         self._fresh_usage_keys: list[int] = []
         self._usage_key_ring: deque[list[int]] = deque()
         self._kernel: _KernelState | None = None
+        # The commit cycle of every row of this core's one run, in trace
+        # order (kernel or oracle); the RMT harness shares the list as
+        # its commit stream.
+        self.commits: list[int] = []
+        self._claimed = False
+        self._last_fetch_line = -1  # window prepass carry
+        self._scheduled = 0
+        self._last_commit = 0
+        self._op_counts: dict[str, int] = {c.value: 0 for c in OpClass}
 
+        # Scalar pipeline state of the per-row oracle (:meth:`_advance`).
         self._fetch_cycle = 0
         self._fetch_in_group = 0
         self._redirect_until = 0
-        self._last_fetch_line = -1
         self._rename: dict[int, int] = {}  # reg -> completion cycle
         self._rob_commits: deque[int] = deque(maxlen=config.rob_size)
         self._lsq_commits: deque[int] = deque(maxlen=config.lsq_size)
@@ -436,55 +438,69 @@ class LeadingCoreTiming:
         self._fp_issues: deque[int] = deque(maxlen=config.fp_issue_queue_size)
         self._last_commit_cycle = 0
         self._commits_in_cycle = 0
-        self._scheduled = 0
-        self._last_commit = 0
-        self._op_counts: dict[str, int] = {c.value: 0 for c in OpClass}
 
     # ------------------------------------------------------------------
-    def schedule(self, instr: Instruction, commit_gate: int = 0) -> int:
-        """Schedule one instruction; returns its commit cycle.
+    def run(
+        self, arrays: TraceArrays, warmup: int = 0,
+        schedule: TraceSchedule | None = None,
+    ) -> LeadingRunResult:
+        """Schedule a whole trace (no RMT backpressure) and summarise.
 
-        ``commit_gate`` is the earliest cycle the instruction may commit
-        (RVQ/StB backpressure from the RMT harness); 0 means unconstrained.
+        The first ``warmup`` rows train the caches and predictor but are
+        excluded from the reported statistics (SimPoint-style measurement
+        window); ``warmup`` must lie in ``[0, len(arrays)]``.
+        ``schedule`` optionally supplies a precomputed (memoized)
+        :class:`TraceSchedule` for the kernel.  A core runs one trace: a
+        second run raises :class:`~repro.common.errors.SimulationError`.
         """
-        op = instr.op
-        self._op_counts[op.value] += 1
-        code = OP_CODE[op]
-
-        # I-cache access on fetch-line change; the stall feeds _advance.
-        fetch_add = 0
-        line = instr.pc >> 6
-        if line != self._last_fetch_line:
-            self._last_fetch_line = line
-            fetch_latency = self.memory.fetch_latency(instr.pc)
-            if fetch_latency > self.config.l1_icache.hit_latency_cycles:
-                fetch_add = fetch_latency
-
-        if code == OP_LOAD:
-            latency = self.memory.load_latency(instr.address)
-        else:
-            latency = EXECUTION_LATENCY_BY_CODE[code]
-
-        mispredicted = None
-        if code == OP_BRANCH:
-            mispredicted = self.predictor.update(
-                instr.pc, instr.taken, instr.target
-            )
-
-        return self._advance(
-            fetch_add,
-            POOL_BY_CODE[code],
-            code == OP_LOAD or code == OP_STORE,
-            code == OP_FALU or code == OP_FMUL,
-            instr.dst >= 0,
-            instr.dst,
-            instr.src1,
-            instr.src2,
-            latency,
-            mispredicted,
-            commit_gate,
-            store_address=instr.address if code == OP_STORE else -1,
+        _check_warmup(arrays, warmup)
+        self.begin_kernel(
+            schedule or build_trace_schedule(arrays, self.config)
         )
+        for start, prepared in self._windows(arrays, warmup):
+            self.advance_window(prepared, start)
+        self.end_kernel()
+        return self.result(len(arrays) - warmup)
+
+    def _run_reference(
+        self, arrays: TraceArrays, warmup: int = 0
+    ) -> LeadingRunResult:
+        """The per-row oracle of :meth:`run`: the same window prepass,
+        then :meth:`_advance` row by row instead of the kernel."""
+        _check_warmup(arrays, warmup)
+        self._claim()
+        advance = self._advance
+        for _, prepared in self._windows(arrays, warmup):
+            for row in prepared.rows():
+                advance(*row)
+        return self.result(len(arrays) - warmup)
+
+    def _windows(self, arrays: TraceArrays, warmup: int):
+        """Yield ``(start, PreparedWindow)`` for a run, split at ``warmup``.
+
+        Lazy on purpose: the measured window is prepared — and
+        :meth:`start_measurement` snapshots the counters — only once the
+        caller has scheduled the warmup window, so the snapshot sees
+        exactly the warmed cache/predictor state.
+        """
+        for start, end in ((0, warmup), (warmup, len(arrays))):
+            if start == warmup and warmup:
+                self.start_measurement()
+            if end > start:
+                yield start, self.prepare_window(arrays, start, end)
+
+    def _claim(self) -> None:
+        """Take this core for its one run (kernel or oracle).
+
+        Gate indices and :attr:`commits` are absolute trace rows, so a
+        run cannot continue another one's pipeline.
+        """
+        if self._claimed:
+            raise SimulationError(
+                "a LeadingCoreTiming runs one trace; build a fresh core "
+                "for another run"
+            )
+        self._claimed = True
 
     # ------------------------------------------------------------------
     def _advance(
@@ -498,18 +514,16 @@ class LeadingCoreTiming:
         src1: int,
         src2: int,
         latency: int,
-        mispredicted: bool | None,
+        mispredicted: bool,
         commit_gate: int = 0,
-        store_address: int = -1,
-    ) -> int:
-        """The scheduling state machine: one instruction, already resolved.
+    ) -> None:
+        """The per-row oracle of the kernel: one instruction, resolved.
 
-        All memory/predictor lookups have happened by the time this runs
-        (inline for :meth:`schedule`, in a window pre-pass for the columnar
-        path); what remains is pure integer cycle arithmetic over the
-        pipeline state.  ``fetch_add`` is the I-fetch stall in cycles (0 on
-        an I-cache hit or a same-line fetch); ``store_address`` >= 0 asks
-        this call to apply the store-commit cache access itself.
+        Every memory/predictor lookup has happened in the window prepass
+        (:meth:`prepare_window`); what remains is pure integer cycle
+        arithmetic over the scalar pipeline state.  ``fetch_add`` is the
+        I-fetch stall in cycles (0 on an I-cache hit or a same-line
+        fetch).  Appends the row's commit cycle to :attr:`commits`.
         """
         cfg = self.config
 
@@ -604,14 +618,12 @@ class LeadingCoreTiming:
         rob.append(commit)
         if is_mem:
             self._lsq_commits.append(commit)
-            if store_address >= 0:
-                self.memory.store_commit(store_address)
 
+        self.commits.append(commit)
         self._scheduled += 1
         self._last_commit = commit
         if self._scheduled % _PRUNE_PERIOD == 0:
             self._prune(issue)
-        return commit
 
     # ------------------------------------------------------------------
     def prepare_window(
@@ -622,9 +634,11 @@ class LeadingCoreTiming:
         Applies every cache access and predictor update for rows
         ``[start, end)`` in exact trace order — legal to do ahead of the
         cycle arithmetic because those state machines see only the address
-        and outcome streams, never the timing.  The event interleaving
-        matches the object path: per row, the I-fetch access (on a line
-        break) precedes the data access; stores touch L1D only.
+        and outcome streams, never the timing.  The hierarchy sees the
+        per-event order of a row-by-row replay: per row, the I-fetch
+        (:meth:`MemoryHierarchy.fetch_latency`, on a line break) precedes
+        the data access (``load_latency``, or ``store_commit``, which
+        touches L1D only).
         """
         ops = arrays.op[start:end]
         n = len(ops)
@@ -646,7 +660,8 @@ class LeadingCoreTiming:
         self._last_fetch_line = int(lines[-1])
 
         # One merged event stream keeps the hierarchy's access order
-        # identical to the object path: fetch (key 2r) before data (2r+1).
+        # identical to the per-event replay: fetch (key 2r) before data
+        # (2r+1).
         fetch_rows = np.nonzero(breaks)[0]
         mem_rows = np.nonzero(is_mem)[0]
         keys = np.concatenate([2 * fetch_rows, 2 * mem_rows + 1])
@@ -708,65 +723,17 @@ class LeadingCoreTiming:
             mispredicted=mispredicted,
         )
 
-    def run_arrays(
-        self, arrays: TraceArrays, warmup: int = 0,
-        schedule: TraceSchedule | None = None,
-    ) -> LeadingRunResult:
-        """Columnar counterpart of :meth:`run` — bit-identical results.
-
-        Windowed at the warmup boundary so the measurement snapshot sees
-        exactly the same cache/predictor state as the object path.  A
-        fresh core takes the windowed issue/retire kernel; a core with
-        prior scheduling history falls back to the scalar oracle
-        (:meth:`_advance`), which remains the reference semantics.
-        """
-        if self.kernel_eligible():
-            self.begin_kernel(
-                schedule or build_trace_schedule(arrays, self.config)
-            )
-            if warmup:
-                self.advance_window(self.prepare_window(arrays, 0, warmup), 0)
-                self.start_measurement()
-            if len(arrays) > warmup:
-                prepared = self.prepare_window(arrays, warmup, len(arrays))
-                self.advance_window(prepared, warmup)
-            self.end_kernel()
-        else:
-            if warmup:
-                self._run_window(arrays, 0, warmup)
-                self.start_measurement()
-            self._run_window(arrays, warmup, len(arrays))
-        return self.result(len(arrays) - warmup)
-
-    def _run_window(self, arrays: TraceArrays, start: int, end: int) -> None:
-        if end <= start:
-            return
-        prepared = self.prepare_window(arrays, start, end)
-        advance = self._advance
-        for row in prepared.rows():
-            advance(*row)
-
     # -- windowed issue/retire kernel ----------------------------------
-    def kernel_eligible(self) -> bool:
-        """True when the kernel may own this core's timing state.
-
-        The kernel's gate indices are absolute trace rows, so it requires
-        a core with no scheduling history (``_advance`` never ran) —
-        exactly the state every simulation entry point constructs.
-        """
-        return self._scheduled == 0 and self._kernel is None
-
     def begin_kernel(self, schedule: TraceSchedule) -> None:
-        """Enter kernel mode over a fresh core (see :meth:`kernel_eligible`)."""
-        if not self.kernel_eligible():
-            raise RuntimeError("kernel requires a freshly constructed core")
-        self._kernel = _KernelState(schedule)
+        """Enter kernel mode over a fresh core (see :meth:`_claim`)."""
+        self._claim()
+        self._kernel = _KernelState(schedule, self.commits)
 
     def advance_window(
         self, prepared: PreparedWindow, start: int,
         gates: list[int] | None = None,
     ) -> None:
-        """Kernel counterpart of the per-row `_advance` loop over a window.
+        """Schedule one prepared window through the kernel.
 
         ``start`` is the absolute trace row of ``prepared``'s first row;
         ``gates`` (window-local, one per row) carries RMT commit gates.
@@ -798,57 +765,8 @@ class LeadingCoreTiming:
         self._last_commit = ks.lcc
 
     def end_kernel(self) -> None:
-        """Leave kernel mode, rebuilding the scalar state machine.
-
-        After this, :meth:`_advance` (or another kernel run's results)
-        observes exactly the state it would have reached row by row: the
-        ROB/LSQ/issue rings, rename map, fetch carries and commit-width
-        counter are reconstructed from the schedule's positional streams
-        and the kernel's absolute cycle lists.
-        """
-        ks = self._kernel
-        if ks is None:
-            return
+        """Leave kernel mode; the commit cycles stay in :attr:`commits`."""
         self._kernel = None
-        n = len(ks.commits)
-        if n == 0:
-            return
-        cfg = self.config
-        sched = ks.schedule
-        commits = ks.commits
-        issues = ks.issues
-        self._fetch_cycle = ks.fetch
-        self._fetch_in_group = ks.group
-        self._redirect_until = ks.redirect
-        self._last_commit_cycle = ks.lcc
-        self._commits_in_cycle = ks.cic
-        self._last_commit = commits[-1]
-        self._rob_commits = deque(
-            commits[max(0, n - cfg.rob_size):], maxlen=cfg.rob_size
-        )
-        mem = sched.mem_rows[sched.mem_rows < n][-cfg.lsq_size:]
-        self._lsq_commits = deque(
-            [commits[r] for r in mem.tolist()], maxlen=cfg.lsq_size
-        )
-        ints = sched.int_rows[sched.int_rows < n][-cfg.int_issue_queue_size:]
-        self._int_issues = deque(
-            [issues[r] for r in ints.tolist()],
-            maxlen=cfg.int_issue_queue_size,
-        )
-        fps = sched.fp_rows[sched.fp_rows < n][-cfg.fp_issue_queue_size:]
-        self._fp_issues = deque(
-            [issues[r] for r in fps.tolist()],
-            maxlen=cfg.fp_issue_queue_size,
-        )
-        live = sched.writer_rows < n
-        completes = ks.completes
-        self._rename = {
-            reg: completes[row]
-            for reg, row in zip(
-                sched.writer_regs[live].tolist(),
-                sched.writer_rows[live].tolist(),
-            )
-        }
 
     # ------------------------------------------------------------------
     def _prune(self, horizon: int) -> None:
@@ -886,28 +804,6 @@ class LeadingCoreTiming:
             ring.appendleft(survivors)
 
     # ------------------------------------------------------------------
-    def run(
-        self, trace, warmup: int = 0,
-        schedule: TraceSchedule | None = None,
-    ) -> LeadingRunResult:
-        """Schedule a whole trace (no RMT backpressure) and summarise.
-
-        The first ``warmup`` instructions train the caches and predictor but
-        are excluded from the reported statistics (SimPoint-style
-        measurement window).  Columnar traces take the batch path;
-        ``schedule`` optionally supplies a precomputed (memoized)
-        :class:`TraceSchedule` for the kernel.
-        """
-        if isinstance(trace, TraceArrays):
-            return self.run_arrays(trace, warmup, schedule)
-        for instr in trace[:warmup]:
-            self.schedule(instr)
-        if warmup:
-            self.start_measurement()
-        for instr in trace[warmup:]:
-            self.schedule(instr)
-        return self.result(len(trace) - warmup)
-
     def start_measurement(self) -> None:
         """Snapshot counters so subsequent results report deltas only."""
         self._baseline = {
@@ -943,8 +839,3 @@ class LeadingCoreTiming:
             average_l2_hit_latency=self.memory.average_l2_hit_latency,
             op_counts=dict(self._op_counts),
         )
-
-    @property
-    def current_cycle(self) -> int:
-        """The commit cycle of the most recently scheduled instruction."""
-        return self._last_commit

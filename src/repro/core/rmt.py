@@ -10,6 +10,13 @@ frequency, producing the residency histogram of Figure 7.
 All four bounded queues gate the leading core exactly as the sized
 structures of Section 2.1 would (200-entry RVQ, 80-entry LVQ, 40-entry BOQ,
 40-entry StB).
+
+One production path: :meth:`RmtSimulator.run` drives the leading core's
+windowed kernel, chunked at checker drains
+(:meth:`RmtSimulator.advance_window`), and the checker consumes whole
+windows (``consume_window``).  The per-row gating loop over the leading
+core's ``_advance`` oracle (:meth:`RmtSimulator._run_reference`) is the
+reference; only tests and the kernel bench run it.
 """
 
 from __future__ import annotations
@@ -28,10 +35,10 @@ from repro.core.leading import (
     LeadingCoreTiming,
     LeadingRunResult,
     TraceSchedule,
+    _check_warmup,
     build_trace_schedule,
 )
 from repro.core.memory import MemoryHierarchy
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import (
     EXECUTION_LATENCY_BY_CODE,
     OP_BRANCH,
@@ -117,14 +124,11 @@ class RmtSimulator:
         self._boq_capacity = qc.boq_entries
         self._stb_capacity = qc.stb_entries
 
-        self._commit_times: list[int] = []
+        # The leading core's commit list doubles as this harness's commit
+        # stream: no per-row copying in either direction.
+        self._commit_times = self.leading.commits
         self._consume_times: list[float] = []
-        self._trace: list[Instruction] | TraceArrays = []
-        self._consume_row = self._consume_row_object
         self._next_consume = 0
-        self._load_indices: list[int] = []
-        self._store_indices: list[int] = []
-        self._branch_indices: list[int] = []
         self._next_boundary = float(checker_config.dfs.interval_cycles)
         self._boundary_commit_ptr = 0
         self._boundary_consume_ptr = 0
@@ -137,94 +141,53 @@ class RmtSimulator:
 
     # ------------------------------------------------------------------
     def run(
-        self, trace, warmup: int = 0,
+        self, arrays: TraceArrays, warmup: int = 0,
         schedule: TraceSchedule | None = None,
     ) -> RmtTimingResult:
         """Co-simulate the full trace and return the timing summary.
 
-        The first ``warmup`` instructions flow through both cores but are
-        excluded from the reported leading-core statistics.  Columnar
-        traces take the batch path; ``schedule`` optionally supplies a
-        precomputed (memoized) :class:`~repro.core.leading.TraceSchedule`
-        for the windowed kernel.
+        The first ``warmup`` rows flow through both cores but are
+        excluded from the reported leading-core statistics; ``warmup``
+        must lie in ``[0, len(arrays)]``.  The leading core's windowed
+        kernel runs each prepared window (split at the warmup boundary)
+        through :meth:`advance_window`; ``schedule`` optionally supplies
+        a precomputed (memoized) :class:`~repro.core.leading.TraceSchedule`.
+        A simulator runs one trace: a second run raises
+        :class:`~repro.common.errors.SimulationError`.
         """
-        if isinstance(trace, TraceArrays):
-            return self.run_arrays(trace, warmup, schedule)
-        self._trace = trace
-        self._consume_row = self._consume_row_object
-        for i, instr in enumerate(trace):
-            if i == warmup and warmup:
-                self.leading.start_measurement()
-            gate = self._gate_for(
-                i, instr.is_load, instr.is_store, instr.is_branch
-            )
-            commit = self.leading.schedule(instr, commit_gate=gate)
-            self._commit_times.append(commit)
-            if instr.is_load:
-                self._load_indices.append(i)
-            elif instr.is_store:
-                self._store_indices.append(i)
-            elif instr.is_branch:
-                self._branch_indices.append(i)
-        self._consume_until(len(trace) - 1)
-        return self._result(len(trace) - warmup)
+        _check_warmup(arrays, warmup)
+        self.leading.begin_kernel(
+            schedule or build_trace_schedule(arrays, self.leading_config)
+        )
+        self._bind(arrays)
+        for start, prepared in self.leading._windows(arrays, warmup):
+            self.advance_window(prepared, start)
+        return self.end_windows(len(arrays) - warmup)
 
-    def run_arrays(
-        self, arrays: TraceArrays, warmup: int = 0,
-        schedule: TraceSchedule | None = None,
+    def _run_reference(
+        self, arrays: TraceArrays, warmup: int = 0
     ) -> RmtTimingResult:
-        """Columnar co-simulation — bit-identical to :meth:`run`.
+        """The per-row oracle of :meth:`run`.
 
-        The leading core's memory/predictor behaviour is pre-resolved per
-        window (:meth:`LeadingCoreTiming.prepare_window`, split at the
-        warmup boundary so the measurement snapshot is unchanged); the
-        checker consumes whole windows of precomputed integer columns at
-        once (:meth:`_drain_to`), and the queue-gating recurrence is
-        reduced to a table lookup by a vectorized pre-pass
-        (:meth:`_precompute_gates`).  A fresh simulator takes the
-        windowed issue/retire kernel (:meth:`_run_arrays_kernel`); the
-        per-row scalar loop below is retained as the oracle.
+        The same window prepass, gate indices and checker drains, but the
+        leading core advances one row at a time (``_advance``), each row
+        gated by the consume time of its queue-gating entry, draining the
+        checker exactly when that entry is beyond the consume stream.
         """
-        self._trace = arrays
-        ops = arrays.op
-        # Checker columns stay NumPy arrays end-to-end: consume_window
-        # slices them per window, and the rare boundary-row fallback
-        # indexes them directly.
-        self._cw_pool = _POOL_ARR[ops]
-        self._cw_latency = _LATENCY_ARR[ops]
-        self._cw_src1 = arrays.src1
-        self._cw_src2 = arrays.src2
-        self._cw_dst = arrays.dst
-        self._consume_row = self._consume_row_columnar
-        needed_arr, binding_arr = self._precompute_gates(ops)
-
-        if (
-            self.leading.kernel_eligible()
-            and not self._commit_times
-            and not self._consume_times
-        ):
-            return self._run_arrays_kernel(
-                arrays, warmup, needed_arr, binding_arr, schedule
-            )
-
-        needed_list = needed_arr.tolist()
-        binding_list = binding_arr.tolist()
-        n = len(arrays)
+        _check_warmup(arrays, warmup)
         leading = self.leading
+        leading._claim()
+        self._bind(arrays)
+        needed_list = self._needed_list
+        binding_list = self._binding.tolist()
         advance = leading._advance
-        commit_times = self._commit_times
         consume_times = self._consume_times
         queue_stalls = self.queue_stalls
         ceil = math.ceil
-        i = 0
-        for start, end in ((0, min(warmup, n)), (min(warmup, n), n)):
-            if start == end:
-                continue
-            if start == warmup and warmup:
-                leading.start_measurement()
-            prepared = leading.prepare_window(arrays, start, end)
-            for row in prepared.rows():
+        for start, prepared in leading._windows(arrays, warmup):
+            for i, row in enumerate(prepared.rows(), start):
                 needed = needed_list[i]
+                gate = 0
                 if needed >= 0:
                     if needed >= len(consume_times):
                         self._drain_to(needed)
@@ -232,71 +195,48 @@ class RmtSimulator:
                     if gate > leading._last_commit:
                         self.backpressure_commits += 1
                         queue_stalls[_BINDINGS[binding_list[i]]] += 1
-                    commit = advance(*row, gate)
-                else:
-                    commit = advance(*row)
-                commit_times.append(commit)
-                i += 1
-        self._drain_to(n - 1)
-        return self._result(n - warmup)
+                advance(*row, gate)
+        self._drain_to(len(arrays) - 1)
+        return self._result(len(arrays) - warmup)
 
-    def _run_arrays_kernel(
-        self,
-        arrays: TraceArrays,
-        warmup: int,
-        needed_arr: np.ndarray,
-        binding_arr: np.ndarray,
-        schedule: TraceSchedule | None,
-    ) -> RmtTimingResult:
-        """Windowed-kernel co-simulation, chunked at checker drains.
+    def _bind(self, arrays: TraceArrays) -> None:
+        """Attach ``arrays``: checker columns and queue-gate indices.
 
-        Enters kernel mode over the fresh leading core, drives
-        :meth:`advance_window` once per trace window (split at the warmup
-        boundary) and finishes with :meth:`end_windows`.
+        Checker columns stay NumPy arrays end-to-end: consume_window
+        slices them per window, and the rare boundary-row fallback
+        indexes them directly.
         """
-        n = len(arrays)
-        if schedule is None:
-            schedule = build_trace_schedule(arrays, self.leading_config)
-        self.leading.begin_kernel(schedule)
-        # The leading kernel's absolute commit list is shared as this
-        # harness's commit stream — no per-row copying in either
-        # direction.
-        self._commit_times = self.leading._kernel.commits
-        self._kw_needed_arr = needed_arr
-        self._kw_needed_list = needed_arr.tolist()
-        self._kw_needed_max = np.maximum.accumulate(needed_arr)
-        self._kw_binding_arr = binding_arr
-        w = min(warmup, n)
-        for start, end in ((0, w), (w, n)):
-            if start == end:
-                continue
-            if start == warmup and warmup:
-                self.leading.start_measurement()
-            self.advance_window(
-                self.leading.prepare_window(arrays, start, end), start
-            )
-        return self.end_windows(n - warmup)
+        self._trace = arrays
+        ops = arrays.op
+        self._cw_pool = _POOL_ARR[ops]
+        self._cw_latency = _LATENCY_ARR[ops]
+        self._cw_src1 = arrays.src1
+        self._cw_src2 = arrays.src2
+        self._cw_dst = arrays.dst
+        self._needed, self._binding = self._precompute_gates(ops)
+        self._needed_list = self._needed.tolist()
+        self._needed_max = np.maximum.accumulate(self._needed)
 
     def advance_window(self, prepared, start: int) -> None:
         """Co-simulate one prepared window, chunked at checker drains.
 
-        The scalar loop drains the checker exactly when a row's gating
+        The per-row oracle drains the checker exactly when a row's gating
         entry is beyond the consume stream (``needed >= len(consume)``),
         so those rows — found by a searchsorted over the running max of
         ``needed`` — are the only sound chunk boundaries: between two of
         them every gate is a plain gather over already-final consume
         times, and draining at the boundary sees the exact same
-        commit/consume prefixes as the scalar schedule (DFS occupancy
+        commit/consume prefixes as the per-row schedule (DFS occupancy
         sampling included).
         """
         leading = self.leading
-        ks = leading._kernel
+        commits = self._commit_times
         consume_times = self._consume_times
         queue_stalls = self.queue_stalls
-        needed_arr = self._kw_needed_arr
-        needed_list = self._kw_needed_list
-        needed_max = self._kw_needed_max
-        binding_arr = self._kw_binding_arr
+        needed_arr = self._needed
+        needed_list = self._needed_list
+        needed_max = self._needed_max
+        binding_arr = self._binding
         ceil = math.ceil
         end = start + len(prepared)
         i0 = start
@@ -314,14 +254,14 @@ class RmtSimulator:
             leading.advance_window(
                 prepared.window_slice(i0 - start, i1 - start), i0, gates
             )
-            # Stall attribution, identical to the scalar per-row
+            # Stall attribution, identical to the oracle's per-row
             # check: gate > the previous row's commit.
             chunk_needed = needed_arr[i0:i1]
             gated = chunk_needed >= 0
             if gated.any():
                 prev = np.empty(i1 - i0, dtype=np.int64)
-                prev[0] = ks.commits[i0 - 1] if i0 else 0
-                prev[1:] = ks.commits[i0:i1 - 1]
+                prev[0] = commits[i0 - 1] if i0 else 0
+                prev[1:] = commits[i0:i1 - 1]
                 stalled = gated & (np.asarray(gates, dtype=np.int64) > prev)
                 count = int(np.count_nonzero(stalled))
                 if count:
@@ -350,11 +290,10 @@ class RmtSimulator:
         check-commit must precede row ``i``'s commit — is a pure
         positional recurrence over the class masks (the k-th previous
         same-class row), independent of any timing.  Only the consume
-        *times* are runtime-dependent, so the per-row work in
-        :meth:`run_arrays` reduces to a list lookup.  Returns
-        ``(needed, binding)`` arrays; ``needed[i] < 0`` means row ``i``
-        is ungated and ``binding[i]`` indexes ``_BINDINGS`` for stall
-        attribution.
+        *times* are runtime-dependent, so a row's gate reduces to a list
+        lookup.  Returns ``(needed, binding)`` arrays; ``needed[i] < 0``
+        means row ``i`` is ungated and ``binding[i]`` indexes
+        ``_BINDINGS`` for stall attribution.
         """
         n = len(ops)
         # RVQ: every instruction occupies one entry (negative = ungated).
@@ -380,13 +319,13 @@ class RmtSimulator:
         Committed rows whose arrival precedes the next DFS boundary are
         consumed as one :meth:`InOrderCheckerTiming.consume_window` batch
         — the frequency ratio cannot change inside such a window.  A row
-        whose arrival crosses the boundary falls back to the scalar
-        oracle step, which fires the boundary (and any ratio change)
-        first.  Eager extension past ``index`` is safe: consumption order
-        and per-row arrivals are exactly those of the lazy schedule, so
-        the published consume times are identical, and DFS occupancy
-        sampling sees identical commit/consume prefixes because
-        boundary-crossing rows are never consumed early.
+        whose arrival crosses the boundary is consumed alone through
+        :meth:`InOrderCheckerTiming.consume_op`, after firing the boundary
+        (and any ratio change).  Eager extension past ``index`` is safe:
+        consumption order and per-row arrivals are exactly those of the
+        lazy schedule, so the published consume times are identical, and
+        DFS occupancy sampling sees identical commit/consume prefixes
+        because boundary-crossing rows are never consumed early.
         """
         commit_times = self._commit_times
         consume_times = self._consume_times
@@ -412,69 +351,17 @@ class RmtSimulator:
             else:
                 available = commit_times[k] + transfer
                 self._process_boundaries(available)
-                consume_times.append(self._consume_row(k, available))
+                consume_times.append(checker.consume_op(
+                    int(self._cw_pool[k]),
+                    int(self._cw_src1[k]),
+                    int(self._cw_src2[k]),
+                    int(self._cw_dst[k]),
+                    int(self._cw_latency[k]),
+                    available,
+                ))
                 self._next_consume += 1
 
     # ------------------------------------------------------------------
-    def _commit_gate(self, i: int, instr: Instruction) -> int:
-        """Earliest commit cycle for instruction ``i`` given queue space."""
-        return self._gate_for(i, instr.is_load, instr.is_store, instr.is_branch)
-
-    def _gate_for(
-        self, i: int, is_load: bool, is_store: bool, is_branch: bool
-    ) -> int:
-        """The queue-occupancy gating recurrence, on plain class flags."""
-        needed = -1
-        binding = "rvq"
-        # RVQ: every instruction occupies one entry.
-        if i >= self._rvq_capacity:
-            needed = i - self._rvq_capacity
-        # LVQ / BOQ / StB: per-class occupancy.
-        if is_load and len(self._load_indices) >= self._lvq_capacity:
-            cand = self._load_indices[len(self._load_indices) - self._lvq_capacity]
-            if cand > needed:
-                needed, binding = cand, "lvq"
-        elif is_store and len(self._store_indices) >= self._stb_capacity:
-            cand = self._store_indices[len(self._store_indices) - self._stb_capacity]
-            if cand > needed:
-                needed, binding = cand, "stb"
-        elif is_branch and len(self._branch_indices) >= self._boq_capacity:
-            cand = self._branch_indices[len(self._branch_indices) - self._boq_capacity]
-            if cand > needed:
-                needed, binding = cand, "boq"
-        if needed < 0:
-            return 0
-        self._consume_until(needed)
-        gate = self._consume_times[needed]
-        gate_cycle = int(math.ceil(gate))
-        if gate_cycle > self.leading.current_cycle:
-            self.backpressure_commits += 1
-            self.queue_stalls[binding] += 1
-        return gate_cycle
-
-    def _consume_until(self, index: int) -> None:
-        """Run the checker over all instructions up to ``index`` inclusive."""
-        consume_row = self._consume_row
-        while self._next_consume <= index:
-            k = self._next_consume
-            available = self._commit_times[k] + self.transfer_latency
-            self._process_boundaries(available)
-            self._consume_times.append(consume_row(k, available))
-            self._next_consume += 1
-
-    def _consume_row_object(self, k: int, available: float) -> float:
-        return self.checker.consume(self._trace[k], available)
-
-    def _consume_row_columnar(self, k: int, available: float) -> float:
-        return self.checker.consume_op(
-            int(self._cw_pool[k]),
-            int(self._cw_src1[k]),
-            int(self._cw_src2[k]),
-            int(self._cw_dst[k]),
-            int(self._cw_latency[k]),
-            available,
-        )
-
     def _process_boundaries(self, up_to_time: float) -> None:
         """Apply DFS interval boundaries that have passed."""
         while self._next_boundary <= up_to_time:

@@ -4,48 +4,55 @@ import pytest
 
 from repro.common.config import CheckerCoreConfig
 from repro.core.checker import InOrderCheckerTiming
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import (
+    EXECUTION_LATENCY_BY_CODE,
+    OP_CODE,
+    POOL_BY_CODE,
+    OpClass,
+)
+
+
+def op(kind, dst, src1, src2):
+    """``consume_op``'s leading fields for one ``kind`` instruction:
+    FU pool, operands, and execution latency."""
+    code = OP_CODE[kind]
+    return POOL_BY_CODE[code], src1, src2, dst, EXECUTION_LATENCY_BY_CODE[code]
 
 
 def alu(seq, dst=None, src=30):
-    return Instruction(seq, OpClass.IALU, dst=dst if dst is not None else seq % 28,
-                       src1=src, src2=30)
+    return op(OpClass.IALU, dst if dst is not None else seq % 28, src, 30)
 
 
 class TestBandwidth:
     def test_full_speed_consumes_width_per_cycle(self):
         checker = InOrderCheckerTiming(CheckerCoreConfig(), frequency_ratio=1.0)
-        times = [checker.consume(alu(i), 0.0) for i in range(40)]
+        times = [checker.consume_op(*alu(i), 0.0) for i in range(40)]
         # 4-wide: 40 instructions need 10 trailing cycles.
         assert times[-1] <= 11.0
 
     def test_half_speed_doubles_time(self):
         fast = InOrderCheckerTiming(CheckerCoreConfig(), frequency_ratio=1.0)
         slow = InOrderCheckerTiming(CheckerCoreConfig(), frequency_ratio=0.5)
-        t_fast = [fast.consume(alu(i), 0.0) for i in range(40)][-1]
-        t_slow = [slow.consume(alu(i), 0.0) for i in range(40)][-1]
+        t_fast = [fast.consume_op(*alu(i), 0.0) for i in range(40)][-1]
+        t_slow = [slow.consume_op(*alu(i), 0.0) for i in range(40)][-1]
         assert t_slow == pytest.approx(2 * t_fast, rel=0.2)
 
     def test_fp_units_limit_throughput(self):
         checker = InOrderCheckerTiming(CheckerCoreConfig(), frequency_ratio=1.0)
-        fmuls = [
-            Instruction(i, OpClass.FMUL, dst=32 + i % 28, src1=62, src2=62)
-            for i in range(20)
-        ]
-        done = [checker.consume(i, 0.0) for i in fmuls]
+        fmuls = [op(OpClass.FMUL, 32 + i % 28, 62, 62) for i in range(20)]
+        done = [checker.consume_op(*i, 0.0) for i in fmuls]
         assert done[-1] >= 20.0  # one FMUL unit -> one per trailing cycle
 
 
 class TestAvailability:
     def test_waits_for_rvq_entry(self):
         checker = InOrderCheckerTiming(CheckerCoreConfig(), frequency_ratio=1.0)
-        done = checker.consume(alu(0), available_time=100.0)
+        done = checker.consume_op(*alu(0), available_time=100.0)
         assert done >= 100.0
 
     def test_in_order_non_decreasing(self):
         checker = InOrderCheckerTiming(CheckerCoreConfig(), frequency_ratio=0.7)
-        times = [checker.consume(alu(i), float(i)) for i in range(200)]
+        times = [checker.consume_op(*alu(i), float(i)) for i in range(200)]
         assert all(b >= a for a, b in zip(times, times[1:]))
 
 
@@ -54,7 +61,7 @@ class TestRvp:
         chained = []
         for i in range(200):
             src = (i - 1) % 28 if i else 30
-            chained.append(Instruction(i, OpClass.IMUL, dst=i % 28, src1=src, src2=30))
+            chained.append(op(OpClass.IMUL, i % 28, src, 30))
 
         with_rvp = InOrderCheckerTiming(
             CheckerCoreConfig(uses_register_value_prediction=True),
@@ -64,8 +71,8 @@ class TestRvp:
             CheckerCoreConfig(uses_register_value_prediction=False),
             frequency_ratio=1.0,
         )
-        t_rvp = [with_rvp.consume(i, 0.0) for i in chained][-1]
-        t_plain = [without.consume(i, 0.0) for i in chained][-1]
+        t_rvp = [with_rvp.consume_op(*i, 0.0) for i in chained][-1]
+        t_plain = [without.consume_op(*i, 0.0) for i in chained][-1]
         # IMUL latency 7: the chain serializes without RVP.
         assert t_plain > 3 * t_rvp
 
@@ -86,7 +93,7 @@ class TestFrequencyControl:
     def test_consumed_counter(self):
         checker = InOrderCheckerTiming(CheckerCoreConfig())
         for i in range(7):
-            checker.consume(alu(i), 0.0)
+            checker.consume_op(*alu(i), 0.0)
         assert checker.consumed == 7
 
 

@@ -1,13 +1,16 @@
 """The out-of-order leading core timing model."""
 
+from collections import Counter
+
 import pytest
 
 from repro.common.config import ChipModel, LeadingCoreConfig, NucaConfig
-from repro.core.leading import LeadingCoreTiming
+from repro.core.leading import LeadingCoreTiming, build_trace_schedule
 from repro.core.memory import MemoryHierarchy
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import generate_trace
+from repro.isa.soa import TraceArrays
+from repro.isa.trace import TraceGenerator
 from repro.workloads.profiles import get_profile
 
 
@@ -20,10 +23,10 @@ def make_core(config=None, chip=ChipModel.TWO_D_A):
 def independent_alu_ops(n, start=0):
     # Far register (30) sources: never a dependence.  All instructions
     # share one I-cache line so fetch never misses.
-    return [
+    return TraceArrays.from_instructions(
         Instruction(start + i, OpClass.IALU, dst=i % 28, src1=30, src2=30, pc=0)
         for i in range(n)
-    ]
+    )
 
 
 def chained_alu_ops(n):
@@ -33,7 +36,22 @@ def chained_alu_ops(n):
         instrs.append(
             Instruction(i, OpClass.IALU, dst=i % 28, src1=src, src2=30, pc=0)
         )
-    return instrs
+    return TraceArrays.from_instructions(instrs)
+
+
+def generate(profile, n):
+    return TraceGenerator(profile, seed=3).generate_arrays(n)
+
+
+def gated_commits(trace, gate):
+    """Kernel commits of ``trace``, every row's commit gated at ``gate``."""
+    core = make_core()
+    core.begin_kernel(build_trace_schedule(trace, core.config))
+    core.advance_window(
+        core.prepare_window(trace, 0, len(trace)), 0, gates=[gate] * len(trace)
+    )
+    core.end_kernel()
+    return core.commits
 
 
 class TestThroughputBounds:
@@ -55,10 +73,10 @@ class TestThroughputBounds:
     def test_fp_units_bound_fp_throughput(self):
         # Only one FP ALU: dense FALU streams run at ~1 per cycle.
         core = make_core()
-        instrs = [
+        instrs = TraceArrays.from_instructions(
             Instruction(i, OpClass.FALU, dst=32 + i % 28, src1=62, src2=62, pc=0)
             for i in range(3000)
-        ]
+        )
         result = core.run(instrs)
         assert result.ipc == pytest.approx(1.0, abs=0.15)
 
@@ -73,7 +91,7 @@ class TestMemoryBehaviour:
             if preload:
                 memory.preload_profile(profile)
             core = LeadingCoreTiming(config, memory)
-            return core.run(generate_trace(profile, 15_000, seed=3))
+            return core.run(generate(profile, 15_000))
 
         assert run(preload=True).ipc > run(preload=False).ipc
 
@@ -86,7 +104,7 @@ class TestMemoryBehaviour:
             memory = MemoryHierarchy(cfg, NucaConfig(num_banks=6), ChipModel.TWO_D_A)
             memory.preload_profile(profile)
             return LeadingCoreTiming(cfg, memory).run(
-                generate_trace(profile, 15_000, seed=3)
+                generate(profile, 15_000)
             )
 
         assert run(fast).ipc > run(slow).ipc
@@ -103,7 +121,7 @@ class TestBranchCosts:
             memory = MemoryHierarchy(config, NucaConfig(num_banks=6), ChipModel.TWO_D_A)
             memory.preload_profile(profile)
             return LeadingCoreTiming(config, memory).run(
-                generate_trace(profile, 15_000, seed=3)
+                generate(profile, 15_000)
             )
 
         assert run(0.0).ipc > run(0.3).ipc
@@ -112,30 +130,30 @@ class TestBranchCosts:
 class TestCommitGate:
     def test_gate_delays_commit(self):
         core = make_core()
-        ungated = [core.schedule(i) for i in independent_alu_ops(100)]
-        gated_core = make_core()
-        instrs = independent_alu_ops(100)
-        gated = [gated_core.schedule(i, commit_gate=500) for i in instrs]
+        core.run(independent_alu_ops(100))
+        ungated = core.commits
+        gated = gated_commits(independent_alu_ops(100), gate=500)
         assert gated[0] >= 500
         assert ungated[0] < 500
 
     def test_commits_are_monotonic(self):
         core = make_core()
-        commits = [core.schedule(i) for i in independent_alu_ops(500)]
+        core.run(independent_alu_ops(500))
+        commits = core.commits
+        assert len(commits) == 500
         assert all(b >= a for a, b in zip(commits, commits[1:]))
 
     def test_commit_width_limit(self):
         core = make_core()
-        commits = [core.schedule(i) for i in independent_alu_ops(400)]
-        from collections import Counter
-        per_cycle = Counter(commits)
+        core.run(independent_alu_ops(400))
+        per_cycle = Counter(core.commits)
         assert max(per_cycle.values()) <= 4
 
 
 class TestMeasurementWindow:
     def test_warmup_excluded_from_stats(self):
         profile = get_profile("gzip")
-        trace = generate_trace(profile, 20_000, seed=3)
+        trace = generate(profile, 20_000)
         config = LeadingCoreConfig()
         memory = MemoryHierarchy(config, NucaConfig(num_banks=6), ChipModel.TWO_D_A)
         core = LeadingCoreTiming(config, memory)
@@ -144,7 +162,7 @@ class TestMeasurementWindow:
         # Warm measurement should beat a cold full-trace run's IPC.
         memory2 = MemoryHierarchy(config, NucaConfig(num_banks=6), ChipModel.TWO_D_A)
         cold = LeadingCoreTiming(config, memory2).run(
-            generate_trace(profile, 20_000, seed=3)
+            generate(profile, 20_000)
         )
         assert result.ipc > cold.ipc
 
@@ -153,3 +171,4 @@ class TestMeasurementWindow:
         core.run(independent_alu_ops(100))
         result = core.result(100)
         assert result.op_counts["ialu"] == 100
+

@@ -25,45 +25,44 @@ def _fresh_cache():
 class TestTraceCache:
     def test_hit_skips_generation(self, monkeypatch):
         cache = memo.get_cache()
-        cache.trace(GZIP, 42, 500)
+        cache.trace_arrays(GZIP, 42, 500)
         calls = []
         original = TraceGenerator.generate_arrays
         monkeypatch.setattr(
             TraceGenerator, "generate_arrays",
             lambda self, n: calls.append(n) or original(self, n),
         )
-        cache.trace(GZIP, 42, 500)      # exact hit
-        cache.trace(GZIP, 42, 300)      # prefix hit
+        cache.trace_arrays(GZIP, 42, 500)      # exact hit
+        cache.trace_arrays(GZIP, 42, 300)      # prefix hit
         assert calls == []
         assert cache.stats["trace"].hits == 2
         assert cache.stats["trace"].misses == 1
 
     def test_extension_matches_fresh_generation(self):
         cache = memo.get_cache()
-        short = cache.trace(GZIP, 42, 500)
-        extended = cache.trace(GZIP, 42, 1200)
-        fresh = tuple(TraceGenerator(GZIP, seed=42).generate(1200))
+        short = cache.trace_arrays(GZIP, 42, 500)
+        extended = cache.trace_arrays(GZIP, 42, 1200)
+        fresh = TraceGenerator(GZIP, seed=42).generate_arrays(1200)
         assert extended[:500] == short
-        assert [
-            (i.op, i.address, i.taken, i.target) for i in extended
-        ] == [(i.op, i.address, i.taken, i.target) for i in fresh]
+        assert extended == fresh
 
-    def test_returns_immutable_tuple(self):
-        trace = memo.get_cache().trace(GZIP, 42, 100)
-        assert isinstance(trace, tuple)
+    def test_returns_read_only_arrays(self):
+        trace = memo.get_cache().trace_arrays(GZIP, 42, 100)
+        with pytest.raises(ValueError):
+            trace.op[0] = 0
 
     def test_distinct_seeds_distinct_streams(self):
         cache = memo.get_cache()
-        a = cache.trace(GZIP, 42, 200)
-        b = cache.trace(GZIP, 43, 200)
+        a = cache.trace_arrays(GZIP, 42, 200)
+        b = cache.trace_arrays(GZIP, 43, 200)
         assert a != b
 
     def test_lru_eviction(self):
         cache = memo.ArtifactCache(max_trace_entries=2)
         for name in ("gzip", "mcf", "mesa"):
-            cache.trace(get_profile(name), 42, 100)
-        cache.trace(get_profile("mesa"), 42, 100)   # still resident
-        cache.trace(get_profile("gzip"), 42, 100)   # evicted -> regenerated
+            cache.trace_arrays(get_profile(name), 42, 100)
+        cache.trace_arrays(get_profile("mesa"), 42, 100)   # still resident
+        cache.trace_arrays(get_profile("gzip"), 42, 100)   # evicted -> regenerated
         assert cache.stats["trace"].hits == 1
         assert cache.stats["trace"].misses == 4
 
@@ -157,7 +156,7 @@ class TestThermalCache:
 
     def test_clear_cache(self):
         cache = memo.get_cache()
-        cache.trace(GZIP, 42, 100)
+        cache.trace_arrays(GZIP, 42, 100)
         cache.pretrained_predictor(GZIP, 42)
         memo.clear_cache()
         assert cache.stats["trace"].requests == 0

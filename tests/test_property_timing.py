@@ -9,10 +9,10 @@ from repro.common.config import (
     LeadingCoreConfig,
     NucaConfig,
 )
-from repro.core.leading import LeadingCoreTiming
+from repro.core.leading import LeadingCoreTiming, build_trace_schedule
 from repro.core.memory import MemoryHierarchy
 from repro.core.rmt import RmtSimulator
-from repro.isa.trace import generate_trace
+from repro.isa.trace import TraceGenerator
 from repro.workloads.profiles import spec2k_suite
 
 _PROFILES = spec2k_suite()
@@ -31,10 +31,11 @@ def _core():
 @settings(max_examples=10, deadline=None)
 def test_leading_commits_monotone_for_any_workload(profile, seed):
     core = _core()
-    trace = generate_trace(profile, 3000, seed=seed)
-    commits = [core.schedule(instr) for instr in trace]
+    trace = TraceGenerator(profile, seed=seed).generate_arrays(3000)
+    result = core.run(trace)
+    commits = core.commits
+    assert len(commits) == len(trace)
     assert all(b >= a for a, b in zip(commits, commits[1:]))
-    result = core.result(len(trace))
     assert 0.0 < result.ipc <= 4.0 + 1e-9
 
 
@@ -51,7 +52,7 @@ def test_rmt_invariants_for_any_workload(profile, seed):
         checker_config=CheckerCoreConfig(),
         memory=memory,
     )
-    trace = generate_trace(profile, 3000, seed=seed)
+    trace = TraceGenerator(profile, seed=seed).generate_arrays(3000)
     result = simulator.run(trace)
     # Every instruction is checked, after its commit, in order.
     assert result.checker_instructions == len(trace)
@@ -69,10 +70,15 @@ def test_rmt_invariants_for_any_workload(profile, seed):
 def test_commit_gate_is_respected(gate):
     from repro.isa.instruction import Instruction
     from repro.isa.opcodes import OpClass
+    from repro.isa.soa import TraceArrays
 
     core = _core()
-    instr = Instruction(0, OpClass.IALU, dst=1, src1=30, src2=30, pc=0)
-    assert core.schedule(instr, commit_gate=gate) >= gate
+    trace = TraceArrays.from_instructions(
+        [Instruction(0, OpClass.IALU, dst=1, src1=30, src2=30, pc=0)]
+    )
+    core.begin_kernel(build_trace_schedule(trace, core.config))
+    core.advance_window(core.prepare_window(trace, 0, 1), 0, gates=[gate])
+    assert core.commits[0] >= gate
 
 
 # ---------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from repro.common.config import (
     CheckerCoreConfig,
     ChipModel,
-    DfsConfig,
     LeadingCoreConfig,
     NucaConfig,
     QueueConfig,
@@ -29,7 +28,7 @@ def simulate(benchmark="gzip", n=20_000, checker=None, peak_ratio=1.0, seed=3):
         transfer_latency_cycles=1,
         checker_peak_ratio=peak_ratio,
     )
-    return simulator, simulator.run(generator.generate(n))
+    return simulator, simulator.run(generator.generate_arrays(n))
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +144,4 @@ class TestDeterminism:
         _, b = simulate(seed=9)
         assert a.leading.ipc == b.leading.ipc
         assert a.frequency_residency == b.frequency_residency
+

@@ -6,21 +6,12 @@ paths must reproduce the object paths' RNG draw order and float results
 exactly, so every assertion here is ``==``, never ``approx``.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import memo
-from repro.common.config import (
-    CheckerCoreConfig,
-    ChipModel,
-    LeadingCoreConfig,
-    NucaPolicy,
-)
-from repro.core.leading import LeadingCoreTiming
-from repro.core.rmt import RmtSimulator
+from repro.common.config import ChipModel, NucaPolicy
 from repro.experiments.perf import fig6_performance
 from repro.experiments.runner import SimulationWindow, build_memory
 from repro.isa.soa import TraceArrays
@@ -102,39 +93,6 @@ class TestPreloadFastPath:
         assert fast.l1d._sets == reference.l1d._sets
         assert fast.l1i._sets == reference.l1i._sets
         assert fast.l2._sets == reference.l2._sets
-
-
-class TestTimingEquivalence:
-    def test_leading_columnar_path_is_bit_identical(self):
-        profile = get_profile("gzip")
-        arrays = TraceGenerator(profile, seed=11).generate_arrays(6000)
-        objects = arrays.to_instructions()
-        outcomes = []
-        for trace in (objects, arrays):
-            memory = build_memory(ChipModel.TWO_D_A)
-            memory.preload_profile(profile)
-            core = LeadingCoreTiming(LeadingCoreConfig(), memory)
-            outcomes.append(dataclasses.asdict(core.run(trace, warmup=1500)))
-        assert outcomes[0] == outcomes[1]
-
-    def test_rmt_columnar_path_is_bit_identical(self):
-        profile = get_profile("mcf")
-        arrays = TraceGenerator(profile, seed=5).generate_arrays(5000)
-        objects = arrays.to_instructions()
-        outcomes = []
-        for trace in (objects, arrays):
-            memory = build_memory(ChipModel.THREE_D_2A)
-            memory.preload_profile(profile)
-            simulator = RmtSimulator(
-                leading_config=LeadingCoreConfig(),
-                checker_config=CheckerCoreConfig(),
-                memory=memory,
-                transfer_latency_cycles=1,
-            )
-            outcomes.append(
-                dataclasses.asdict(simulator.run(trace, warmup=1000))
-            )
-        assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------

@@ -19,8 +19,7 @@ the paper's reported mean L2 hit latencies (18 cycles for ``2d-a``,
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.cache.sram import disjoint_runs, warm_lines
 from repro.common.config import ChipModel, NucaConfig, NucaPolicy
 from repro.common.errors import ConfigError
 from repro.common.stats import StatGroup
@@ -117,16 +116,16 @@ class NucaCache:
             self._data_banks = order[1:]
         # Tag store: per set, list of (line, bank_slot) in LRU order.
         # bank_slot indexes self._data_banks for the ways policy; for the
-        # sets policy all ways of a set are in the same bank.  The rows
-        # are copy-on-write: ``_owned[s]`` is 0 while row ``s`` still
-        # aliases a shared row (the one empty list here, or a memoized
-        # preload template's row after :meth:`preload_lines`), and the
-        # access paths take a private copy before the first mutation — a
-        # simulation touches a tiny fraction of the sets it preloads, so
-        # constructing the store and installing a full 15 MB working set
-        # each cost one flat list copy.
+        # sets policy all ways of a set are in the same bank.  Rows are
+        # built on first touch: ``_owned[s]`` is 0 while row ``s`` still
+        # aliases the shared empty row, and the access paths call
+        # :meth:`_own` before the first mutation, which builds the row
+        # from the runs :meth:`install` stored.  A simulation touches a
+        # small fraction of the sets it preloads, so a warm 15 MB L2
+        # costs one row per touched set and nothing per resident line.
         self._sets: list[list[tuple[int, int]]] = [[]] * self._num_sets
         self._owned = bytearray(self._num_sets)
+        self._runs: tuple[tuple[int, int], ...] = ()
 
     # ------------------------------------------------------------------
     @property
@@ -188,8 +187,7 @@ class NucaCache:
         bank = set_index % self.config.num_banks
         ways = self._sets[set_index]
         if not self._owned[set_index]:
-            self._owned[set_index] = 1
-            ways = self._sets[set_index] = list(ways)
+            ways = self._own(set_index)
         latency = self._bank_latency(bank)
         for i, (resident, slot) in enumerate(ways):
             if resident == line:
@@ -206,8 +204,7 @@ class NucaCache:
         set_index = self._set_index(line)
         ways = self._sets[set_index]
         if not self._owned[set_index]:
-            self._owned[set_index] = 1
-            ways = self._sets[set_index] = list(ways)
+            ways = self._own(set_index)
         # Central tag lookup first (2 cycles), then route to the data bank.
         tag_latency = 2
         for i, (resident, slot) in enumerate(ways):
@@ -238,84 +235,59 @@ class NucaCache:
         latency = tag_latency + self._bank_latency(bank)
         return AccessResult(False, latency + self.memory_latency_cycles, bank)
 
-    def preload_plan(self, addresses):
-        """The pure install plan for :meth:`preload_lines`, or ``None``.
+    @property
+    def fresh(self) -> bool:
+        """Whether no line is resident (nothing accessed or installed)."""
+        return not self._runs and 1 not in self._owned
 
-        Depends only on the address set and this L2's configuration
-        (geometry + placement policy) — never on cache state — so callers
-        may memoize it per ``(addresses key, config)``.  Returns ``None``
-        when the addresses contain duplicate lines.
+    def preload_plan(self, runs):
+        """``runs`` validated for :meth:`install`, or ``None``.
+
+        ``runs`` are ``(first_line, num_lines)`` ranges in install
+        order; the plan is them with empty runs dropped.  ``None`` when
+        two runs share a line (the lines would not all miss).
         """
-        lines = np.asarray(addresses) >> self._offset_bits
-        if lines.size and (np.diff(np.sort(lines)) == 0).any():
-            return None
-        set_idx = lines % self._num_sets
-        order = np.argsort(set_idx, kind="stable")
-        sorted_sets = set_idx[order]
-        sorted_lines = lines[order]
-        counts = np.bincount(set_idx, minlength=self._num_sets)
-        group_start = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        position = np.arange(lines.size) - group_start[sorted_sets]
-        if self.config.policy is NucaPolicy.DISTRIBUTED_SETS:
-            slots = sorted_sets % self.config.num_banks
-            banks = set_idx % self.config.num_banks
-        else:
-            slots = position % self._total_ways
-            banks = np.array(self._data_banks, dtype=np.int64)[slots]
-        keep = position >= counts[sorted_sets] - self._total_ways
-        bank_counts = np.bincount(
-            banks, minlength=self.config.num_banks
-        ).tolist()
-        # The plan is the final per-set LRU state itself (a template the
-        # install step copies), so applying a memoized plan costs one
-        # list copy per set instead of one append per line.  The kept
-        # entries are already grouped by set (stable sort), so the
-        # template rows are consecutive slices.
-        kept_pairs = list(
-            zip(sorted_lines[keep].tolist(), slots[keep].tolist())
-        )
-        kept_counts = np.bincount(
-            sorted_sets[keep], minlength=self._num_sets
-        )
-        ends = np.cumsum(kept_counts).tolist()
-        starts = [0] + ends[:-1]
-        template = [kept_pairs[a:b] for a, b in zip(starts, ends)]
-        return (template, int(lines.size), bank_counts)
+        return disjoint_runs(runs)
 
-    def preload_lines(self, addresses, plan=None) -> bool:
-        """Bulk-install distinct lines into an *empty* L2.
+    def install(self, runs) -> None:
+        """Warm a :attr:`fresh` L2 with :meth:`preload_plan`'s runs.
 
-        Vectorized equivalent of looping :meth:`access` over ``addresses``
-        (a NumPy integer array): starting empty with distinct lines, every
-        access misses, so each set ends up holding its last ``total_ways``
-        lines in access order.  Under distributed sets the bank is
-        ``set_index % num_banks``; under distributed ways the k-th miss of
-        a set lands in slot ``k % total_ways`` (fill ascending, then evict
-        the LRU front and reuse its slot).  Returns False when the fast
-        path's preconditions do not hold (non-empty cache, duplicate
-        lines, or contention modelling, whose sliding bank window the
-        batch form does not track) — the caller must then fall back.
-        ``plan`` is an optional precomputed (possibly memoized)
-        :meth:`preload_plan` for the same addresses and configuration.
+        Equivalent to :meth:`access` on every line of every run in
+        order, then ``stats.reset()``, without contention modelling
+        (whose sliding bank window this does not track).  Only the runs
+        are stored; :meth:`_own` builds each set's row on first touch.
         """
-        if self.config.model_contention:
-            return False
-        if any(self._sets):
-            return False
-        if plan is None:
-            plan = self.preload_plan(addresses)
-        if plan is None:
-            return False
-        template, n, bank_counts = plan
-        # Alias the (possibly memoized, shared) template rows and let the
-        # access paths copy-on-write; only the outer list is private.
-        self._sets = list(template)
-        self._owned = bytearray(self._num_sets)
-        self._misses.increment(n)
-        for bank, count in enumerate(bank_counts):
-            if count:
-                self._bank_accesses[bank].increment(count)
-        return True
+        if runs is None:
+            raise ConfigError("preload runs overlap")
+        self._runs = runs
+
+    def _own(self, set_index: int) -> list[tuple[int, int]]:
+        """Give set ``set_index`` its private row on first touch.
+
+        Starting empty with distinct lines, every install misses, so the
+        row is the set's last ``total_ways`` installed lines
+        (:func:`~repro.cache.sram.warm_lines`).  Under distributed sets
+        they all sit in bank ``set_index % num_banks``; under distributed
+        ways the set's k-th install lands in slot ``k % total_ways``
+        (fill ascending, then evict the LRU front and reuse its slot).
+        """
+        self._owned[set_index] = 1
+        row: list[tuple[int, int]] = []
+        if self._runs:
+            lines, received = warm_lines(
+                self._runs, set_index, self._num_sets, self._total_ways
+            )
+            if self.config.policy is NucaPolicy.DISTRIBUTED_SETS:
+                bank = set_index % self.config.num_banks
+                row = [(line, bank) for line in lines]
+            else:
+                first = received - len(lines)
+                row = [
+                    (line, (first + k) % self._total_ways)
+                    for k, line in enumerate(lines)
+                ]
+        self._sets[set_index] = row
+        return row
 
     def _promote(self, ways: list[tuple[int, int]], index: int, slot: int) -> None:
         line, _ = ways[index]
@@ -346,10 +318,6 @@ class NucaCache:
     def average_hit_latency(self) -> float:
         """Mean latency of L2 hits (cycles)."""
         return self._latency.mean
-
-    def resident_lines(self) -> int:
-        """Number of lines currently resident (for invariant checks)."""
-        return sum(len(ways) for ways in self._sets)
 
     def bank_access_counts(self) -> list[int]:
         """Per-bank access counts (for the power model)."""

@@ -8,12 +8,53 @@ are a deterministic function of the address, see
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.common.config import CacheGeometry
+from repro.common.errors import ConfigError
 from repro.common.stats import StatGroup
 
-__all__ = ["SetAssociativeCache"]
+__all__ = ["SetAssociativeCache", "disjoint_runs", "warm_lines"]
+
+
+def disjoint_runs(runs):
+    """``runs`` as a tuple of non-empty ``(first_line, num_lines)`` pairs
+    in their given order, or ``None`` when two of them share a line."""
+    kept = tuple((int(first), int(count)) for first, count in runs if count > 0)
+    ordered = sorted(kept)
+    for (first, count), (following, _) in zip(ordered, ordered[1:]):
+        if first + count > following:
+            return None
+    return kept
+
+
+def warm_lines(runs, set_index: int, num_sets: int, ways: int):
+    """One set's LRU row after installing ``runs`` into an empty cache.
+
+    ``runs`` are disjoint ``(first_line, num_lines)`` ranges, installed
+    in order and each in ascending line order, so every install misses.
+    The lines of one run that map to ``set_index`` form an arithmetic
+    progression with stride ``num_sets``; the set keeps its last
+    ``ways`` installs, so the row takes O(ways) to build.  Returns that
+    row (oldest first) and the number of lines the set received in all.
+    """
+    progressions = []
+    received = 0
+    for first, count in runs:
+        offset = (set_index - first) % num_sets
+        n = (count - offset + num_sets - 1) // num_sets
+        progressions.append((first + offset, n))
+        received += n
+    evicted = received - ways
+    row: list[int] = []
+    for start, n in progressions:
+        if evicted >= n:
+            evicted -= n
+            continue
+        if evicted > 0:
+            start += evicted * num_sets
+            n -= evicted
+            evicted = 0
+        row.extend(range(start, start + n * num_sets, num_sets))
+    return row, received
 
 
 class SetAssociativeCache:
@@ -77,63 +118,37 @@ class SetAssociativeCache:
             return victim << self._offset_bits
         return None
 
-    def preload_plan(self, addresses):
-        """The pure install plan for :meth:`preload_lines`, or ``None``.
+    @property
+    def fresh(self) -> bool:
+        """Whether no line is resident (nothing accessed or installed)."""
+        return not any(self._sets)
 
-        Depends only on the address set and the cache geometry — never on
-        cache state — so callers may memoize it per ``(addresses key,
-        geometry)``.  Returns ``None`` when the addresses contain duplicate
-        lines (the fast path's precondition fails regardless of state).
+    def preload_plan(self, runs):
+        """The warm rows that installing ``runs`` leaves, or ``None``.
+
+        ``runs`` are ``(first_line, num_lines)`` ranges installed in
+        order; the result is every set's LRU row after :meth:`access`
+        on each of their lines from an empty cache, built per set by
+        :func:`warm_lines`.  ``None`` when two runs share a line (the
+        lines would not all miss).
         """
-        lines = np.asarray(addresses) >> self._offset_bits
-        if lines.size and (np.diff(np.sort(lines)) == 0).any():
+        runs = disjoint_runs(runs)
+        if runs is None:
             return None
-        set_idx = lines % self._num_sets
-        order = np.argsort(set_idx, kind="stable")
-        sorted_sets = set_idx[order]
-        sorted_lines = lines[order]
-        counts = np.bincount(set_idx, minlength=self._num_sets)
-        group_start = np.concatenate(
-            [[0], np.cumsum(counts)[:-1]]
-        )
-        position = np.arange(lines.size) - group_start[sorted_sets]
-        keep = position >= counts[sorted_sets] - self.geometry.ways
-        # The plan is the final per-set LRU state itself (a template the
-        # install step copies), so applying a memoized plan costs one
-        # list copy per set instead of one append per line.  The kept
-        # entries are already grouped by set (stable sort), so the
-        # template rows are consecutive slices.
-        kept_lines = sorted_lines[keep].tolist()
-        kept_counts = np.bincount(
-            sorted_sets[keep], minlength=self._num_sets
-        )
-        ends = np.cumsum(kept_counts).tolist()
-        starts = [0] + ends[:-1]
-        template = [kept_lines[a:b] for a, b in zip(starts, ends)]
-        return (template, int(lines.size))
+        return [
+            warm_lines(runs, s, self._num_sets, self.geometry.ways)[0]
+            for s in range(self._num_sets)
+        ]
 
-    def preload_lines(self, addresses, plan=None) -> bool:
-        """Bulk-install distinct lines into an *empty* cache.
+    def install(self, rows) -> None:
+        """Adopt :meth:`preload_plan`'s rows as the tag store.
 
-        Equivalent to calling :meth:`access` on each address in order, but
-        computed as one vectorized pass: with an empty cache and distinct
-        lines every access misses, so the final LRU state of each set is
-        simply its last ``ways`` lines in access order.  Returns False
-        (caller must fall back to the loop) when the preconditions do not
-        hold.  ``addresses`` is a NumPy integer array; ``plan`` is an
-        optional precomputed (possibly memoized) :meth:`preload_plan` for
-        the same addresses and geometry.
+        On a :attr:`fresh` cache this equals the per-address install
+        followed by ``stats.reset()``.
         """
-        if any(self._sets):
-            return False
-        if plan is None:
-            plan = self.preload_plan(addresses)
-        if plan is None:
-            return False
-        template, n = plan
-        self._sets = list(map(list, template))
-        self._misses.increment(n)
-        return True
+        if rows is None:
+            raise ConfigError("preload runs overlap")
+        self._sets = rows
 
     def invalidate(self, address: int) -> bool:
         """Remove the line if present; return whether it was present."""

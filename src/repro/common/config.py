@@ -186,7 +186,6 @@ class NucaConfig:
 
     num_banks: int = 6
     bank_size_bytes: int = 1024 * 1024
-    bank_ways: int = 1
     line_bytes: int = 64
     bank_access_cycles: int = 6
     hop_cycles: int = 4
@@ -205,11 +204,6 @@ class NucaConfig:
     def total_size_bytes(self) -> int:
         """Total L2 capacity across banks."""
         return self.num_banks * self.bank_size_bytes
-
-    @property
-    def total_ways(self) -> int:
-        """Total associativity when ways are distributed across banks."""
-        return self.num_banks * self.bank_ways
 
 
 class ChipModel(enum.Enum):

@@ -28,6 +28,9 @@ share and rebuilds the ones that are not:
 Mutable per-run state — ``MemoryHierarchy``, queue occupancy, DFS
 controllers — is deliberately *not* cached: it is rebuilt for every
 simulation, which is what keeps parallel and serial sweeps bit-identical.
+Cache warm state needs no memo either: a preload stores a profile's
+resident line runs and each set's row follows from them in closed form
+(``MemoryHierarchy.preload_profile``).
 
 Caches are process-local.  Parallel workers each build their own (the
 engine's chunked submission keeps one benchmark's tasks on one worker so
@@ -84,7 +87,6 @@ class ArtifactCache:
         self._predictors: dict[tuple, object] = {}
         self._thermal_models: dict[tuple, object] = {}
         self._grids: dict[tuple, object] = {}
-        self._preload_plans: dict[tuple, object] = {}
         self._schedules: dict[tuple, tuple[int, object]] = {}
         self._branch_streams: dict[tuple, object] = {}
         self.stats: dict[str, MemoStats] = {
@@ -113,7 +115,6 @@ class ArtifactCache:
         self._predictors.clear()
         self._thermal_models.clear()
         self._grids.clear()
-        self._preload_plans.clear()
         self._schedules.clear()
         self._branch_streams.clear()
         for stats in self.stats.values():
@@ -158,25 +159,11 @@ class ArtifactCache:
         return entry.arrays[:count]
 
     # -- cache preload plans -------------------------------------------
+    # No caller since preloads became closed-form; perfbench's ledger wraps it.
     def preload_plan(self, key: tuple, compute):
-        """A memoized bulk cache-preload plan (see ``preload_lines``).
-
-        Plans are pure functions of the preload address set and the cache
-        geometry — callers key them by ``(profile, cache kind, geometry)``
-        — so the sort/unique/position math runs once per key per process
-        however many simulations rebuild the same hierarchy.  ``compute``
-        may return ``None`` (preconditions failed); that result is not
-        cached.
-        """
-        plan = self._preload_plans.get(key)
-        if plan is not None:
-            self._record("preload", hit=True)
-            return plan
+        """``compute()``, counted as a ``preload`` miss (nothing is kept)."""
         self._record("preload", hit=False)
-        plan = compute()
-        if plan is not None:
-            self._preload_plans[key] = plan
-        return plan
+        return compute()
 
     # -- trace schedules -----------------------------------------------
     def trace_schedule(self, profile: WorkloadProfile, seed: int,

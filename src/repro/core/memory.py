@@ -9,13 +9,29 @@ caches carry no data).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cache.nuca import NucaCache, bank_hops_for_model
 from repro.cache.sram import SetAssociativeCache
 from repro.common.config import ChipModel, LeadingCoreConfig, NucaConfig
 
-__all__ = ["MemoryHierarchy"]
+__all__ = ["MemoryHierarchy", "resident_runs"]
+
+
+def resident_runs(profile, line_bytes: int) -> list[tuple[int, int]]:
+    """A profile's L2-resident regions as ``(first_line, num_lines)`` runs
+    in install order: xl (only when referenced), warm, then hot.
+
+    Coldest first, so the hottest lines take the LRU positions that
+    survive when capacity is short.
+    """
+    shift = line_bytes.bit_length() - 1
+    return [
+        (base >> shift, -(-size // line_bytes))
+        for base, size in (
+            (0x2000_0000, profile.xl_bytes if profile.p_xl > 0 else 0),
+            (0x1000_0000, profile.warm_bytes),
+            (0x0000_0000, profile.hot_bytes),
+        )
+    ]
 
 
 class MemoryHierarchy:
@@ -149,75 +165,48 @@ class MemoryHierarchy:
     def preload_profile(self, profile) -> None:
         """Pre-install a workload's resident working set (SimPoint-style warm
         state): hot region into L1D+L2, warm and xl regions into L2, code
-        into L1I.  Install order (xl, warm, hot) leaves the hottest lines in
-        the LRU positions that survive when capacity is insufficient.
+        into L1I, in :func:`resident_runs` order.
 
-        Uses the caches' bulk ``preload_lines`` fast path (all regions are
-        disjoint, so the lines are distinct and every access misses); falls
-        back to the per-address loop whenever a cache declines.  The pure
-        install plans (sort/unique/position math) are memoized per
-        ``(profile, cache config)`` via :mod:`repro.common.memo` — a sweep
-        rebuilds the hierarchy for every simulation, but the plan for a
-        given profile and geometry never changes.
+        The regions are contiguous line runs installed into empty caches,
+        so the warm state has a closed form: the L2 stores the runs and
+        builds each set's row on first touch, and the L1s build their
+        rows from the same formula here.  Nothing per resident line is
+        built or kept.  The per-address reference runs instead when the
+        closed form does not apply (a cache not fresh, L2 contention
+        modelling, L1D and L2 line sizes differing, or overlapping
+        regions); that is decided before anything is installed.
         """
-        from repro.common.memo import get_cache
-
-        cache = get_cache()
         line = self.l1d.geometry.line_bytes
-        l2_addrs = np.concatenate(
-            [
-                np.arange(base, base + size, line, dtype=np.int64)
-                for base, size in (
-                    (0x2000_0000, profile.xl_bytes if profile.p_xl > 0 else 0),
-                    (0x1000_0000, profile.warm_bytes),
-                    (0x0000_0000, profile.hot_bytes),
-                )
-            ]
-        )
-        hot_addrs = np.arange(0, profile.hot_bytes, line, dtype=np.int64)
-        code_addrs = np.arange(
-            0, profile.code_bytes, self.l1i.geometry.line_bytes, dtype=np.int64
-        )
-        # All-or-nothing: only take the fast path when every cache is
-        # empty, so a failure cannot leave the hierarchy half-installed.
-        fast = (
-            self.l2.resident_lines() == 0
-            and self.l1d.resident_lines() == 0
-            and self.l1i.resident_lines() == 0
-            and self.l2.preload_lines(
-                l2_addrs,
-                plan=cache.preload_plan(
-                    ("preload-l2", profile, self.l2.config),
-                    lambda: self.l2.preload_plan(l2_addrs),
-                ),
-            )
-        )
-        if fast:
-            self.l1d.preload_lines(
-                hot_addrs,
-                plan=cache.preload_plan(
-                    ("preload-l1d", profile, self.l1d.geometry),
-                    lambda: self.l1d.preload_plan(hot_addrs),
-                ),
-            )
-            self.l1i.preload_lines(
-                code_addrs,
-                plan=cache.preload_plan(
-                    ("preload-l1i", profile, self.l1i.geometry),
-                    lambda: self.l1i.preload_plan(code_addrs),
-                ),
-            )
-        else:
+        plan = None
+        if (
+            not self.l2.config.model_contention
+            and self.l2.config.line_bytes == line
+            and self.l1i.fresh
+            and self.l1d.fresh
+            and self.l2.fresh
+        ):
+            plan = self.l2.preload_plan(resident_runs(profile, line))
+        if plan is None:
             self._preload_profile_reference(profile)
+        else:
+            code_line = self.l1i.geometry.line_bytes
+            self.l2.install(plan)
+            self.l1d.install(
+                self.l1d.preload_plan([(0, -(-profile.hot_bytes // line))])
+            )
+            self.l1i.install(
+                self.l1i.preload_plan(
+                    [(0, -(-profile.code_bytes // code_line))]
+                )
+            )
         # Preloading must not pollute the measured statistics.
         self.l1i.stats.reset()
         self.l1d.stats.reset()
         self.l2.stats.reset()
 
     def _preload_profile_reference(self, profile) -> None:
-        """Per-address preload loop — the semantics `preload_lines`
-        reproduces, and the fallback when its preconditions fail (warm
-        caches, duplicate lines, or L2 contention modelling)."""
+        """Per-address preload loop — the semantics the closed form
+        reproduces, and the fallback when its preconditions fail."""
         line = self.l1d.geometry.line_bytes
         for base, size in (
             (0x2000_0000, profile.xl_bytes if profile.p_xl > 0 else 0),

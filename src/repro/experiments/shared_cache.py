@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.cache.nuca import NucaCache, bank_hops_for_model
 from repro.common.config import ChipModel, NucaConfig
+from repro.core.memory import resident_runs
 from repro.experiments import engine
 from repro.isa.opcodes import OP_LOAD, OP_STORE
 from repro.isa.trace import TraceGenerator
@@ -50,20 +51,6 @@ def _memory_stream(profile: WorkloadProfile, count: int, seed: int, thread: int)
         yield address + base
 
 
-def _preload_thread(cache: NucaCache, profile: WorkloadProfile, thread: int) -> None:
-    """Install a thread's resident regions (coldest first, as preload does
-    for the single-core runs) so the measurement sees steady state."""
-    base = thread * _THREAD_STRIDE
-    regions = [
-        (0x2000_0000, profile.xl_bytes if profile.p_xl > 0 else 0),
-        (0x1000_0000, profile.warm_bytes),
-        (0x0000_0000, profile.hot_bytes),
-    ]
-    for start, size in regions:
-        for address in range(start, start + size, 64):
-            cache.access(base + address)
-
-
 def _pressure_point(
     task: tuple[ChipModel, int, tuple[str, ...], int, int],
 ) -> SharedCacheResult:
@@ -77,9 +64,15 @@ def _pressure_point(
         get_profile(benchmarks[t % len(benchmarks)])
         for t in range(num_threads)
     ]
-    for t, profile in enumerate(profiles):
-        _preload_thread(cache, profile, t)
-    cache.stats.reset()
+    # Every thread's resident regions, coldest first as in the
+    # single-core preload, so the measurement sees steady state.
+    line = cache.config.line_bytes
+    runs = [
+        (first + t * (_THREAD_STRIDE // line), count)
+        for t, profile in enumerate(profiles)
+        for first, count in resident_runs(profile, line)
+    ]
+    cache.install(cache.preload_plan(runs))
     streams = [
         _memory_stream(profile, instructions_per_thread, seed, t)
         for t, profile in enumerate(profiles)

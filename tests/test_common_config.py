@@ -124,7 +124,13 @@ class TestNucaConfig:
     def test_totals(self):
         cfg = NucaConfig(num_banks=15)
         assert cfg.total_size_bytes == 15 * 1024 * 1024
-        assert cfg.total_ways == 15
+
+    def test_bank_ways_is_not_a_field(self):
+        # Associativity follows from num_banks and the placement policy
+        # (see NucaCache.total_ways); a per-bank way count would be
+        # accepted and ignored.
+        with pytest.raises(TypeError):
+            NucaConfig(bank_ways=2)
 
     def test_policy_default_is_sets(self):
         assert NucaConfig().policy is NucaPolicy.DISTRIBUTED_SETS

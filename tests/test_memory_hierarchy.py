@@ -1,7 +1,10 @@
 """The leading core's memory hierarchy."""
 
+import tracemalloc
+
 import pytest
 
+from repro.common import memo
 from repro.common.config import ChipModel, LeadingCoreConfig, NucaConfig
 from repro.core.memory import MemoryHierarchy
 from repro.workloads.profiles import get_profile
@@ -78,6 +81,49 @@ class TestPreload:
         xl_addr = 0x2000_0000 + (profile.xl_bytes // 2 // 64) * 64
         assert big.load_latency(xl_addr) < 300     # resident in 15 MB
         assert small.load_latency(xl_addr) > 300   # evicted from 6 MB
+
+    @pytest.mark.parametrize("case", ["second-preload", "contention"])
+    def test_declined_closed_form_falls_back_whole(self, case):
+        # Warm caches and a modelled bank window (one entry per access)
+        # both rule the closed form out; the per-address reference must
+        # then run for every level, on top of whatever is resident.
+        nuca = NucaConfig(num_banks=6, model_contention=case == "contention")
+
+        def build():
+            return MemoryHierarchy(LeadingCoreConfig(), nuca, ChipModel.TWO_D_A)
+
+        first, second = get_profile("gzip"), get_profile("swim")
+        memory, reference = build(), build()
+        if case == "second-preload":
+            memory.preload_profile(first)
+            reference._preload_profile_reference(first)
+        memory.preload_profile(second)
+        reference._preload_profile_reference(second)
+        for level in ("l1i", "l1d", "l2"):
+            fast = getattr(memory, level)
+            if level == "l2":
+                for s in range(fast.num_sets):
+                    if not fast._owned[s]:
+                        fast._own(s)
+            assert fast._sets == getattr(reference, level)._sets
+        assert memory.l2._recent_banks == reference.l2._recent_banks
+
+    def test_cold_preload_keeps_nothing_per_resident_line(self):
+        # mcf leaves ~246k lines resident in a 15 MB L2.  The warm state
+        # is the region runs plus rows built on first touch, so a cold
+        # preload allocates almost nothing and memoizes nothing.
+        memo.clear_cache()
+        memory = make_memory(ChipModel.TWO_D_2A)
+        tracemalloc.start()
+        try:
+            memory.preload_profile(get_profile("mcf"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+        assert all(
+            stats.requests == 0 for stats in memo.get_cache().stats.values()
+        )
 
 
 class TestStatistics:

@@ -1,11 +1,15 @@
 """Property-based tests for the cache models."""
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.nuca import NucaCache
 from repro.cache.sram import SetAssociativeCache
-from repro.common.config import CacheGeometry, NucaConfig, NucaPolicy
+from repro.common.config import CacheGeometry, ChipModel, NucaConfig, NucaPolicy
+from repro.experiments.runner import build_memory
+from repro.workloads.profiles import get_profile
 
 addresses = st.integers(0, 2**20)
 
@@ -74,3 +78,187 @@ def test_nuca_bank_counts_sum_to_accesses(trace):
         cache.access(a)
     assert sum(cache.bank_access_counts()) == len(trace)
     assert cache.hits + cache.misses == len(trace)
+
+
+# ---------------------------------------------------------------------
+# Closed-form warm state vs the per-address install it replaces.  A
+# preload installs disjoint line runs into an empty cache; the closed
+# form must leave every set's LRU row, and everything a later access
+# stream observes, exactly as ``access`` on each line then
+# ``stats.reset()`` would.
+
+
+def own_every_row(cache: NucaCache):
+    """Every L2 row, building untouched ones through the first-touch
+    path the access methods use."""
+    for s in range(cache.num_sets):
+        if not cache._owned[s]:
+            cache._own(s)
+    return cache._sets
+
+
+@st.composite
+def line_runs(draw, capacity):
+    """1-4 disjoint ``(first_line, num_lines)`` runs at arbitrary first
+    lines, each up to three capacities long, in any order."""
+    n = draw(st.integers(1, 4))
+    position = draw(st.integers(4 * capacity, 2**20))
+    runs = []
+    for _ in range(n):
+        position += draw(st.integers(0, capacity))
+        count = draw(st.integers(0, 3 * capacity))
+        runs.append((position, count))
+        position += count
+    return draw(st.permutations(runs))
+
+
+@st.composite
+def stream_near(draw, runs, capacity):
+    """Lines near the runs' resident tails, their evicted parts and the
+    gaps between them, so a stream mixes hits and misses."""
+    picks = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 2 * capacity)),
+        max_size=300,
+    ))
+    return [
+        runs[i % len(runs)][0] + runs[i % len(runs)][1] - 1 - back
+        for i, back in picks
+    ]
+
+
+def _reference_install(cache, runs, line_bytes=64):
+    for first, count in runs:
+        for line in range(first, first + count):
+            cache.access(line * line_bytes)
+    cache.stats.reset()
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_nuca_closed_form_matches_per_address_install(data):
+    banks = data.draw(st.integers(2, 16))
+    policy = data.draw(st.sampled_from(list(NucaPolicy)))
+    config = NucaConfig(
+        num_banks=banks,
+        bank_size_bytes=64 * data.draw(st.integers(8, 128)),
+        policy=policy,
+    )
+    reference = NucaCache(config)
+    capacity = reference.num_sets * reference.total_ways
+    runs = data.draw(line_runs(capacity))
+    _reference_install(reference, runs)
+
+    rows = NucaCache(config)
+    rows.install(rows.preload_plan(runs))
+    assert own_every_row(rows) == reference._sets
+
+    fast = NucaCache(config)
+    fast.install(fast.preload_plan(runs))
+    for line in data.draw(stream_near(runs, capacity)):
+        a, b = fast.access(line * 64), reference.access(line * 64)
+        assert (a.hit, a.latency_cycles, a.bank) == (
+            b.hit, b.latency_cycles, b.bank
+        )
+    assert (fast.hits, fast.misses) == (reference.hits, reference.misses)
+    assert fast.bank_access_counts() == reference.bank_access_counts()
+    assert fast.average_hit_latency == reference.average_hit_latency
+    assert own_every_row(fast) == reference._sets
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sram_closed_form_matches_per_address_install(data):
+    sets = data.draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
+    ways = data.draw(st.integers(1, 8))
+    geometry = CacheGeometry(size_bytes=sets * ways * 64, ways=ways)
+    reference = SetAssociativeCache(geometry)
+    runs = data.draw(line_runs(sets * ways))
+    _reference_install(reference, runs)
+
+    fast = SetAssociativeCache(geometry)
+    fast.install(fast.preload_plan(runs))
+    assert fast._sets == reference._sets
+    for line in data.draw(stream_near(runs, sets * ways)):
+        assert fast.access(line * 64) == reference.access(line * 64)
+    assert (fast.hits, fast.misses) == (reference.hits, reference.misses)
+    assert fast._sets == reference._sets
+
+
+def test_overlapping_runs_have_no_plan():
+    nuca = NucaCache(NucaConfig(num_banks=6))
+    sram = SetAssociativeCache(CacheGeometry())
+    for runs in ([(0, 10), (9, 5)], [(20, 5), (0, 21)]):
+        assert nuca.preload_plan(runs) is None
+        assert sram.preload_plan(runs) is None
+    assert nuca.preload_plan([(0, 10), (10, 5), (3, 0)]) == ((0, 10), (10, 5))
+
+
+@st.composite
+def warm_profiles(draw):
+    """Profiles whose resident regions range from empty to past the
+    15 MB L2, at unaligned sizes, with the xl region on and off."""
+    base = get_profile(draw(st.sampled_from(["gzip", "mcf", "swim"])))
+    p_xl = draw(st.sampled_from([0.0, 0.0005]))
+
+    def size(limit):
+        scale = draw(st.sampled_from([0, limit // 256, limit // 8, limit]))
+        return max(0, scale - draw(st.integers(0, 200)))
+
+    return dataclasses.replace(
+        base,
+        hot_bytes=size(96 * 1024),
+        warm_bytes=size(8 * 1024 * 1024),
+        xl_bytes=size(12 * 1024 * 1024),
+        code_bytes=size(48 * 1024),
+        p_hot=base.p_hot + base.p_xl - p_xl,
+        p_xl=p_xl,
+    )
+
+
+@given(
+    profile=warm_profiles(),
+    chip=st.sampled_from([ChipModel.TWO_D_A, ChipModel.TWO_D_2A]),
+    policy=st.sampled_from(list(NucaPolicy)),
+    picks=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 4), st.integers(0, 2**16)),
+        max_size=300,
+    ),
+)
+@settings(max_examples=10, deadline=None)
+def test_preload_profile_matches_reference_preload(profile, chip, policy, picks):
+    def hierarchy():
+        return build_memory(chip, policy=policy)
+
+    reference = hierarchy()
+    reference._preload_profile_reference(profile)
+    for level in (reference.l1i, reference.l1d, reference.l2):
+        level.stats.reset()
+
+    rows = hierarchy()
+    rows.preload_profile(profile)
+    assert rows.l1i._sets == reference.l1i._sets
+    assert rows.l1d._sets == reference.l1d._sets
+    assert own_every_row(rows.l2) == reference.l2._sets
+
+    # A fetch/load/store stream over every region's tail and beyond.
+    bases = (0, 0x1000_0000, 0x2000_0000, 0x3000_0000, 0)
+    sizes = (profile.hot_bytes, profile.warm_bytes, profile.xl_bytes, 0,
+             profile.code_bytes)
+    kinds = [kind for kind, _region, _back in picks]
+    addresses = [
+        max(0, bases[region] + sizes[region] - 8 * back)
+        for _kind, region, back in picks
+    ]
+    fast = hierarchy()
+    fast.preload_profile(profile)
+    assert fast.access_window(kinds, addresses) == reference.access_window(
+        kinds, addresses
+    )
+    for a, b in zip((fast.l1i, fast.l1d), (reference.l1i, reference.l1d)):
+        assert (a.hits, a.misses, a._sets) == (b.hits, b.misses, b._sets)
+    assert (fast.l2.hits, fast.l2.misses) == (
+        reference.l2.hits, reference.l2.misses
+    )
+    assert fast.l2.bank_access_counts() == reference.l2.bank_access_counts()
+    assert fast.l2.average_hit_latency == reference.l2.average_hit_latency
+    assert own_every_row(fast.l2) == reference.l2._sets

@@ -36,3 +36,20 @@ def test_big_cache_absorbs_pressure_better(results):
 def test_access_counts_scale_with_threads(results):
     rows = results[ChipModel.TWO_D_A.value]
     assert rows[1].accesses > rows[0].accesses * 1.5
+
+
+def test_pressure_matrix_is_pinned(results):
+    """(threads, accesses, misses) per chip, recorded from the
+    per-address preload that the run-based install replaced."""
+    expected = {
+        ChipModel.TWO_D_A.value: [
+            (1, 4363, 0), (2, 9592, 2), (3, 16228, 737), (4, 21754, 1873),
+        ],
+        ChipModel.TWO_D_2A.value: [
+            (1, 4363, 0), (2, 9592, 0), (3, 16228, 1), (4, 21754, 5),
+        ],
+    }
+    assert {
+        chip: [(r.num_threads, r.accesses, r.misses) for r in rows]
+        for chip, rows in results.items()
+    } == expected

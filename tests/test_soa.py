@@ -80,19 +80,24 @@ class TestVectorizedGeneration:
 
 
 class TestPreloadFastPath:
+    @pytest.mark.parametrize("chip", [ChipModel.TWO_D_A, ChipModel.TWO_D_2A])
     @pytest.mark.parametrize(
         "policy", [NucaPolicy.DISTRIBUTED_SETS, NucaPolicy.DISTRIBUTED_WAYS]
     )
-    @pytest.mark.parametrize("name", ["gzip", "mcf"])
-    def test_bulk_install_matches_reference_loop(self, name, policy):
+    @pytest.mark.parametrize("name", ["eon", "gzip", "mcf"])
+    def test_bulk_install_matches_reference_loop(self, name, policy, chip):
         profile = get_profile(name)
-        fast = build_memory(ChipModel.TWO_D_A, policy=policy)
+        fast = build_memory(chip, policy=policy)
         fast.preload_profile(profile)
-        reference = build_memory(ChipModel.TWO_D_A, policy=policy)
+        reference = build_memory(chip, policy=policy)
         reference._preload_profile_reference(profile)
         assert fast.l1d._sets == reference.l1d._sets
         assert fast.l1i._sets == reference.l1i._sets
-        assert fast.l2._sets == reference.l2._sets
+        # L2 rows are built on first touch: build every one through the
+        # path the access methods take, then compare.
+        for s in range(fast.l2.num_sets):
+            assert not fast.l2._owned[s]
+            assert fast.l2._own(s) == reference.l2._sets[s]
 
 
 # ---------------------------------------------------------------------

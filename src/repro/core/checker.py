@@ -9,6 +9,14 @@ makes the paper's case for RVP measurable.
 The checker runs at a frequency that is a fraction of the leading core's;
 all times exchanged with the RMT harness are expressed in *leading-core
 cycles* so the two clock domains compose (GALS-style, Section 2.1).
+
+One production path: :meth:`InOrderCheckerTiming.consume_window` runs a
+whole run of RVQ entries through one compiled scan (``checker_consume`` in
+``_kernel.c``, the per-row form of both the RVP and the dependence-stall
+model).  :meth:`~InOrderCheckerTiming.consume_op` is its per-row oracle;
+the RMT harness also uses it for the rows whose arrival crosses a DFS
+interval boundary, and ``consume_window`` falls back to it where no C
+compiler is available.  Both read and write the same state buffers.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ __all__ = ["InOrderCheckerTiming"]
 _FU_CAP_BY_POOL = (4, 2, 1, 1)
 
 _NUM_POOLS = len(_FU_CAP_BY_POOL)
+# Architectural registers tracked from the start (grown on demand).
+_INITIAL_REGS = 64
 
 
 class InOrderCheckerTiming:
@@ -33,19 +43,22 @@ class InOrderCheckerTiming:
 
     def __init__(self, config: CheckerCoreConfig, frequency_ratio: float = 1.0):
         self.config = config
-        self.set_frequency_ratio(frequency_ratio)
-        self._cycle_start = 0.0   # leading-cycle time of the current trailing cycle
-        self._slots_used = 0
-        self._fu_used: dict[int, int] = {}  # pool code -> slots this cycle
-        # Register-ready times indexed by architectural register (grown on
-        # demand); a flat list so the non-RVP window loop does no dict
-        # lookups in its hot path.
-        self._reg_ready: list[float] = [0.0] * 64
+        # The state both consume paths share, as the buffers the compiled
+        # scan reads: ``_carry`` holds the leading-cycle start of the
+        # current trailing cycle, the trailing cycle's length and the last
+        # check-commit time; ``_use`` the slots used this cycle, then the
+        # units used per pool; ``_reg_ready`` each architectural
+        # register's ready time (without RVP).
+        self._carry = np.zeros(3, dtype=np.float64)
+        self._use = np.zeros(1 + _NUM_POOLS, dtype=np.int64)
+        self._reg_ready = np.zeros(_INITIAL_REGS, dtype=np.float64)
+        self._scan = None  # a _native.CheckerScan, made on first use
+        self._regs_sized_for = None  # the dst column _reg_ready covers
         self._consumed = 0
-        self._last_done = 0.0
         # Windowed-consume accounting (published by the RMT harness).
         self.windows_consumed = 0
         self.window_rows_consumed = 0
+        self.set_frequency_ratio(frequency_ratio)
 
     # ------------------------------------------------------------------
     def set_frequency_ratio(self, ratio: float) -> None:
@@ -57,10 +70,11 @@ class InOrderCheckerTiming:
         """
         if not 0.0 < ratio <= 1.0 + 1e-9:
             raise ValueError(f"frequency ratio must be in (0, 1], got {ratio}")
-        if getattr(self, "_slots_used", 0) > 0:
-            self._new_cycle(self._cycle_start + self._cycle_len)
+        if self._use[0] > 0:
+            cycle, length, _ = self._carry.tolist()
+            self._new_cycle(cycle + length)
         self._ratio = ratio
-        self._cycle_len = 1.0 / ratio  # leading cycles per trailing cycle
+        self._carry[1] = 1.0 / ratio  # leading cycles per trailing cycle
 
     @property
     def frequency_ratio(self) -> float:
@@ -85,46 +99,61 @@ class InOrderCheckerTiming:
         :meth:`consume_window`, and the RMT harness's path for the rows
         whose arrival crosses a DFS interval boundary.
         """
+        rvp = self.config.uses_register_value_prediction
+        cycle, length, last_done = self._carry.tolist()
+        slots, *fu = self._use.tolist()
         earliest = available_time
-        if not self.config.uses_register_value_prediction:
+        if not rvp:
             reg_ready = self._reg_ready
             known = len(reg_ready)
             if 0 <= src1 < known:
-                t = reg_ready[src1]
+                t = float(reg_ready[src1])
                 if t > earliest:
                     earliest = t
             if 0 <= src2 < known:
-                t = reg_ready[src2]
+                t = float(reg_ready[src2])
                 if t > earliest:
                     earliest = t
 
-        if earliest >= self._cycle_start + self._cycle_len:
+        if earliest >= cycle + length:
             # The trailer idles until the entry arrives; start a new cycle.
-            self._new_cycle(earliest)
+            cycle = earliest
+            slots = 0
+            fu = [0] * _NUM_POOLS
         while (
-            self._slots_used >= self.config.issue_width
-            or self._fu_used.get(pool, 0) >= _FU_CAP_BY_POOL[pool]
+            slots >= self.config.issue_width
+            or fu[pool] >= _FU_CAP_BY_POOL[pool]
         ):
-            self._new_cycle(self._cycle_start + self._cycle_len)
-        self._slots_used += 1
-        self._fu_used[pool] = self._fu_used.get(pool, 0) + 1
+            cycle += length
+            slots = 0
+            fu = [0] * _NUM_POOLS
+        slots += 1
+        fu[pool] += 1
 
-        done = self._cycle_start + self._cycle_len
+        done = cycle + length
         # Check-commit times are monotone by construction; guard against
         # any residual clock-domain boundary effect.
-        if done < self._last_done:
-            done = self._last_done
-        self._last_done = done
-        if dst >= 0 and not self.config.uses_register_value_prediction:
-            self._write_reg_ready(dst, done + (latency - 1) * self._cycle_len)
+        if done < last_done:
+            done = last_done
+        self._carry[0] = cycle
+        self._carry[2] = done
+        self._use[:] = (slots, *fu)
+        if dst >= 0 and not rvp:
+            self._write_reg_ready(dst, done + (latency - 1) * length)
         self._consumed += 1
         return done
 
     def _write_reg_ready(self, dst: int, ready: float) -> None:
-        reg_ready = self._reg_ready
-        if dst >= len(reg_ready):
-            reg_ready.extend([0.0] * (dst + 1 - len(reg_ready)))
-        reg_ready[dst] = ready
+        self._grow_regs(dst + 1)
+        self._reg_ready[dst] = ready
+
+    def _grow_regs(self, count: int) -> None:
+        """Track at least ``count`` registers (new ones are ready at 0)."""
+        known = len(self._reg_ready)
+        if count > known:
+            self._reg_ready = np.concatenate(
+                [self._reg_ready, np.zeros(count - known)]
+            )
 
     # ------------------------------------------------------------------
     def consume_window(
@@ -135,183 +164,76 @@ class InOrderCheckerTiming:
         dst,
         latency,
         available,
+        transfer: float = 0,
+        lo: int = 0,
+        hi: int | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Consume a whole run of RVQ entries in one pass.
+        """Consume rows ``[lo, hi)`` (default: all) of RVQ entries in one
+        compiled pass.
 
         Bit-identical to calling :meth:`consume_op` once per row (the
-        scalar path remains the oracle).  Every row of the window shares
-        the current frequency ratio — the RMT harness splits windows at
-        DFS interval boundaries, where :meth:`set_frequency_ratio` may
-        change the trailing clock.
+        scalar path remains the oracle).  Every row shares the current
+        frequency ratio — the RMT harness splits windows at DFS interval
+        boundaries, where :meth:`set_frequency_ratio` may change the
+        trailing clock.
 
-        ``available`` must be non-decreasing (check-commit arrival order),
-        which holds because leading-core commit times are monotone.  With
-        RVP there are no dependence stalls, so the check-commit times are
-        a slot/FU-counting scan over the arrival times: idle runs — rows
-        whose arrival gap exceeds one trailing cycle — are resolved by a
-        single vectorized pass, and only densely packed stretches fall
-        back to a tight integer loop.  Without RVP the dependence wakeups
-        serialize the scan, which runs as one tight loop over precomputed
-        integer columns (no dict lookups, no per-row attribute chasing).
-
-        Returns the per-row check-commit times as a float64 array.
+        The columns are int64 arrays (FU pool code, operands, execution
+        latency).  Row ``i`` arrives at ``available[i] + transfer`` in
+        float64: ``available`` holds arrival times (float64) or the
+        leading core's commit cycles (int64), and must be non-decreasing.
+        The check-commit times go to ``out[lo:hi]`` (a new float64 array
+        when ``out`` is None), which is returned.  The RMT harness passes
+        the same whole-trace arrays on every call, so their addresses are
+        bound once per run.
         """
-        n = len(available)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        if self.config.uses_register_value_prediction:
-            out = self._consume_window_rvp(pool, available)
+        if hi is None:
+            hi = len(available)
+        if out is None:
+            out = np.empty(len(available), dtype=np.float64)
+        n = hi - lo
+        if n <= 0:
+            return out[lo:hi]
+        scan = self._scan or self._make_scan()
+        if scan is None:
+            for i in range(lo, hi):
+                out[i] = self.consume_op(
+                    int(pool[i]), int(src1[i]), int(src2[i]), int(dst[i]),
+                    int(latency[i]), float(available[i]) + transfer,
+                )
         else:
-            out = self._consume_window_dep(
-                pool, src1, src2, dst, latency, available
+            if (not self.config.uses_register_value_prediction
+                    and dst is not self._regs_sized_for):
+                # The scan writes every dst in place: track them all
+                # first (an untouched register reads as ready at 0).
+                self._grow_regs(int(np.max(dst)) + 1)
+                self._regs_sized_for = dst
+            scan.consume(
+                pool, src1, src2, dst, latency, available, out,
+                self._reg_ready, lo, hi, transfer,
             )
-        self._consumed += n
+            self._consumed += n
         self.windows_consumed += 1
         self.window_rows_consumed += n
-        return out
+        return out[lo:hi]
 
-    def _consume_window_rvp(self, pool, available) -> np.ndarray:
-        """The RVP slot/FU-counting scan (no dependence stalls).
+    def _make_scan(self):
+        """Bind this checker's state to the compiled scan (``None`` when
+        the kernel is unavailable)."""
+        from repro.core import _native
 
-        Rows split into *idle runs* and *packed stretches*.  A row whose
-        arrival lands at or beyond the end of the current trailing cycle
-        opens a fresh cycle at its own arrival ("jump"); consecutive jumps
-        (arrival gap >= one trailing cycle) form an idle run whose
-        check-commit times are simply ``arrival + cycle_len`` — assigned
-        as one vector slice.  Rows that land inside the current cycle pack
-        greedily under the issue-width/FU caps in a tight local loop.
-        """
-        a = np.asarray(available, dtype=np.float64)
-        n = len(a)
-        length = self._cycle_len
-        width = self.config.issue_width
-        caps = _FU_CAP_BY_POOL
-        cycle = self._cycle_start
-        slots = self._slots_used
-        fu = [self._fu_used.get(p, 0) for p in range(_NUM_POOLS)]
-
-        # chain[j-1]: had row j-1 opened a cycle at its own arrival, row j
-        # would too.  Idle runs extend while the chain holds.
-        chain_break = np.flatnonzero(a[1:] < a[:-1] + length)
-        out = np.empty(n, dtype=np.float64)
-        pool_list = None
-        a_list = None
-        i = 0
-        while i < n:
-            if a[i] >= cycle + length:
-                # Idle run [i..end]: each row opens its own cycle.
-                k = np.searchsorted(chain_break, i, side="left")
-                end = int(chain_break[k]) if k < len(chain_break) else n - 1
-                np.add(a[i:end + 1], length, out=out[i:end + 1])
-                cycle = float(a[end])
-                slots = 1
-                fu = [0] * _NUM_POOLS
-                fu[int(pool[end])] = 1
-                i = end + 1
-            else:
-                # Packed stretch: tight loop until a row jumps again.
-                if a_list is None:
-                    a_list = a.tolist()
-                    pool_list = (
-                        pool.tolist() if hasattr(pool, "tolist") else list(pool)
-                    )
-                while i < n:
-                    arrival = a_list[i]
-                    if arrival >= cycle + length:
-                        break
-                    p = pool_list[i]
-                    if slots >= width or fu[p] >= caps[p]:
-                        cycle += length
-                        slots = 0
-                        fu = [0] * _NUM_POOLS
-                    slots += 1
-                    fu[p] += 1
-                    out[i] = cycle + length
-                    i += 1
-
-        # ``cycle`` never decreases within a window, so the check-commit
-        # times are non-decreasing and the scalar path's per-row
-        # ``last_done`` guard reduces to one elementwise max against the
-        # carried value.
-        np.maximum(out, self._last_done, out=out)
-        self._last_done = float(out[-1])
-        self._cycle_start = cycle
-        self._slots_used = slots
-        self._fu_used = {p: c for p, c in enumerate(fu) if c}
-        return out
-
-    def _consume_window_dep(
-        self, pool, src1, src2, dst, latency, available
-    ) -> np.ndarray:
-        """The non-RVP scan: in-order dependence stalls serialize rows,
-        so this is one tight loop over plain integer/float columns."""
-        a_list = np.asarray(available, dtype=np.float64).tolist()
-        as_list = (
-            lambda c: c.tolist() if hasattr(c, "tolist") else list(c)
+        lib = _native.load()
+        if lib is None:
+            return None
+        self._scan = _native.CheckerScan(
+            lib, self._carry, self._use, self.config.issue_width,
+            self.config.uses_register_value_prediction, _FU_CAP_BY_POOL,
         )
-        pool_list = as_list(pool)
-        src1_list = as_list(src1)
-        src2_list = as_list(src2)
-        dst_list = as_list(dst)
-        latency_list = as_list(latency)
-
-        length = self._cycle_len
-        width = self.config.issue_width
-        caps = _FU_CAP_BY_POOL
-        cycle = self._cycle_start
-        slots = self._slots_used
-        fu = [self._fu_used.get(p, 0) for p in range(_NUM_POOLS)]
-        last_done = self._last_done
-        reg_ready = self._reg_ready
-        known = len(reg_ready)
-        max_dst = max(dst_list)
-        if max_dst >= known:
-            reg_ready.extend([0.0] * (max_dst + 1 - known))
-            known = len(reg_ready)
-
-        out = []
-        append = out.append
-        for i, earliest in enumerate(a_list):
-            r = src1_list[i]
-            if 0 <= r < known:
-                t = reg_ready[r]
-                if t > earliest:
-                    earliest = t
-            r = src2_list[i]
-            if 0 <= r < known:
-                t = reg_ready[r]
-                if t > earliest:
-                    earliest = t
-            if earliest >= cycle + length:
-                cycle = earliest
-                slots = 0
-                fu = [0] * _NUM_POOLS
-            p = pool_list[i]
-            if slots >= width or fu[p] >= caps[p]:
-                cycle += length
-                slots = 0
-                fu = [0] * _NUM_POOLS
-            slots += 1
-            fu[p] += 1
-            done = cycle + length
-            if done < last_done:
-                done = last_done
-            last_done = done
-            r = dst_list[i]
-            if r >= 0:
-                reg_ready[r] = done + (latency_list[i] - 1) * length
-            append(done)
-
-        self._last_done = last_done
-        self._cycle_start = cycle
-        self._slots_used = slots
-        self._fu_used = {p: c for p, c in enumerate(fu) if c}
-        return np.array(out, dtype=np.float64)
+        return self._scan
 
     def _new_cycle(self, start: float) -> None:
-        self._cycle_start = start
-        self._slots_used = 0
-        self._fu_used = {}
+        self._carry[0] = start
+        self._use[:] = 0
 
     # ------------------------------------------------------------------
     @property

@@ -22,19 +22,26 @@ One production path: :meth:`LeadingCoreTiming.run` takes a whole columnar
 trace.  :meth:`~LeadingCoreTiming.prepare_window` first resolves a window's
 memory latencies, fetch-line breaks and mispredict flags as NumPy passes —
 legal because the cache and predictor access order is a pure function of
-the trace order, independent of the cycle timing — and the windowed
-issue/retire kernel (:func:`_scan_window`) then closes every cycle from the
-positional indices of a :class:`TraceSchedule`.  The per-row state machine
+the trace order, independent of the cycle timing — and the compiled
+issue/retire scan (``leading_scan`` in ``_kernel.c``, built on first use
+by :mod:`repro.core._native`) then closes every cycle from the positional
+indices of a :class:`TraceSchedule`.  The per-row state machine
 (:meth:`LeadingCoreTiming._advance`, driven by
-:meth:`~LeadingCoreTiming._run_reference`) is the kernel's reference
-oracle; only tests and the kernel bench run it.  Results are bit-identical.
+:meth:`~LeadingCoreTiming._run_reference`) is the scan's reference oracle:
+deques and a rename map, no schedule.  Results are bit-identical; where no
+C compiler is available, :meth:`~LeadingCoreTiming.run` runs the oracle.
+
+Both keep per-cycle issue and functional-unit usage for the structural
+hazard probe, and both evict it exactly: dispatch of row ``i`` waits for
+the commit of row ``i - rob_size`` and commits never decrease, so no probe
+from row ``i`` on lands below ``commits[i - rob_size] + 2``.  Eviction
+therefore never changes a result.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -66,6 +73,7 @@ __all__ = [
 
 # Front-end depth from fetch to dispatch (rename/decode stages).
 _FRONT_END_DEPTH = 4
+# Rows between the oracle's usage-map evictions.
 _PRUNE_PERIOD = 4096
 
 _POOL_ARR = np.array(POOL_BY_CODE, dtype=np.int64)
@@ -91,9 +99,8 @@ class PreparedWindow:
     """Per-row columns for one batch-scheduled trace window.
 
     Produced by :meth:`LeadingCoreTiming.prepare_window`; every column is
-    a NumPy array (one entry per row), kept as arrays end-to-end so
-    downstream consumers — the windowed kernel and the RMT harness's
-    windowed checker — can slice them without round-trips.
+    a NumPy array (one entry per row) that the compiled scan reads in
+    place (``pool``, ``latency`` and ``fetch_add`` are int64).
     ``mispredicted`` is an int8 column: ``-1`` for non-branches, ``0``
     for correctly predicted branches, ``1`` for mispredicts.  Memory and
     predictor side effects have already been applied when this exists.
@@ -112,15 +119,6 @@ class PreparedWindow:
 
     def __len__(self) -> int:
         return len(self.pool)
-
-    def window_slice(self, lo: int, hi: int) -> "PreparedWindow":
-        """Zero-copy view of rows ``[lo, hi)`` (kernel chunking)."""
-        return PreparedWindow(
-            self.pool[lo:hi], self.is_mem[lo:hi], self.is_fp[lo:hi],
-            self.writes[lo:hi], self.dst[lo:hi], self.src1[lo:hi],
-            self.src2[lo:hi], self.fetch_add[lo:hi], self.latency[lo:hi],
-            self.mispredicted[lo:hi],
-        )
 
     def rows(self):
         """Iterate rows as `_advance` argument tuples (sans commit gate).
@@ -141,9 +139,10 @@ class PreparedWindow:
 class TraceSchedule:
     """Timing-independent positional indices for one whole trace.
 
-    Everything the windowed issue/retire kernel needs that is a pure
+    Everything the compiled issue/retire scan needs that is a pure
     function of the *trace order* (never of any cycle time), computed
-    once per (trace, core geometry) with vectorized NumPy passes:
+    once per (trace, core geometry) with vectorized NumPy passes, as
+    int64 arrays with one entry per row:
 
     * ``cg`` — combined ROB/LSQ commit-gate row: the absolute row whose
       commit must precede row ``i``'s dispatch (``-1`` when ungated).
@@ -158,10 +157,17 @@ class TraceSchedule:
       map with a completion-time gather.
     """
 
-    cg: list[int]
-    ig: list[int]
-    w1: list[int]
-    w2: list[int]
+    cg: np.ndarray
+    ig: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+
+    def prefix(self, rows: int) -> "TraceSchedule":
+        """The schedule of the first ``rows`` rows (zero-copy views): a
+        memoized schedule may cover a longer stream than a run's trace."""
+        return TraceSchedule(
+            self.cg[:rows], self.ig[:rows], self.w1[:rows], self.w2[:rows]
+        )
 
 
 def build_trace_schedule(
@@ -223,10 +229,10 @@ def build_trace_schedule(
         return w
 
     return TraceSchedule(
-        cg=np.maximum(cg, -1).tolist(),
-        ig=ig.tolist(),
-        w1=last_writer(arrays.src1).tolist(),
-        w2=last_writer(arrays.src2).tolist(),
+        cg=np.maximum(cg, -1),
+        ig=ig,
+        w1=last_writer(arrays.src1),
+        w2=last_writer(arrays.src2),
     )
 
 
@@ -239,149 +245,11 @@ def _check_warmup(arrays: TraceArrays, warmup: int) -> None:
         )
 
 
-class _KernelState:
-    """Mutable scalar carries + absolute cycle streams of one kernel run.
+def _kernel_library():
+    """The compiled kernel library, or ``None`` (then the oracles run)."""
+    from repro.core import _native
 
-    ``commits`` / ``issues`` / ``completes`` are absolute (row 0 of the
-    trace onward) plain-int lists: the scan's gate gathers index them by
-    the :class:`TraceSchedule` rows.  ``commits`` is the core's own
-    :attr:`LeadingCoreTiming.commits` list, which the RMT harness in turn
-    shares as its commit-time stream.
-    """
-
-    __slots__ = (
-        "schedule", "commits", "issues", "completes",
-        "fetch", "group", "redirect", "lcc", "cic",
-    )
-
-    def __init__(self, schedule: TraceSchedule, commits: list[int]):
-        self.schedule = schedule
-        self.commits = commits
-        self.issues: list[int] = []
-        self.completes: list[int] = []
-        self.fetch = 0
-        self.group = 0
-        self.redirect = 0
-        self.lcc = 0   # last commit cycle
-        self.cic = 0   # commits in that cycle
-
-
-def _scan_window(
-    ks: _KernelState,
-    cg: list[int], ig: list[int], w1: list[int], w2: list[int],
-    pool_l: list[int], lat_l: list[int], fa_l: list[int], mp_l: list[bool],
-    gates,
-    issue_usage: dict[int, int], fu_usage: dict[int, int],
-    fresh_keys: list[int],
-    width: int, caps: tuple[int, ...], commit_width: int,
-    fetch_width: int, penalty: int,
-    prune, countdown: int,
-) -> None:
-    """The issue/retire recurrence over one window, fully gate-resolved.
-
-    Plain-int zip-driven tight loop (the `_consume_window_dep` idiom):
-    every dependence is a precomputed :class:`TraceSchedule` index into
-    the absolute ``commits``/``issues``/``completes`` streams, so each
-    row is a handful of list gathers, the structural-hazard probe, and
-    the commit-width counter — no deques, no rename map, no per-row
-    NumPy, no per-row method call.  ``cg``/``ig``/``w1``/``w2`` are
-    window-local slices holding *absolute* row values; ``gates`` is any
-    per-row iterable of commit gates (``repeat(0)`` when the RMT harness
-    is absent — a zero gate never binds).  ``prune`` fires every
-    ``countdown`` rows at exactly the oracle's cadence — prune
-    timing is part of the bit-identity contract.
-    """
-    commits = ks.commits
-    issues = ks.issues
-    completes = ks.completes
-    ap_c = commits.append
-    ap_i = issues.append
-    ap_m = completes.append
-    fc = ks.fetch
-    g = ks.group
-    redirect = ks.redirect
-    lcc = ks.lcc
-    cic = ks.cic
-    for fa, pool, lat, mp, k1, k2, kw1, kw2, gate in zip(
-        fa_l, pool_l, lat_l, mp_l, cg, ig, w1, w2, gates
-    ):
-        # ---- fetch ----
-        if fc < redirect:
-            fc = redirect
-            g = 0
-        if fa:
-            fc += fa
-            g = 0
-        if g >= fetch_width:
-            fc += 1
-            g = 0
-        g += 1
-        # ---- dispatch (ROB/LSQ fold into one commit gather; IQ gates
-        # on the k-size-th previous same-class issue) ----
-        d = fc + _FRONT_END_DEPTH
-        if k1 >= 0:
-            gd = commits[k1] + 1
-            if gd > d:
-                d = gd
-        if k2 >= 0:
-            gd = issues[k2] + 1
-            if gd > d:
-                d = gd
-        # ---- operand readiness (last-writer completion gathers) ----
-        r = d + 1
-        if kw1 >= 0:
-            t = completes[kw1]
-            if t > r:
-                r = t
-        if kw2 >= 0:
-            t = completes[kw2]
-            if t > r:
-                r = t
-        # ---- issue (structural hazards) ----
-        cap = caps[pool]
-        c = r
-        while True:
-            iu = issue_usage.get(c, 0)
-            if iu < width:
-                fk = (c << 2) | pool
-                fu = fu_usage.get(fk, 0)
-                if fu < cap:
-                    if iu == 0:
-                        fresh_keys.append(c)
-                    issue_usage[c] = iu + 1
-                    fu_usage[fk] = fu + 1
-                    break
-            c += 1
-        ap_i(c)
-        comp = c + lat
-        ap_m(comp)
-        if mp:
-            redirect = comp + penalty
-        # ---- in-order commit ----
-        cm = comp + 1
-        if lcc > cm:
-            cm = lcc
-        if gate > cm:
-            cm = gate
-        if cm == lcc:
-            if cic >= commit_width:
-                cm += 1
-                cic = 1
-            else:
-                cic += 1
-        else:
-            cic = 1
-        lcc = cm
-        ap_c(cm)
-        countdown -= 1
-        if countdown == 0:
-            prune(c)
-            countdown = _PRUNE_PERIOD
-    ks.fetch = fc
-    ks.group = g
-    ks.redirect = redirect
-    ks.lcc = lcc
-    ks.cic = cic
+    return _native.load()
 
 
 class LeadingCoreTiming:
@@ -403,21 +271,11 @@ class LeadingCoreTiming:
             config.int_alus, config.int_mults, config.fp_alus, config.fp_mults,
         )
         self._mispredict_penalty = self.predictor.config.mispredict_penalty_cycles
-        # Per-cycle structural usage maps, pruned periodically.  FU keys
-        # combine cycle and pool into one int (``cycle << 2 | pool``) so
-        # the hot loops never build tuples.  ``_fresh_usage_keys``
-        # records each cycle key on first insertion; :meth:`_prune`
-        # retires whole periods of them from a ring instead of
-        # rebuilding the dicts.
-        self._issue_usage: dict[int, int] = {}
-        self._fu_usage: dict[int, int] = {}
-        self._fresh_usage_keys: list[int] = []
-        self._usage_key_ring: deque[list[int]] = deque()
-        self._kernel: _KernelState | None = None
+        self._kernel = None  # a _native.LeadingScan while in kernel mode
         # The commit cycle of every row of this core's one run, in trace
-        # order (kernel or oracle); the RMT harness shares the list as
-        # its commit stream.
-        self.commits: list[int] = []
+        # order (kernel or oracle), sized when the run starts; the RMT
+        # harness reads it as its commit stream.
+        self._commits = np.zeros(0, dtype=np.int64)
         self._claimed = False
         self._last_fetch_line = -1  # window prepass carry
         self._scheduled = 0
@@ -438,6 +296,19 @@ class LeadingCoreTiming:
         self._fp_issues: deque[int] = deque(maxlen=config.fp_issue_queue_size)
         self._last_commit_cycle = 0
         self._commits_in_cycle = 0
+        # Per-cycle structural usage of the oracle, evicted every
+        # ``_PRUNE_PERIOD`` rows (:meth:`_prune`).  FU keys combine cycle
+        # and pool into one int (``cycle << 2 | pool``).
+        self._issue_usage: dict[int, int] = {}
+        self._fu_usage: dict[int, int] = {}
+
+    @property
+    def commits(self) -> np.ndarray:
+        """Commit cycle of every row scheduled so far, in trace order (a
+        read-only int64 view)."""
+        view = self._commits[:self._scheduled]
+        view.flags.writeable = False
+        return view
 
     # ------------------------------------------------------------------
     def run(
@@ -452,10 +323,14 @@ class LeadingCoreTiming:
         ``schedule`` optionally supplies a precomputed (memoized)
         :class:`TraceSchedule` for the kernel.  A core runs one trace: a
         second run raises :class:`~repro.common.errors.SimulationError`.
+        Without the compiled kernel this runs :meth:`_run_reference`.
         """
         _check_warmup(arrays, warmup)
+        if _kernel_library() is None:
+            return self._run_reference(arrays, warmup)
         self.begin_kernel(
-            schedule or build_trace_schedule(arrays, self.config)
+            (schedule or build_trace_schedule(arrays, self.config))
+            .prefix(len(arrays))
         )
         for start, prepared in self._windows(arrays, warmup):
             self.advance_window(prepared, start)
@@ -468,7 +343,7 @@ class LeadingCoreTiming:
         """The per-row oracle of :meth:`run`: the same window prepass,
         then :meth:`_advance` row by row instead of the kernel."""
         _check_warmup(arrays, warmup)
-        self._claim()
+        self._claim(len(arrays))
         advance = self._advance
         for _, prepared in self._windows(arrays, warmup):
             for row in prepared.rows():
@@ -489,8 +364,9 @@ class LeadingCoreTiming:
             if end > start:
                 yield start, self.prepare_window(arrays, start, end)
 
-    def _claim(self) -> None:
-        """Take this core for its one run (kernel or oracle).
+    def _claim(self, rows: int) -> None:
+        """Take this core for its one run (kernel or oracle) of ``rows``
+        rows.
 
         Gate indices and :attr:`commits` are absolute trace rows, so a
         run cannot continue another one's pipeline.
@@ -501,6 +377,7 @@ class LeadingCoreTiming:
                 "for another run"
             )
         self._claimed = True
+        self._commits = np.zeros(rows, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def _advance(
@@ -523,7 +400,7 @@ class LeadingCoreTiming:
         (:meth:`prepare_window`); what remains is pure integer cycle
         arithmetic over the scalar pipeline state.  ``fetch_add`` is the
         I-fetch stall in cycles (0 on an I-cache hit or a same-line
-        fetch).  Appends the row's commit cycle to :attr:`commits`.
+        fetch).  Records the row's commit cycle in :attr:`commits`.
         """
         cfg = self.config
 
@@ -582,8 +459,6 @@ class LeadingCoreTiming:
                 key = (issue << 2) | pool
                 fu = fu_usage.get(key, 0)
                 if fu < cap:
-                    if iu == 0:
-                        self._fresh_usage_keys.append(issue)
                     issue_usage[issue] = iu + 1
                     fu_usage[key] = fu + 1
                     break
@@ -619,11 +494,11 @@ class LeadingCoreTiming:
         if is_mem:
             self._lsq_commits.append(commit)
 
-        self.commits.append(commit)
+        self._commits[self._scheduled] = commit
         self._scheduled += 1
         self._last_commit = commit
         if self._scheduled % _PRUNE_PERIOD == 0:
-            self._prune(issue)
+            self._prune()
 
     # ------------------------------------------------------------------
     def prepare_window(
@@ -723,85 +598,77 @@ class LeadingCoreTiming:
             mispredicted=mispredicted,
         )
 
-    # -- windowed issue/retire kernel ----------------------------------
+    # -- compiled issue/retire kernel ----------------------------------
     def begin_kernel(self, schedule: TraceSchedule) -> None:
-        """Enter kernel mode over a fresh core (see :meth:`_claim`)."""
-        self._claim()
-        self._kernel = _KernelState(schedule, self.commits)
+        """Enter kernel mode over a fresh core (see :meth:`_claim`).
+
+        Raises :class:`~repro.common.errors.SimulationError` when the
+        compiled kernel is unavailable.
+        """
+        lib = _kernel_library()
+        if lib is None:
+            raise SimulationError("the compiled timing kernel is unavailable")
+        from repro.core._native import LeadingScan
+
+        self._claim(len(schedule.cg))
+        self._kernel = LeadingScan(
+            lib, schedule, self._commits, self.config,
+            self._fu_cap_by_pool, self._mispredict_penalty,
+        )
+
+    def gate_commits(
+        self, needed: np.ndarray, binding: np.ndarray,
+        consume: np.ndarray, stalls: np.ndarray,
+    ) -> None:
+        """Gate the kernel's commits on a consume stream (RMT queues).
+
+        Row ``i`` with ``needed[i] >= 0`` commits no earlier than
+        ``ceil(consume[needed[i]])``; when that gate exceeds the previous
+        row's commit, ``stalls[binding[i]]`` counts one stall.  int64
+        ``needed`` and ``stalls``, int8 ``binding``, float64 ``consume``;
+        the scan reads them in place for the rest of the run.
+        """
+        self._kernel.gate(needed, binding, consume, stalls)
 
     def advance_window(
-        self, prepared: PreparedWindow, start: int,
-        gates: list[int] | None = None,
-    ) -> None:
-        """Schedule one prepared window through the kernel.
+        self, prepared: PreparedWindow, start: int, consumed: int = 0
+    ) -> int:
+        """Schedule a prepared window through the compiled scan.
 
         ``start`` is the absolute trace row of ``prepared``'s first row;
-        ``gates`` (window-local, one per row) carries RMT commit gates.
-        All columns convert to plain lists once, the schedule's gate and
-        last-writer indices are sliced to the window, and
-        :func:`_scan_window` closes every cycle in one fused pass.
+        the scan continues from the next unscheduled row.  Returns the row
+        it stopped at: the window's end, or — when commits are gated
+        (:meth:`gate_commits`) — the first row whose gating entry is not
+        among the first ``consumed`` rows, the ones with a consume time.
         """
-        ks = self._kernel
-        n = len(prepared)
-        if n == 0:
-            return
-        cfg = self.config
-        sched = ks.schedule
-        end = start + n
-        _scan_window(
-            ks,
-            sched.cg[start:end], sched.ig[start:end],
-            sched.w1[start:end], sched.w2[start:end],
-            prepared.pool.tolist(), prepared.latency.tolist(),
-            prepared.fetch_add.tolist(),
-            (prepared.mispredicted == 1).tolist(),
-            gates if gates is not None else repeat(0),
-            self._issue_usage, self._fu_usage, self._fresh_usage_keys,
-            cfg.dispatch_width, self._fu_cap_by_pool, cfg.commit_width,
-            cfg.fetch_width, self._mispredict_penalty,
-            self._prune, _PRUNE_PERIOD - self._scheduled % _PRUNE_PERIOD,
-        )
-        self._scheduled += n
-        self._last_commit = ks.lcc
+        kernel = self._kernel
+        row = kernel.scan(prepared, start, consumed)
+        self._scheduled = row
+        self._last_commit = kernel.last_commit
+        return row
 
     def end_kernel(self) -> None:
         """Leave kernel mode; the commit cycles stay in :attr:`commits`."""
         self._kernel = None
 
     # ------------------------------------------------------------------
-    def _prune(self, horizon: int) -> None:
-        """Retire usage-map entries that can never be probed again.
+    def _prune(self) -> None:
+        """Evict the oracle's usage-map cycles that no later probe reads.
 
-        Keys older than the pruning horizon (4 ROB lifetimes behind the
-        latest issue) are dead; instead of rebuilding both dicts, the
-        keys recorded since the last prune rotate through a ring and the
-        oldest period's dead keys are deleted in place.  Still-live keys
-        (>= floor) are pushed back to re-check at the next prune, so the
-        maps stay bounded by a few periods' worth of distinct cycles.
+        Dispatch of the next row ``i`` waits for the commit of row
+        ``i - rob_size``, and commits never decrease, so every probe from
+        row ``i`` on starts at or above ``commits[i - rob_size] + 2``.
         """
-        floor = horizon - 4 * self.config.rob_size
-        ring = self._usage_key_ring
-        # Copy-and-clear keeps the list's identity stable: the kernel
-        # scan holds a local alias and keeps appending after a prune.
-        fresh = self._fresh_usage_keys
-        ring.append(fresh[:])
-        fresh.clear()
-        old = ring.popleft()
-        issue_usage = self._issue_usage
-        fu_usage = self._fu_usage
-        survivors = []
-        for c in old:
-            if c >= floor:
-                survivors.append(c)
-                continue
-            issue_usage.pop(c, None)
-            base = c << 2
-            fu_usage.pop(base, None)
-            fu_usage.pop(base | 1, None)
-            fu_usage.pop(base | 2, None)
-            fu_usage.pop(base | 3, None)
-        if survivors:
-            ring.appendleft(survivors)
+        row = self._scheduled - self.config.rob_size
+        if row < 0:
+            return
+        floor = int(self._commits[row]) + 2
+        self._issue_usage = {
+            c: n for c, n in self._issue_usage.items() if c >= floor
+        }
+        self._fu_usage = {
+            k: n for k, n in self._fu_usage.items() if k >> 2 >= floor
+        }
 
     # ------------------------------------------------------------------
     def start_measurement(self) -> None:

@@ -12,17 +12,20 @@ structures of Section 2.1 would (200-entry RVQ, 80-entry LVQ, 40-entry BOQ,
 40-entry StB).
 
 One production path: :meth:`RmtSimulator.run` drives the leading core's
-windowed kernel, chunked at checker drains
-(:meth:`RmtSimulator.advance_window`), and the checker consumes whole
-windows (``consume_window``).  The per-row gating loop over the leading
-core's ``_advance`` oracle (:meth:`RmtSimulator._run_reference`) is the
-reference; only tests and the kernel bench run it.
+compiled scan with the queue gating inline — each row's commit gate (the
+consume time of its gating entry) and the stall attribution are computed
+in the scan, which stops at the first row whose gating entry has no
+consume time yet; :meth:`RmtSimulator.advance_window` then drains the
+checker (``consume_window``, one compiled scan per DFS interval) and
+resumes it.  The per-row gating loop over the leading core's ``_advance``
+oracle (:meth:`RmtSimulator._run_reference`) is the reference, and runs
+in production where no C compiler is available.  The commit and consume
+streams are int64 and float64 arrays sized to the trace.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,7 @@ from repro.core.leading import (
     LeadingRunResult,
     TraceSchedule,
     _check_warmup,
+    _kernel_library,
     build_trace_schedule,
 )
 from repro.core.memory import MemoryHierarchy
@@ -54,7 +58,7 @@ __all__ = ["RmtSimulator", "RmtTimingResult"]
 
 _POOL_ARR = np.array(POOL_BY_CODE, dtype=np.int64)
 _LATENCY_ARR = np.array(EXECUTION_LATENCY_BY_CODE, dtype=np.int64)
-# Queue binding codes used by the vectorized gate pre-pass.
+# Queue binding codes of the gate pre-pass (indexes of stall counts).
 _BINDINGS = ("rvq", "lvq", "stb", "boq")
 
 
@@ -124,20 +128,30 @@ class RmtSimulator:
         self._boq_capacity = qc.boq_entries
         self._stb_capacity = qc.stb_entries
 
-        # The leading core's commit list doubles as this harness's commit
-        # stream: no per-row copying in either direction.
-        self._commit_times = self.leading.commits
-        self._consume_times: list[float] = []
+        # The leading core's commit array doubles as this harness's commit
+        # stream; ``_consume`` holds the first ``_next_consume`` rows'
+        # check-commit times (both sized to the trace by :meth:`_bind`).
+        self._consume = np.zeros(0, dtype=np.float64)
         self._next_consume = 0
         self._next_boundary = float(checker_config.dfs.interval_cycles)
         self._boundary_commit_ptr = 0
         self._boundary_consume_ptr = 0
         self._occupancy_samples: list[float] = []
         self.backpressure_commits = 0
-        # Which bounded queue gated each backpressured commit (plain dict
-        # bumps in the hot path; published to the metrics registry once
-        # per run).
+        # Which bounded queue gated each backpressured commit (counted by
+        # the scan or the oracle loop; published to the metrics registry
+        # once per run).
         self.queue_stalls = {"rvq": 0, "lvq": 0, "stb": 0, "boq": 0}
+
+    @property
+    def _commit_times(self) -> np.ndarray:
+        """The commit stream so far (the leading core's :attr:`commits`)."""
+        return self.leading.commits
+
+    @property
+    def _consume_times(self) -> np.ndarray:
+        """The check-commit times consumed so far."""
+        return self._consume[:self._next_consume]
 
     # ------------------------------------------------------------------
     def run(
@@ -148,18 +162,25 @@ class RmtSimulator:
 
         The first ``warmup`` rows flow through both cores but are
         excluded from the reported leading-core statistics; ``warmup``
-        must lie in ``[0, len(arrays)]``.  The leading core's windowed
-        kernel runs each prepared window (split at the warmup boundary)
+        must lie in ``[0, len(arrays)]``.  The leading core's compiled
+        scan runs each prepared window (split at the warmup boundary)
         through :meth:`advance_window`; ``schedule`` optionally supplies
         a precomputed (memoized) :class:`~repro.core.leading.TraceSchedule`.
         A simulator runs one trace: a second run raises
-        :class:`~repro.common.errors.SimulationError`.
+        :class:`~repro.common.errors.SimulationError`.  Without the
+        compiled kernel this runs :meth:`_run_reference`.
         """
         _check_warmup(arrays, warmup)
+        if _kernel_library() is None:
+            return self._run_reference(arrays, warmup)
         self.leading.begin_kernel(
-            schedule or build_trace_schedule(arrays, self.leading_config)
+            (schedule or build_trace_schedule(arrays, self.leading_config))
+            .prefix(len(arrays))
         )
         self._bind(arrays)
+        self.leading.gate_commits(
+            self._needed, self._binding, self._consume, self._stall_counts
+        )
         for start, prepared in self.leading._windows(arrays, warmup):
             self.advance_window(prepared, start)
         return self.end_windows(len(arrays) - warmup)
@@ -176,12 +197,12 @@ class RmtSimulator:
         """
         _check_warmup(arrays, warmup)
         leading = self.leading
-        leading._claim()
+        leading._claim(len(arrays))
         self._bind(arrays)
-        needed_list = self._needed_list
+        needed_list = self._needed.tolist()
         binding_list = self._binding.tolist()
         advance = leading._advance
-        consume_times = self._consume_times
+        consume = self._consume
         queue_stalls = self.queue_stalls
         ceil = math.ceil
         for start, prepared in leading._windows(arrays, warmup):
@@ -189,9 +210,9 @@ class RmtSimulator:
                 needed = needed_list[i]
                 gate = 0
                 if needed >= 0:
-                    if needed >= len(consume_times):
+                    if needed >= self._next_consume:
                         self._drain_to(needed)
-                    gate = ceil(consume_times[needed])
+                    gate = ceil(consume[needed])
                     if gate > leading._last_commit:
                         self.backpressure_commits += 1
                         queue_stalls[_BINDINGS[binding_list[i]]] += 1
@@ -200,85 +221,48 @@ class RmtSimulator:
         return self._result(len(arrays) - warmup)
 
     def _bind(self, arrays: TraceArrays) -> None:
-        """Attach ``arrays``: checker columns and queue-gate indices.
+        """Attach ``arrays``: checker columns, queue-gate indices and the
+        consume stream, all arrays over the whole trace.
 
-        Checker columns stay NumPy arrays end-to-end: consume_window
-        slices them per window, and the rare boundary-row fallback
-        indexes them directly.
+        The checker columns are int64, so ``consume_window`` binds them
+        (and the commit and consume streams) once per run.
         """
         self._trace = arrays
         ops = arrays.op
         self._cw_pool = _POOL_ARR[ops]
         self._cw_latency = _LATENCY_ARR[ops]
-        self._cw_src1 = arrays.src1
-        self._cw_src2 = arrays.src2
-        self._cw_dst = arrays.dst
+        self._cw_src1 = arrays.src1.astype(np.int64)
+        self._cw_src2 = arrays.src2.astype(np.int64)
+        self._cw_dst = arrays.dst.astype(np.int64)
         self._needed, self._binding = self._precompute_gates(ops)
-        self._needed_list = self._needed.tolist()
-        self._needed_max = np.maximum.accumulate(self._needed)
+        self._consume = np.zeros(len(arrays), dtype=np.float64)
+        self._stall_counts = np.zeros(len(_BINDINGS), dtype=np.int64)
 
     def advance_window(self, prepared, start: int) -> None:
-        """Co-simulate one prepared window, chunked at checker drains.
+        """Co-simulate one prepared window, draining at gated rows.
 
-        The per-row oracle drains the checker exactly when a row's gating
-        entry is beyond the consume stream (``needed >= len(consume)``),
-        so those rows — found by a searchsorted over the running max of
-        ``needed`` — are the only sound chunk boundaries: between two of
-        them every gate is a plain gather over already-final consume
-        times, and draining at the boundary sees the exact same
+        The compiled scan gates every row on the consume time of its
+        gating entry and stops at the first row whose entry has no consume
+        time yet — exactly where the per-row oracle drains the checker
+        (``needed >= consumed``).  Draining there sees the same
         commit/consume prefixes as the per-row schedule (DFS occupancy
-        sampling included).
+        sampling included), and the scan resumes at that row.
         """
         leading = self.leading
-        commits = self._commit_times
-        consume_times = self._consume_times
-        queue_stalls = self.queue_stalls
-        needed_arr = self._needed
-        needed_list = self._needed_list
-        needed_max = self._needed_max
-        binding_arr = self._binding
-        ceil = math.ceil
         end = start + len(prepared)
-        i0 = start
-        while i0 < end:
-            if needed_list[i0] >= len(consume_times):
-                self._drain_to(needed_list[i0])
-            avail = len(consume_times)
-            i1 = min(
-                int(np.searchsorted(needed_max, avail, side="left")), end
-            )
-            gates = [
-                0 if k < 0 else ceil(consume_times[k])
-                for k in needed_list[i0:i1]
-            ]
-            leading.advance_window(
-                prepared.window_slice(i0 - start, i1 - start), i0, gates
-            )
-            # Stall attribution, identical to the oracle's per-row
-            # check: gate > the previous row's commit.
-            chunk_needed = needed_arr[i0:i1]
-            gated = chunk_needed >= 0
-            if gated.any():
-                prev = np.empty(i1 - i0, dtype=np.int64)
-                prev[0] = commits[i0 - 1] if i0 else 0
-                prev[1:] = commits[i0:i1 - 1]
-                stalled = gated & (np.asarray(gates, dtype=np.int64) > prev)
-                count = int(np.count_nonzero(stalled))
-                if count:
-                    self.backpressure_commits += count
-                    for b, c in enumerate(
-                        np.bincount(
-                            binding_arr[i0:i1][stalled], minlength=4
-                        ).tolist()
-                    ):
-                        if c:
-                            queue_stalls[_BINDINGS[b]] += c
-            i0 = i1
+        row = leading.advance_window(prepared, start, self._next_consume)
+        while row < end:
+            self._drain_to(int(self._needed[row]))
+            row = leading.advance_window(prepared, start, self._next_consume)
 
     def end_windows(self, instructions: int) -> RmtTimingResult:
-        """Finish a windowed run: drain the checker, leave kernel mode."""
+        """Finish a kernel run: drain the checker, leave kernel mode and
+        take the scan's stall counts."""
         self._drain_to(len(self._trace) - 1)
         self.leading.end_kernel()
+        for queue, count in zip(_BINDINGS, self._stall_counts.tolist()):
+            self.queue_stalls[queue] += count
+            self.backpressure_commits += count
         return self._result(instructions)
 
     def _precompute_gates(
@@ -290,10 +274,10 @@ class RmtSimulator:
         check-commit must precede row ``i``'s commit — is a pure
         positional recurrence over the class masks (the k-th previous
         same-class row), independent of any timing.  Only the consume
-        *times* are runtime-dependent, so a row's gate reduces to a list
-        lookup.  Returns ``(needed, binding)`` arrays; ``needed[i] < 0``
-        means row ``i`` is ungated and ``binding[i]`` indexes
-        ``_BINDINGS`` for stall attribution.
+        *times* are runtime-dependent, so a row's gate reduces to a
+        lookup.  Returns ``(needed, binding)`` arrays (int64, int8);
+        ``needed[i] < 0`` means row ``i`` is ungated and ``binding[i]``
+        indexes ``_BINDINGS`` for stall attribution.
         """
         n = len(ops)
         # RVQ: every instruction occupies one entry (negative = ungated).
@@ -327,53 +311,54 @@ class RmtSimulator:
         DFS occupancy sampling sees identical commit/consume prefixes
         because boundary-crossing rows are never consumed early.
         """
-        commit_times = self._commit_times
-        consume_times = self._consume_times
+        commits = self.leading._commits
+        consume = self._consume
         transfer = self.transfer_latency
         checker = self.checker
         while self._next_consume <= index:
             k = self._next_consume
-            j = bisect_left(commit_times, self._next_boundary - transfer, k) - 1
+            committed = self.leading._scheduled
+            j = k + int(np.searchsorted(
+                commits[k:committed], self._next_boundary - transfer
+            )) - 1
             if j >= k:
-                avail = np.asarray(commit_times[k:j + 1], dtype=np.float64)
-                avail += transfer
                 with span("rmt.consume_window"):
-                    done = checker.consume_window(
-                        self._cw_pool[k:j + 1],
-                        self._cw_src1[k:j + 1],
-                        self._cw_src2[k:j + 1],
-                        self._cw_dst[k:j + 1],
-                        self._cw_latency[k:j + 1],
-                        avail,
+                    checker.consume_window(
+                        self._cw_pool, self._cw_src1, self._cw_src2,
+                        self._cw_dst, self._cw_latency, commits, transfer,
+                        k, j + 1, consume,
                     )
-                consume_times.extend(done.tolist())
                 self._next_consume = j + 1
             else:
-                available = commit_times[k] + transfer
+                available = int(commits[k]) + transfer
                 self._process_boundaries(available)
-                consume_times.append(checker.consume_op(
+                consume[k] = checker.consume_op(
                     int(self._cw_pool[k]),
                     int(self._cw_src1[k]),
                     int(self._cw_src2[k]),
                     int(self._cw_dst[k]),
                     int(self._cw_latency[k]),
                     available,
-                ))
+                )
                 self._next_consume += 1
 
     # ------------------------------------------------------------------
     def _process_boundaries(self, up_to_time: float) -> None:
         """Apply DFS interval boundaries that have passed."""
+        commits = self.leading._commits
+        committed = self.leading._scheduled
         while self._next_boundary <= up_to_time:
             b = self._next_boundary
             # Both streams are monotone non-decreasing, so advancing each
-            # pointer past every entry <= b is a bisect from the pointer.
-            self._boundary_commit_ptr = bisect_right(
-                self._commit_times, b, self._boundary_commit_ptr
-            )
-            self._boundary_consume_ptr = bisect_right(
-                self._consume_times, b, self._boundary_consume_ptr
-            )
+            # pointer past every entry <= b is a search from the pointer.
+            ptr = self._boundary_commit_ptr
+            self._boundary_commit_ptr = ptr + int(np.searchsorted(
+                commits[ptr:committed], b, side="right"
+            ))
+            ptr = self._boundary_consume_ptr
+            self._boundary_consume_ptr = ptr + int(np.searchsorted(
+                self._consume[ptr:self._next_consume], b, side="right"
+            ))
             occupancy = self._boundary_commit_ptr - self._boundary_consume_ptr
             fraction = max(0.0, min(1.0, occupancy / self._rvq_capacity))
             self._occupancy_samples.append(fraction)

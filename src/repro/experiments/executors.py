@@ -491,7 +491,10 @@ class LocalPoolExecutor(Executor):
     A broken pool is reported once, as a single :class:`PoolBroken`
     event carrying every in-flight chunk id; the pool itself is torn
     down and a fresh one is built on the next ``submit_chunk`` — the
-    scheduler owns the rebuild budget and the resubmission.
+    scheduler owns the rebuild budget and the resubmission.  A pool
+    that breaks under ``submit_chunk`` (``submit`` raises once a worker
+    has died) counts as the same break: that chunk, and any submitted
+    before the next ``poll``, join its one :class:`PoolBroken`.
     """
 
     name = "local"
@@ -502,16 +505,25 @@ class LocalPoolExecutor(Executor):
         self._futures: dict = {}   # future -> chunk_id
         self._by_chunk: dict = {}  # chunk_id -> future
         self._needs_kill = False
+        self._lost: list = []  # chunks refused by a broken pool
 
     def submit_chunk(self, chunk_id: int, entries: Sequence) -> None:
+        if self._lost:
+            self._lost.append(chunk_id)
+            return
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self._jobs, initializer=_exit_with_parent
             )
-        future = self._pool.submit(
-            _run_chunk, self._fn, list(entries), self._policy, self._chaos,
-            True,
-        )
+        try:
+            future = self._pool.submit(
+                _run_chunk, self._fn, list(entries), self._policy,
+                self._chaos, True,
+            )
+        except BrokenProcessPool:
+            self._lost.append(chunk_id)
+            self._teardown(kill=True)
+            return
         self._futures[future] = chunk_id
         self._by_chunk[chunk_id] = future
 
@@ -528,14 +540,16 @@ class LocalPoolExecutor(Executor):
         return events
 
     def poll(self, timeout_s: float | None = None) -> list:
-        if not self._futures:
+        broken_ids, self._lost = self._lost, []
+        if not self._futures and not broken_ids:
             return []
-        done, _ = futures_wait(
-            list(self._futures), timeout=timeout_s,
-            return_when=FIRST_COMPLETED,
-        )
+        done = ()
+        if not broken_ids:
+            done, _ = futures_wait(
+                list(self._futures), timeout=timeout_s,
+                return_when=FIRST_COMPLETED,
+            )
         events: list = []
-        broken_ids: list = []
         for future in done:
             chunk_id = self._futures.pop(future)
             self._by_chunk.pop(chunk_id, None)
@@ -565,6 +579,9 @@ class LocalPoolExecutor(Executor):
         return events
 
     def cancel(self, chunk_id: int) -> bool:
+        if chunk_id in self._lost:
+            self._lost.remove(chunk_id)
+            return True
         future = self._by_chunk.pop(chunk_id, None)
         if future is None:
             return False
@@ -579,6 +596,9 @@ class LocalPoolExecutor(Executor):
         return True
 
     def cancel_pending(self, chunk_id: int) -> bool:
+        if chunk_id in self._lost:
+            self._lost.remove(chunk_id)
+            return True
         future = self._by_chunk.get(chunk_id)
         if future is None or not future.cancel():
             return False  # unknown or already picked up by a worker
@@ -617,6 +637,7 @@ class LocalPoolExecutor(Executor):
     def shutdown(self, kill: bool = False) -> None:
         self._futures.clear()
         self._by_chunk.clear()
+        self._lost.clear()
         self._teardown(kill=kill)
 
 

@@ -9,6 +9,7 @@ truncated-checkpoint recovery, and gc hardening.
 
 import dataclasses
 import json
+import os
 import time
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from repro.experiments.engine import TaskPolicy, run_sweep
 from repro.experiments.executors import (
     InlineExecutor,
     LocalPoolExecutor,
+    PoolBroken,
     make_executor,
     resolve_executor,
 )
@@ -178,6 +180,36 @@ class TestHeartbeatSchema:
             for worker, info in heartbeat.items():
                 assert worker == str(int(worker))   # OS pids
                 assert info["age_s"] == 0.0         # liveness is implicit
+        finally:
+            ex.shutdown(kill=True)
+
+
+def _exit_worker(item):
+    os._exit(3)
+
+
+class TestBrokenPoolSubmit:
+    def test_submit_to_a_broken_pool_joins_one_pool_broken(self):
+        """Once a worker has died, ``ProcessPoolExecutor.submit`` raises
+        ``BrokenProcessPool`` synchronously; the executor must report
+        that chunk with the in-flight ones in one PoolBroken (one break,
+        one rebuild) instead of raising out of the sweep."""
+        ex = make_executor("local", fn=_exit_worker, policy=TaskPolicy(),
+                           chaos=None, jobs=2)
+        try:
+            ex.submit_chunk(0, [(0, 0, 1)])
+            deadline = time.monotonic() + 30.0
+            while not ex._pool._broken and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert ex._pool._broken
+            ex.submit_chunk(1, [(1, 0, 2)])
+            ex.submit_chunk(2, [(2, 0, 3)])
+            events = []
+            while time.monotonic() < deadline and not events:
+                events = ex.poll(timeout_s=0.5)
+            assert [type(e) for e in events] == [PoolBroken]
+            assert sorted(events[0].chunk_ids) == [0, 1, 2]
+            assert ex.poll(timeout_s=0.1) == []
         finally:
             ex.shutdown(kill=True)
 

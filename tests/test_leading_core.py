@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.common.config import ChipModel, LeadingCoreConfig, NucaConfig
@@ -44,12 +45,16 @@ def generate(profile, n):
 
 
 def gated_commits(trace, gate):
-    """Kernel commits of ``trace``, every row's commit gated at ``gate``."""
+    """Kernel commits of ``trace``, every row's commit gated at ``gate``:
+    each row's gating entry is entry 0, consumed at cycle ``gate``."""
+    n = len(trace)
     core = make_core()
     core.begin_kernel(build_trace_schedule(trace, core.config))
-    core.advance_window(
-        core.prepare_window(trace, 0, len(trace)), 0, gates=[gate] * len(trace)
+    core.gate_commits(
+        np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int8),
+        np.array([float(gate)]), np.zeros(4, dtype=np.int64),
     )
+    assert core.advance_window(core.prepare_window(trace, 0, n), 0, 1) == n
     core.end_kernel()
     return core.commits
 

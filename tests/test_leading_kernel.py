@@ -1,20 +1,27 @@
-"""The windowed issue/retire kernel vs its per-row oracle.
+"""The compiled issue/retire kernel vs its per-row Python oracle.
 
 Each timing layer has one production path and one reference oracle.
-The leading core's kernel (:meth:`LeadingCoreTiming.run`) must be
+The leading core's compiled scan (:meth:`LeadingCoreTiming.run`) must be
 *bit-identical* to the per-row ``_advance`` oracle
-(``LeadingCoreTiming._run_reference``), and the RMT harness's windowed
-co-simulation to its per-row gating loop (``RmtSimulator._run_reference``)
-— results, full commit streams, queue-stall attribution, consume and
-occupancy streams.  Kernel and oracle share the window prepass
-(``prepare_window``), so the prepass gets its own oracle here: a
-trace-order replay through the per-event ``MemoryHierarchy`` and
+(``LeadingCoreTiming._run_reference``), and the RMT harness's gated scan
+to its per-row gating loop (``RmtSimulator._run_reference``) — results,
+full commit streams, queue-stall attribution, consume and occupancy
+streams.  Usage-map eviction is exact on both sides, so evicting never
+changes a result; the cases here make both evict (and the kernel's ring
+grow) far more often than real runs do.  Kernel and oracle share the
+window prepass (``prepare_window``), so the prepass gets its own oracle
+here: a trace-order replay through the per-event ``MemoryHierarchy`` and
 ``BranchPredictor`` calls.  Both entries of both classes share one run
 contract (warmup in range, one run per object).  Exact Figure 6 goldens
 through the sweep engine at one and two jobs pin the end-to-end numbers.
+The kernel must load wherever the configured C compiler exists, and
+without it every entry falls back to the oracles.
 """
 
 import dataclasses
+import logging
+import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,9 +29,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import memo
-from repro.common.config import ChipModel, SystemConfig
+from repro.common.config import (
+    CheckerCoreConfig,
+    ChipModel,
+    QueueConfig,
+    SystemConfig,
+)
 from repro.common.errors import ConfigError, SimulationError
+from repro.core import _native, leading
 from repro.core.branch import BranchPredictor
+from repro.core.checker import InOrderCheckerTiming
 from repro.core.leading import (
     LeadingCoreTiming,
     _PRUNE_PERIOD,
@@ -34,12 +48,16 @@ from repro.core.memory import MemoryHierarchy
 from repro.core.rmt import RmtSimulator
 from repro.experiments.perf import fig6_performance
 from repro.experiments.runner import SimulationWindow
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import (
     EXECUTION_LATENCY_BY_CODE,
     OP_BRANCH,
     OP_LOAD,
     OP_STORE,
+    POOL_BY_CODE,
+    OpClass,
 )
+from repro.isa.soa import TraceArrays
 from repro.isa.trace import TraceGenerator
 from repro.workloads.profiles import get_profile, spec2k_suite
 
@@ -80,7 +98,7 @@ def test_kernel_equals_oracle_leading(profile, seed, n, warmup_frac, chip):
         oracle_result
     )
     assert len(kernel_core.commits) == n
-    assert kernel_core.commits == oracle_core.commits
+    assert kernel_core.commits.tolist() == oracle_core.commits.tolist()
 
 
 def _rmt_sim(cfg, transfer, peak):
@@ -127,8 +145,38 @@ def test_kernel_equals_oracle_rmt(
     assert sim_k.queue_stalls == sim_o.queue_stalls
     assert sim_k.backpressure_commits == sim_o.backpressure_commits
     assert len(sim_k._commit_times) == n
-    assert sim_k._commit_times == sim_o._commit_times
-    assert sim_k._consume_times == sim_o._consume_times
+    assert sim_k._commit_times.tolist() == sim_o._commit_times.tolist()
+    assert sim_k._consume_times.tolist() == sim_o._consume_times.tolist()
+    assert sim_k._occupancy_samples == sim_o._occupancy_samples
+
+
+@pytest.mark.parametrize("rvp", [True, False])
+@pytest.mark.parametrize("name", ["gzip", "mcf"])
+def test_kernel_equals_oracle_under_heavy_backpressure(name, rvp):
+    """Tiny queues drained by a 1-wide half-speed checker 4 cycles away:
+    every queue gates commits hundreds of times, so the scan's gates,
+    stall attribution and drain points are all exercised."""
+    checker = CheckerCoreConfig(
+        issue_width=1, uses_register_value_prediction=rvp,
+        queues=QueueConfig(slack_target=16, rvq_entries=16, lvq_entries=4,
+                           boq_entries=2, stb_entries=2),
+    )
+    cfg = SystemConfig.for_chip(ChipModel.THREE_D_2A)
+    trace = TraceGenerator(get_profile(name), seed=3).generate_arrays(3000)
+
+    def simulator():
+        memory = MemoryHierarchy(cfg.leading, cfg.nuca, cfg.chip)
+        return RmtSimulator(cfg.leading, checker, memory, BranchPredictor(),
+                            transfer_latency_cycles=4, checker_peak_ratio=0.5)
+
+    sim_k, sim_o = simulator(), simulator()
+    result_k = sim_k.run(trace, 500)
+    result_o = sim_o._run_reference(trace, 500)
+    assert dataclasses.asdict(result_k) == dataclasses.asdict(result_o)
+    assert sim_k.queue_stalls == sim_o.queue_stalls
+    assert min(sim_k.queue_stalls.values()) > 0
+    assert sim_k._commit_times.tolist() == sim_o._commit_times.tolist()
+    assert sim_k._consume_times.tolist() == sim_o._consume_times.tolist()
     assert sim_k._occupancy_samples == sim_o._occupancy_samples
 
 
@@ -213,25 +261,299 @@ def test_window_prepass_matches_per_event_replay(
 
 
 def test_usage_maps_stay_bounded_across_prunes():
-    """The ring-based `_prune` keeps both usage maps bounded.
+    """Both usage maps hold only cycles at or above the exact bound.
 
-    Scheduling many ROB lifetimes' worth of instructions must not grow
-    ``_issue_usage``/``_fu_usage`` beyond a few prune periods' worth of
-    distinct cycle keys, on both the kernel and the per-row oracle.
+    With the caches preloaded, as in every sweep, the kernel's rings
+    keep their initial span, end with the tail at
+    ``commits[n - 1 - rob_size] + 2`` (evicted before the last row's
+    probe) and hold exactly the live cycles' counts; the oracle's dicts,
+    evicted every ``_PRUNE_PERIOD`` rows, hold only cycles of the last
+    ``rob_size`` rows before the last eviction and the rows after it.
     """
     n = 3 * _PRUNE_PERIOD + 123
-    trace = TraceGenerator(get_profile("gzip"), seed=5).generate_arrays(n)
-    for entry in (LeadingCoreTiming.run, LeadingCoreTiming._run_reference):
-        cfg = SystemConfig.for_chip(ChipModel.TWO_D_A)
-        core = _leading_core(cfg)
-        entry(core, trace)
-        # A prune retains at most the live horizon plus the keys issued
-        # since the previous prune — far below one key per instruction.
-        bound = 2 * _PRUNE_PERIOD
-        assert len(core._issue_usage) < bound
-        assert len(core._fu_usage) < 4 * bound
-        assert len(core._fresh_usage_keys) < bound
-        assert sum(len(p) for p in core._usage_key_ring) < 2 * bound
+    profile = get_profile("gzip")
+    trace = TraceGenerator(profile, seed=5).generate_arrays(n)
+    cfg = SystemConfig.for_chip(ChipModel.TWO_D_A)
+    rob = cfg.leading.rob_size
+
+    core = _leading_core(cfg)
+    core.memory.preload_profile(profile)
+    kernel = _scan(core, trace)
+    assert len(kernel.issue_ring) == _native.RING_CYCLES
+    assert kernel.tail == core.commits[n - 1 - rob] + 2
+    _assert_rings_hold_live_counts(kernel, trace)
+
+    oracle = _leading_core(cfg)
+    oracle.memory.preload_profile(profile)
+    oracle._run_reference(trace)
+    last = n - n % _PRUNE_PERIOD
+    floor = oracle.commits[last - rob] + 2
+    assert min(oracle._issue_usage) >= floor
+    assert min(k >> 2 for k in oracle._fu_usage) >= floor
+    assert len(oracle._issue_usage) <= rob + n % _PRUNE_PERIOD
+    assert len(oracle._fu_usage) <= rob + n % _PRUNE_PERIOD
+
+
+def _filler(rows, count):
+    """``count`` independent IALUs (far sources, one fetch line)."""
+    for _ in range(count):
+        i = len(rows)
+        rows.append(Instruction(i, OpClass.IALU, dst=i % 28, src1=30,
+                                src2=30, pc=0))
+
+
+def _load(rows, dst, src):
+    """A cold-miss load (a fresh line 1 MB from every other)."""
+    i = len(rows)
+    rows.append(Instruction(i, OpClass.LOAD, dst=dst, src1=src, src2=-1,
+                            pc=0, address=(1 << 30) + i * (1 << 20)))
+
+
+def _scan(core, trace):
+    """Run ``trace`` through the kernel and stay in kernel mode, so the
+    test can inspect the scan's streams and rings."""
+    core.begin_kernel(build_trace_schedule(trace, core.config))
+    core.advance_window(core.prepare_window(trace, 0, len(trace)), 0)
+    return core._kernel
+
+
+def _assert_rings_hold_live_counts(kernel, trace):
+    """Each ring slot holds exactly the issue (and per-pool) count of the
+    one live cycle ``>= tail`` that maps to it."""
+    size = len(kernel.issue_ring)
+    issues = kernel.issues[:len(trace)]
+    live = issues >= kernel.tail
+    assert issues.max() < kernel.tail + size
+    slots = issues[live] & (size - 1)
+    pools = np.array(POOL_BY_CODE)[trace.op][live]
+    issue_counts = np.zeros(size, dtype=np.int64)
+    fu_counts = np.zeros((size, 4), dtype=np.int64)
+    np.add.at(issue_counts, slots, 1)
+    np.add.at(fu_counts, (slots, pools), 1)
+    assert kernel.issue_ring.tolist() == issue_counts.tolist()
+    assert kernel.fu_ring.tolist() == fu_counts.tolist()
+
+
+def _never_evicting(entry, subject_factory, trace, warmup=0):
+    """Run ``entry`` with the oracle's eviction switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LeadingCoreTiming, "_prune", lambda self: None)
+        subject = subject_factory()
+        return subject, getattr(subject, entry)(trace, warmup)
+
+
+def test_eviction_counterexample_issues_within_width():
+    """A trace where the old four-ROB-lifetimes prune evicted live cycles.
+
+    The prune after row 4095 (which waits on three chained cold misses
+    behind load L) dropped the cycle in which four IALUs woke on L; two
+    FALUs woken by L then probed an empty cycle, so 5 rows issued in one
+    cycle of the 4-wide core, and the error propagated through a chain
+    of six more cold misses into ~400 commit cycles.  The exact bound
+    evicts nothing a later probe reads: no cycle issues more than
+    ``dispatch_width``, and evicting == never evicting on both paths.
+    """
+    rows = []
+    _filler(rows, 4085)
+    _load(rows, 50, 30)                            # row 4085: L
+    for k in range(3):                             # rows 4086-4088
+        _load(rows, 51 + k, 50 + k)
+    for k in range(4):                             # rows 4089-4092
+        rows.append(Instruction(len(rows), OpClass.IALU, dst=k, src1=50,
+                                src2=30, pc=0))
+    _filler(rows, 2)                               # rows 4093-4094
+    rows.append(Instruction(4095, OpClass.IALU, dst=5, src1=53, src2=30,
+                            pc=0))
+    for dst in (54, 55):                           # rows 4096-4097
+        rows.append(Instruction(len(rows), OpClass.FALU, dst=dst, src1=50,
+                                src2=62, pc=0))
+    prev = 54
+    for k in range(6):                             # rows 4098-4103
+        _load(rows, 56 + k, prev)
+        prev = 56 + k
+    _filler(rows, 4496 - len(rows))
+    trace = TraceArrays.from_instructions(rows)
+    cfg = SystemConfig.for_chip(ChipModel.TWO_D_A)
+    factory = lambda: _leading_core(cfg)  # noqa: E731
+
+    never, expected = _never_evicting("_run_reference", factory, trace)
+    for entry in ("run", "_run_reference"):
+        core = factory()
+        assert getattr(core, entry)(trace) == expected
+        assert core.commits.tolist() == never.commits.tolist()
+
+    per_cycle = Counter(_scan(factory(), trace).issues.tolist())
+    assert max(per_cycle.values()) <= cfg.leading.dispatch_width
+
+
+@given(
+    profile=st.sampled_from([get_profile("mcf"), get_profile("art")]),
+    seed=st.integers(0, 10_000),
+    n=st.integers(100, 1200),
+    warmup_frac=st.floats(0.0, 0.5),
+    period=st.integers(1, 64),
+    ring=st.sampled_from([16, 64, 4096]),
+    kind=st.sampled_from(["leading", "rmt"]),
+)
+@settings(max_examples=12, deadline=None)
+def test_eviction_never_changes_a_result(
+    profile, seed, n, warmup_frac, period, ring, kind
+):
+    """Evicting == never evicting, on the kernel and the oracle alike.
+
+    The oracle evicts every 1-64 rows instead of every 4096 and the
+    kernel's usage rings start at 16-4096 cycles, so short memory-bound
+    traces evict and grow many times; the RMT cases add queue gating.
+    """
+    cfg = SystemConfig.for_chip(ChipModel.THREE_D_2A)
+    trace = TraceGenerator(profile, seed=seed).generate_arrays(n)
+    warmup = int(n * warmup_frac)
+    if kind == "leading":
+        factory = lambda: _leading_core(cfg)  # noqa: E731
+    else:
+        factory = lambda: _rmt_sim(cfg, 1, 1.0)  # noqa: E731
+    never, expected = _never_evicting(
+        "_run_reference", factory, trace, warmup
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(leading, "_PRUNE_PERIOD", period)
+        mp.setattr(_native, "RING_CYCLES", ring)
+        for entry in ("run", "_run_reference"):
+            subject = factory()
+            result = getattr(subject, entry)(trace, warmup)
+            assert dataclasses.asdict(result) == dataclasses.asdict(expected)
+            core = subject if kind == "leading" else subject.leading
+            never_core = never if kind == "leading" else never.leading
+            assert core.commits.tolist() == never_core.commits.tolist()
+
+
+def _miss_chain_trace():
+    """16 chained cold misses inside one ROB window: a probe ~5,000
+    cycles past the eviction bound, beyond a 4,096-cycle ring."""
+    rows = []
+    _filler(rows, 300)
+    prev = 30
+    for k in range(16):
+        _load(rows, 40 + k, prev)
+        prev = 40 + k
+    rows.append(Instruction(len(rows), OpClass.IALU, dst=1, src1=prev,
+                            src2=30, pc=0))
+    _filler(rows, 300)
+    return TraceArrays.from_instructions(rows)
+
+
+@pytest.mark.parametrize("ring, make_trace", [
+    (4096, _miss_chain_trace),
+    (16, lambda: TraceGenerator(get_profile("art"), seed=4).generate_arrays(
+        3000)),
+], ids=["miss-chain", "art-ring16"])
+def test_ring_grows_under_a_long_miss_chain(ring, make_trace, monkeypatch):
+    """Probes beyond the ring make the kernel double it; every live
+    cycle keeps its counts, and the kernel still equals the oracle."""
+    monkeypatch.setattr(_native, "RING_CYCLES", ring)
+    trace = make_trace()
+    cfg = SystemConfig.for_chip(ChipModel.TWO_D_A)
+
+    core = _leading_core(cfg)
+    kernel = _scan(core, trace)
+    assert len(kernel.issue_ring) > ring
+    _assert_rings_hold_live_counts(kernel, trace)
+
+    oracle = _leading_core(cfg)
+    oracle._run_reference(trace)
+    assert core.commits.tolist() == oracle.commits.tolist()
+
+
+def test_kernel_loads_where_a_compiler_exists():
+    """The suite must not test the fallback by accident: where the C
+    compiler this Python was built with exists, the kernel loads."""
+    cc = _native.compiler()
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler configured for this Python")
+    assert _native.load() is not None
+
+
+def test_kernel_rejects_columns_it_cannot_read():
+    """An address reaches C only for a C-ordered column of the right
+    dtype and length whose codes index what the scan indexes; a
+    rejected call binds nothing, so the next good call still works."""
+    if _native.load() is None:
+        pytest.skip("compiled kernel unavailable")
+    checker = InOrderCheckerTiming(CheckerCoreConfig())
+    columns = [np.zeros(4, dtype=np.int64) for _ in range(5)]
+    available = np.arange(4.0)
+    for bad in (
+        [c.astype(np.int32) for c in columns] + [available],
+        [np.full(4, 7, dtype=np.int64), *columns[1:], available],
+        [*columns, available[::2]],
+    ):
+        with pytest.raises(SimulationError):
+            checker.consume_window(*bad)
+    with pytest.raises(SimulationError):
+        checker.consume_window(*columns, available, hi=5)
+    scalar = InOrderCheckerTiming(CheckerCoreConfig())
+    assert checker.consume_window(*columns, available).tolist() == [
+        scalar.consume_op(0, 0, 0, 0, 0, a) for a in available.tolist()
+    ]
+
+    core = _leading_core(_CFG_3D)
+    trace = _GZIP[:100]
+    core.begin_kernel(build_trace_schedule(trace, core.config))
+    with pytest.raises(SimulationError):
+        core.gate_commits(
+            np.zeros(100, dtype=np.int64), np.full(100, 4, dtype=np.int8),
+            np.zeros(1), np.zeros(4, dtype=np.int64),
+        )
+    with pytest.raises(SimulationError):
+        core.advance_window(core.prepare_window(trace, 10, 100), 10)
+
+
+def test_fallback_runs_the_oracles(monkeypatch):
+    """With the kernel unavailable, ``run`` on both classes and
+    ``consume_window`` equal their oracles, the fig6 goldens hold, and
+    the process logs exactly one warning."""
+    def no_kernel():
+        raise OSError("no compiler")
+
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "_failed", False)
+    monkeypatch.setattr(_native, "_build", no_kernel)
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("repro.core")
+    logger.addHandler(handler)
+    try:
+        cfg = SystemConfig.for_chip(ChipModel.THREE_D_CHECKER)
+        trace = _GZIP[:1500]
+        core, oracle = _leading_core(cfg), _leading_core(cfg)
+        assert core.run(trace, 300) == oracle._run_reference(trace, 300)
+        assert core.commits.tolist() == oracle.commits.tolist()
+        sim, sim_o = _rmt_sim(cfg, 1, 0.7), _rmt_sim(cfg, 1, 0.7)
+        assert sim.run(trace, 300) == sim_o._run_reference(trace, 300)
+        assert sim._consume_times.tolist() == sim_o._consume_times.tolist()
+
+        for rvp in (True, False):
+            config = CheckerCoreConfig(uses_register_value_prediction=rvp)
+            batched = InOrderCheckerTiming(config)
+            scalar = InOrderCheckerTiming(config)
+            columns = [
+                np.array(c, dtype=np.int64) for c in
+                ([0, 2, 3, 1], [1, 5, -1, 2], [3, 1, 5, -1],
+                 [5, 2, 1, 3], [1, 4, 2, 3])
+            ]
+            available = np.array([1.0, 1.5, 4.0, 4.25])
+            got = batched.consume_window(*columns, available)
+            assert got.tolist() == [
+                scalar.consume_op(*(int(c[i]) for c in columns), a)
+                for i, a in enumerate(available.tolist())
+            ]
+
+        assert _fig6_rows(jobs=1) == _GOLDEN_FIG6
+    finally:
+        logger.removeHandler(handler)
+    assert len(records) == 1
+    assert "kernel unavailable" in records[0].getMessage()
 
 
 # The run contract, for both classes through the kernel and the oracle
@@ -272,12 +594,12 @@ def test_warmup_outside_the_trace_is_rejected(kind, entry, rows, warmup):
 def test_second_run_is_rejected(kind, first, second):
     subject, core = _fresh(kind)
     getattr(subject, first)(_GZIP, 500)
-    commits = list(core.commits)
+    commits = core.commits.tolist()
     with pytest.raises(SimulationError):
         getattr(subject, second)(_GZIP, 500)
     with pytest.raises(SimulationError):
         core.begin_kernel(build_trace_schedule(_GZIP, core.config))
-    assert core.commits == commits
+    assert core.commits.tolist() == commits
     if kind == "rmt":
         assert subject.checker.consumed == len(_GZIP)
 

@@ -1,5 +1,5 @@
 """Public API surface: every __all__ entry resolves, docstrings exist,
-and importing the package does not load scipy."""
+and importing the package neither loads scipy nor builds the kernel."""
 
 import importlib
 import importlib.util
@@ -86,3 +86,23 @@ def test_import_does_not_load_scipy():
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_builds_no_kernel(tmp_path):
+    """The compiled timing kernel is built and loaded on first use only:
+    importing the package loads neither its loader nor setuptools, and
+    writes nothing to the kernel cache."""
+    src = Path(importlib.util.find_spec("repro").origin).parents[1]
+    probe = (
+        "import sys, repro, repro.core; "
+        "print([m for m in ('repro.core._native', 'setuptools') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src),
+             "XDG_CACHE_HOME": str(tmp_path)},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
+    assert list(tmp_path.iterdir()) == []

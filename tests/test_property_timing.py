@@ -1,5 +1,6 @@
 """Property-based tests over the timing engines with generated traces."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,8 +78,22 @@ def test_commit_gate_is_respected(gate):
         [Instruction(0, OpClass.IALU, dst=1, src1=30, src2=30, pc=0)]
     )
     core.begin_kernel(build_trace_schedule(trace, core.config))
-    core.advance_window(core.prepare_window(trace, 0, 1), 0, gates=[gate])
+    # The row gates on entry 0 of a consume stream, consumed at ``gate``.
+    core.gate_commits(
+        np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int8),
+        np.array([float(gate)]), np.zeros(4, dtype=np.int64),
+    )
+    assert core.advance_window(core.prepare_window(trace, 0, 1), 0, 1) == 1
     assert core.commits[0] >= gate
+    # Nothing consumed yet: the scan stops before the gated row.
+    fresh = _core()
+    fresh.begin_kernel(build_trace_schedule(trace, fresh.config))
+    fresh.gate_commits(
+        np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int8),
+        np.array([float(gate)]), np.zeros(4, dtype=np.int64),
+    )
+    assert fresh.advance_window(fresh.prepare_window(trace, 0, 1), 0, 0) == 0
+    assert len(fresh.commits) == 0
 
 
 # ---------------------------------------------------------------------

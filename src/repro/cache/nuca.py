@@ -19,7 +19,9 @@ the paper's reported mean L2 hit latencies (18 cycles for ``2d-a``,
 
 from __future__ import annotations
 
-from repro.cache.sram import disjoint_runs, warm_lines
+import numpy as np
+
+from repro.cache.sram import disjoint_runs, flat_view, lru_access, warm_lines
 from repro.common.config import ChipModel, NucaConfig, NucaPolicy
 from repro.common.errors import ConfigError
 from repro.common.stats import StatGroup
@@ -62,7 +64,22 @@ class AccessResult:
 
 
 class NucaCache:
-    """The NUCA L2: banked tags, grid latency, and both placement policies."""
+    """The NUCA L2: banked tags, grid latency, and both placement policies.
+
+    Tag state lives in NumPy arrays allocated here, shared by the Python
+    access methods and the compiled probe of
+    :meth:`repro.core.memory.MemoryHierarchy.access_window`: set ``s``'s
+    row is ``_lines[s, :_fill[s]]`` in LRU order (oldest first), and
+    under distributed ways ``_slots[s, k]`` is the data-bank slot of
+    way ``k`` (an index into ``_data_banks``).  Rows are built on first
+    touch: while ``_owned[s]`` is 0 the row is the warm row of the
+    installed ``_runs``, and the access paths build it (:meth:`_own`)
+    before the first mutation.  A simulation touches a small fraction of
+    the sets it preloads, so a warm 15 MB L2 costs one row per touched
+    set and nothing per resident line.  ``_recent`` holds the banks of
+    the last ``contention_window`` accesses, oldest first (``-1`` while
+    the window fills).
+    """
 
     def __init__(
         self,
@@ -89,8 +106,10 @@ class NucaCache:
         self._bank_accesses = [
             self.stats.counter(f"bank{i}_accesses") for i in range(config.num_banks)
         ]
-        self._recent_banks: list[int] = []  # sliding window for contention
         self._conflicts = self.stats.counter("bank_conflicts")
+        self._bank_cycles = [
+            self._bank_latency(bank) for bank in range(config.num_banks)
+        ]
 
         if config.policy is NucaPolicy.DISTRIBUTED_SETS:
             # Total associativity = num_banks ways (6 MB 6-way / 15 MB
@@ -103,8 +122,8 @@ class NucaCache:
         else:
             # Distributed ways: one bank is replaced by the central tag
             # array (Section 3.1), each remaining bank holds one way.
-            if config.num_banks < 2:
-                raise ConfigError("distributed-ways needs at least 2 banks")
+            if not 2 <= config.num_banks <= 128:
+                raise ConfigError("distributed-ways needs 2 to 128 banks")
             self._total_ways = config.num_banks - 1
             self._num_sets = (
                 (config.num_banks - 1) * config.bank_size_bytes
@@ -114,18 +133,25 @@ class NucaCache:
             order = sorted(range(config.num_banks), key=lambda i: self.bank_hops[i])
             self._tag_bank = order[0]
             self._data_banks = order[1:]
-        # Tag store: per set, list of (line, bank_slot) in LRU order.
-        # bank_slot indexes self._data_banks for the ways policy; for the
-        # sets policy all ways of a set are in the same bank.  Rows are
-        # built on first touch: ``_owned[s]`` is 0 while row ``s`` still
-        # aliases the shared empty row, and the access paths call
-        # :meth:`_own` before the first mutation, which builds the row
-        # from the runs :meth:`install` stored.  A simulation touches a
-        # small fraction of the sets it preloads, so a warm 15 MB L2
-        # costs one row per touched set and nothing per resident line.
-        self._sets: list[list[tuple[int, int]]] = [[]] * self._num_sets
-        self._owned = bytearray(self._num_sets)
-        self._runs: tuple[tuple[int, int], ...] = ()
+        shape = (self._num_sets, self._total_ways)
+        self._lines = np.zeros(shape, dtype=np.int64)
+        self._slots = np.zeros(shape, dtype=np.int8)
+        self._fill = np.zeros(self._num_sets, dtype=np.int64)
+        self._owned = np.zeros(self._num_sets, dtype=np.uint8)
+        self._runs = np.zeros((0, 2), dtype=np.int64)
+        self._recent = np.full(
+            config.contention_window if config.model_contention else 0, -1,
+            dtype=np.int64,
+        )
+        # Per-access constants of the Python access path.
+        self._distributed_sets = config.policy is NucaPolicy.DISTRIBUTED_SETS
+        self._num_banks = config.num_banks
+        self._window = len(self._recent)
+        self._l = flat_view(self._lines)
+        self._s = flat_view(self._slots)
+        self._f = flat_view(self._fill)
+        self._o = flat_view(self._owned)
+        self._r = flat_view(self._recent)
 
     # ------------------------------------------------------------------
     @property
@@ -138,12 +164,6 @@ class NucaCache:
         """Total associativity."""
         return self._total_ways
 
-    def _line(self, address: int) -> int:
-        return address >> self._offset_bits
-
-    def _set_index(self, line: int) -> int:
-        return line % self._num_sets
-
     def _bank_latency(self, bank: int) -> int:
         return (
             self.bank_hops[bank] * self.config.hop_cycles
@@ -153,92 +173,82 @@ class NucaCache:
     # ------------------------------------------------------------------
     def access(self, address: int) -> AccessResult:
         """Access the L2; fills on miss.  Returns hit/miss, latency, bank."""
-        if self.config.policy is NucaPolicy.DISTRIBUTED_SETS:
-            result = self._access_distributed_sets(address)
+        line = address >> self._offset_bits
+        s = line % self._num_sets
+        if not self._o[s]:
+            self._own(s)
+        if self._distributed_sets:
+            # Every way of the set sits in one bank.
+            hit = lru_access(self._l, self._f, s, self._total_ways, line)
+            bank = s % self._num_banks
+            latency = self._bank_cycles[bank]
         else:
-            result = self._access_distributed_ways(address)
-        if self.config.model_contention:
+            hit, bank = self._access_distributed_ways(line, s)
+            # Central tag lookup first (2 cycles), then the data bank.
+            latency = 2 + self._bank_cycles[bank]
+        if not hit:
+            latency += self.memory_latency_cycles
+        if self._window:
             # A bank busy with one of the last few accesses queues this one
             # behind it (single-ported banks; the grid pipeline hides
             # anything older than the window).
-            queued = self._recent_banks.count(result.bank)
+            recent = self._r
+            queued = recent.tolist().count(bank)
             if queued:
-                self._conflicts.increment()
-                result = AccessResult(
-                    result.hit,
-                    result.latency_cycles
-                    + queued * self.config.bank_access_cycles,
-                    result.bank,
-                )
-            self._recent_banks.append(result.bank)
-            if len(self._recent_banks) > self.config.contention_window:
-                del self._recent_banks[0]
-        if result.hit:
-            self._hits.increment()
-            self._latency.add(result.latency_cycles)
+                self._conflicts.value += 1
+                latency += queued * self.config.bank_access_cycles
+            recent[:-1] = recent[1:]
+            recent[-1] = bank
+        if hit:
+            self._hits.value += 1
+            self._latency.add(latency)
         else:
-            self._misses.increment()
-        self._bank_accesses[result.bank].increment()
-        return result
+            self._misses.value += 1
+        self._bank_accesses[bank].value += 1
+        return AccessResult(hit, latency, bank)
 
-    def _access_distributed_sets(self, address: int) -> AccessResult:
-        line = self._line(address)
-        set_index = self._set_index(line)
-        bank = set_index % self.config.num_banks
-        ways = self._sets[set_index]
-        if not self._owned[set_index]:
-            ways = self._own(set_index)
-        latency = self._bank_latency(bank)
-        for i, (resident, slot) in enumerate(ways):
-            if resident == line:
-                del ways[i]
-                ways.append((line, slot))
-                return AccessResult(True, latency, bank)
-        ways.append((line, bank))
-        if len(ways) > self._total_ways:
-            del ways[0]
-        return AccessResult(False, latency + self.memory_latency_cycles, bank)
-
-    def _access_distributed_ways(self, address: int) -> AccessResult:
-        line = self._line(address)
-        set_index = self._set_index(line)
-        ways = self._sets[set_index]
-        if not self._owned[set_index]:
-            ways = self._own(set_index)
-        # Central tag lookup first (2 cycles), then route to the data bank.
-        tag_latency = 2
-        for i, (resident, slot) in enumerate(ways):
-            if resident == line:
-                bank = self._data_banks[slot]
-                latency = tag_latency + self._bank_latency(bank)
-                # Promotion: swap the hit block into the bank closest to
-                # the controller (demoting its occupant to the hit slot).
-                # This is why the distributed-way policy slightly beats
-                # distributed sets for working sets below L2 capacity —
-                # re-referenced blocks migrate next to the controller.
-                if slot > 0:
-                    self._promote(ways, i, slot)
-                else:
-                    del ways[i]
-                    ways.append((line, slot))
-                return AccessResult(True, latency, bank)
-        # Miss: place in the closest unoccupied slot, else evict LRU and
-        # reuse its slot.
-        occupied = {slot for (_, slot) in ways}
-        free = [s for s in range(len(self._data_banks)) if s not in occupied]
-        if free:
-            slot = free[0]
-        else:
-            _, slot = ways.pop(0)
-        ways.append((line, slot))
-        bank = self._data_banks[slot]
-        latency = tag_latency + self._bank_latency(bank)
-        return AccessResult(False, latency + self.memory_latency_cycles, bank)
+    def _access_distributed_ways(self, line: int, s: int) -> tuple[bool, int]:
+        ways = self._total_ways
+        start = s * ways
+        end = start + self._f[s]
+        lines, slots = self._l, self._s
+        try:
+            i = start + lines[start:end].tolist().index(line)
+        except ValueError:
+            # Miss: place in the closest unoccupied slot, else evict LRU
+            # and reuse its slot.
+            if end - start < ways:
+                occupied = slots[start:end].tolist()
+                slot = next(k for k in range(ways) if k not in occupied)
+                self._f[s] += 1
+                end += 1
+            else:
+                slot = slots[start]
+                lines[start:end - 1] = lines[start + 1:end]
+                slots[start:end - 1] = slots[start + 1:end]
+            lines[end - 1] = line
+            slots[end - 1] = slot
+            return False, self._data_banks[slot]
+        slot = slots[i]
+        if slot > 0:
+            # Promotion: swap the hit block into the bank closest to the
+            # controller (demoting its occupant to the hit slot).  This
+            # is why the distributed-way policy slightly beats
+            # distributed sets for working sets below L2 capacity —
+            # re-referenced blocks migrate next to the controller.
+            occupied = slots[start:end].tolist()
+            if 0 in occupied:
+                slots[start + occupied.index(0)] = slot
+        lines[i:end - 1] = lines[i + 1:end]
+        slots[i:end - 1] = slots[i + 1:end]
+        lines[end - 1] = line
+        slots[end - 1] = 0
+        return True, self._data_banks[slot]
 
     @property
     def fresh(self) -> bool:
         """Whether no line is resident (nothing accessed or installed)."""
-        return not self._runs and 1 not in self._owned
+        return not len(self._runs) and not self._fill.any()
 
     def preload_plan(self, runs):
         """``runs`` validated for :meth:`install`, or ``None``.
@@ -259,46 +269,77 @@ class NucaCache:
         """
         if runs is None:
             raise ConfigError("preload runs overlap")
-        self._runs = runs
+        self._runs = np.array(runs, dtype=np.int64).reshape(-1, 2)
+        self._owned[:] = 0
 
-    def _own(self, set_index: int) -> list[tuple[int, int]]:
-        """Give set ``set_index`` its private row on first touch.
+    def row(self, set_index: int) -> list[tuple[int, int]]:
+        """Set ``set_index``'s ``(line, bank)`` pairs in LRU order (oldest
+        first); an untouched set's warm row is computed, not built."""
+        if not self._o[set_index]:
+            lines, slots = self._warm_row(set_index)
+        else:
+            start = set_index * self._total_ways
+            end = start + self._f[set_index]
+            lines = self._l[start:end].tolist()
+            slots = self._s[start:end].tolist()
+        if self.config.policy is NucaPolicy.DISTRIBUTED_SETS:
+            bank = set_index % self.config.num_banks
+            return [(line, bank) for line in lines]
+        banks = self._data_banks
+        return [(line, banks[slot]) for line, slot in zip(lines, slots)]
+
+    def _warm_row(self, set_index: int) -> tuple[list[int], list[int]]:
+        """The lines and slots set ``set_index`` holds after the install.
 
         Starting empty with distinct lines, every install misses, so the
         row is the set's last ``total_ways`` installed lines
-        (:func:`~repro.cache.sram.warm_lines`).  Under distributed sets
-        they all sit in bank ``set_index % num_banks``; under distributed
-        ways the set's k-th install lands in slot ``k % total_ways``
-        (fill ascending, then evict the LRU front and reuse its slot).
+        (:func:`~repro.cache.sram.warm_lines`).  Under distributed ways
+        the set's k-th install lands in slot ``k % total_ways`` (fill
+        ascending, then evict the LRU front and reuse its slot); under
+        distributed sets there are no slots (the set's bank holds all).
         """
-        self._owned[set_index] = 1
-        row: list[tuple[int, int]] = []
-        if self._runs:
-            lines, received = warm_lines(
-                self._runs, set_index, self._num_sets, self._total_ways
-            )
-            if self.config.policy is NucaPolicy.DISTRIBUTED_SETS:
-                bank = set_index % self.config.num_banks
-                row = [(line, bank) for line in lines]
-            else:
-                first = received - len(lines)
-                row = [
-                    (line, (first + k) % self._total_ways)
-                    for k, line in enumerate(lines)
-                ]
-        self._sets[set_index] = row
-        return row
+        if not len(self._runs):
+            return [], []
+        ways = self._total_ways
+        lines, received = warm_lines(
+            self._runs.tolist(), set_index, self._num_sets, ways
+        )
+        if self.config.policy is NucaPolicy.DISTRIBUTED_SETS:
+            return lines, []
+        first = received - len(lines)
+        return lines, [(first + k) % ways for k in range(len(lines))]
 
-    def _promote(self, ways: list[tuple[int, int]], index: int, slot: int) -> None:
-        line, _ = ways[index]
-        del ways[index]
-        for j, (other_line, other_slot) in enumerate(ways):
-            if other_slot == 0:
-                ways[j] = (other_line, slot)
-                break
-        ways.append((line, 0))
+    def _own(self, set_index: int) -> None:
+        """Build set ``set_index``'s warm row into the arrays (first
+        touch)."""
+        lines, slots = self._warm_row(set_index)
+        self._lines[set_index, :len(lines)] = lines
+        self._slots[set_index, :len(slots)] = slots
+        self._fill[set_index] = len(lines)
+        self._owned[set_index] = 1
 
     # ------------------------------------------------------------------
+    def add_counts(
+        self, hits: int, misses: int, conflicts: int, latency_total: int,
+        latency_min: int, latency_max: int, bank_accesses: list[int],
+    ) -> None:
+        """Add a batch of accesses' counts (the compiled probe's) to the
+        statistics, ending where :meth:`access` per access would: the
+        hit latencies are integers, so their float total is exact."""
+        self._hits.increment(hits)
+        self._misses.increment(misses)
+        self._conflicts.increment(conflicts)
+        for counter, count in zip(self._bank_accesses, bank_accesses):
+            counter.increment(count)
+        if hits:
+            mean = self._latency
+            mean.count += hits
+            mean.total += latency_total
+            if latency_min < mean.minimum:
+                mean.minimum = latency_min
+            if latency_max > mean.maximum:
+                mean.maximum = latency_max
+
     @property
     def hits(self) -> int:
         """L2 hits so far."""

@@ -1,7 +1,8 @@
 /*
  * Compiled per-row timing kernels of repro.core.
  *
- * Two scans, each the per-row recurrence of a Python oracle:
+ * Three routines, each the per-row (or per-event) recurrence of a Python
+ * oracle:
  *
  *   leading_scan     the leading core's issue/retire recurrence over
  *                    TraceSchedule columns, with the RMT harness's queue
@@ -9,9 +10,13 @@
  *                    RmtSimulator._run_reference);
  *   checker_consume  the in-order checker's consume, with or without
  *                    register value prediction (oracle:
- *                    InOrderCheckerTiming.consume_op).
+ *                    InOrderCheckerTiming.consume_op);
+ *   memory_probe     a window's merged fetch/load/store event stream
+ *                    through the L1I/L1D and NUCA L2 tag arrays (oracle:
+ *                    MemoryHierarchy.fetch_latency, load_latency and
+ *                    store_commit over the caches' Python access methods).
  *
- * Python owns every buffer.  Each scan reads one int64 descriptor (column
+ * Python owns every buffer.  Each routine reads one int64 descriptor (column
  * addresses, geometry and scalar carries; the slot layout is the enum below,
  * mirrored in repro/core/_native.py), allocates nothing and keeps nothing
  * between calls.  Arithmetic is plain IEEE double / int64 and must be built
@@ -53,10 +58,37 @@ enum {
     C_SLOTS
 };
 
+/* memory_probe descriptor: one block of cache slots per cache (at M_L1I,
+ * M_L1D, M_L2), then the L2's placement, latency and contention slots */
+enum {
+    K_TAGS, K_FILL, K_OWNED, K_RUNS, K_NUM_RUNS, K_SETS, K_WAYS, K_SHIFT,
+    K_SLOTS
+};
+enum {
+    M_L1I = 0, M_L1D = K_SLOTS, M_L2 = 2 * K_SLOTS,
+    M_L2_SLOTS = 3 * K_SLOTS, M_DISTRIBUTED_WAYS, M_SLOT_BANKS,
+    M_BANK_CYCLES, M_NUM_BANKS, M_MEMORY_CYCLES,
+    M_RECENT, M_WINDOW, M_BANK_ACCESS_CYCLES,
+    M_I_HIT, M_D_HIT, M_I_SPACE, M_COUNTS,
+    M_SLOTS
+};
+/* memory_probe counts, per call; one bank-access count per bank follows */
+enum {
+    N_L1I_HITS, N_L1I_MISSES, N_L1D_HITS, N_L1D_MISSES,
+    N_L2_HITS, N_L2_MISSES, N_CONFLICTS,
+    N_LATENCY_TOTAL, N_LATENCY_MIN, N_LATENCY_MAX,
+    N_BANKS
+};
+enum { EVENT_FETCH, EVENT_LOAD, EVENT_STORE };
+/* the L2 tag lookup of distributed ways precedes the data bank access */
+#define TAG_CYCLES 2
+
 #define PTR(type, slot) ((type *)(intptr_t)d[slot])
 
 int64_t leading_slots(void) { return L_SLOTS; }
 int64_t checker_slots(void) { return C_SLOTS; }
+int64_t memory_slots(void) { return M_SLOTS; }
+int64_t memory_counts(void) { return N_BANKS; }
 
 /*
  * Schedule rows [d[L_NEXT], hi).  With gating bound, stop at the first row
@@ -280,4 +312,230 @@ void checker_consume(int64_t *d, int64_t lo, int64_t hi, double transfer)
     use[0] = slots;
     for (int p = 0; p < NUM_POOLS; p++)
         use[p + 1] = fu[p];
+}
+
+/* One cache's tag arrays: set s's row is the fill[s] lines from
+ * tags[s * ways] on, oldest first; while owned[s] is 0 the row is the warm
+ * row of the installed runs instead. */
+typedef struct {
+    int64_t *tags, *fill;
+    uint8_t *owned;
+    const int64_t *runs;    /* (first_line, num_lines) pairs */
+    int64_t num_runs, sets, ways, shift;
+} cache_t;
+
+static cache_t cache_at(const int64_t *d, int64_t block)
+{
+    const int64_t *k = d + block;
+    cache_t c = {
+        (int64_t *)(intptr_t)k[K_TAGS], (int64_t *)(intptr_t)k[K_FILL],
+        (uint8_t *)(intptr_t)k[K_OWNED], (const int64_t *)(intptr_t)k[K_RUNS],
+        k[K_NUM_RUNS], k[K_SETS], k[K_WAYS], k[K_SHIFT],
+    };
+    return c;
+}
+
+/* Python's a % n for n > 0: never negative */
+static int64_t floor_mod(int64_t a, int64_t n)
+{
+    const int64_t r = a % n;
+    return r < 0 ? r + n : r;
+}
+
+/*
+ * First touch of set s (Python: warm_lines): the row installing the runs
+ * into an empty cache leaves.  The lines of a run that map to s form an
+ * arithmetic progression with stride sets; every install misses, so the row
+ * keeps the set's last `ways` installs.  Returns how many the set received.
+ */
+static int64_t own_row(const cache_t *c, int64_t s)
+{
+    int64_t *row = c->tags + s * c->ways;
+    int64_t received = 0, kept = 0;
+    for (int64_t r = 0; r < c->num_runs; r++) {
+        const int64_t offset = floor_mod(s - c->runs[2 * r], c->sets);
+        received += (c->runs[2 * r + 1] - offset + c->sets - 1) / c->sets;
+    }
+    int64_t evicted = received - c->ways;
+    for (int64_t r = 0; r < c->num_runs; r++) {
+        const int64_t offset = floor_mod(s - c->runs[2 * r], c->sets);
+        int64_t start = c->runs[2 * r] + offset;
+        int64_t n = (c->runs[2 * r + 1] - offset + c->sets - 1) / c->sets;
+        if (evicted >= n) {
+            evicted -= n;
+            continue;
+        }
+        if (evicted > 0) {
+            start += evicted * c->sets;
+            n -= evicted;
+            evicted = 0;
+        }
+        for (int64_t k = 0; k < n; k++)
+            row[kept++] = start + k * c->sets;
+    }
+    c->fill[s] = kept;
+    c->owned[s] = 1;
+    return received;
+}
+
+/* True-LRU lookup-and-fill of `line`; returns whether it hit. */
+static int lru_access(const cache_t *c, int64_t line)
+{
+    const int64_t s = floor_mod(line, c->sets);
+    if (!c->owned[s])
+        own_row(c, s);
+    int64_t *row = c->tags + s * c->ways;
+    const int64_t n = c->fill[s];
+    for (int64_t i = 0; i < n; i++) {
+        if (row[i] == line) {   /* move to MRU */
+            memmove(row + i, row + i + 1, (size_t)(n - 1 - i) * sizeof *row);
+            row[n - 1] = line;
+            return 1;
+        }
+    }
+    if (n == c->ways) {         /* evict the LRU line */
+        memmove(row, row + 1, (size_t)(n - 1) * sizeof *row);
+        row[n - 1] = line;
+    } else {
+        row[n] = line;
+        c->fill[s] = n + 1;
+    }
+    return 0;
+}
+
+/*
+ * One NUCA L2 access (Python: NucaCache.access).  Distributed sets: the set
+ * is an LRU row in bank s % banks.  Distributed ways: way k of set s sits in
+ * data bank slot_banks[slots[k]]; a hit swaps its slot with the slot-0
+ * (closest) occupant and moves to MRU in slot 0, a miss takes the lowest
+ * free slot or the LRU line's.  Returns the latency in cycles.
+ */
+static int64_t l2_access(const int64_t *d, const cache_t *c, int64_t address,
+                         int64_t *counts)
+{
+    const int64_t line = address >> c->shift;
+    const int64_t s = floor_mod(line, c->sets);
+    const int64_t *slot_banks = PTR(const int64_t, M_SLOT_BANKS);
+    const int64_t *bank_cycles = PTR(const int64_t, M_BANK_CYCLES);
+    int64_t hit = 0, bank, latency;
+
+    if (!d[M_DISTRIBUTED_WAYS]) {
+        hit = lru_access(c, line);
+        bank = s % d[M_NUM_BANKS];
+        latency = bank_cycles[bank];
+    } else {
+        const int64_t ways = c->ways;
+        int64_t *row = c->tags + s * ways;
+        int8_t *slots = PTR(int8_t, M_L2_SLOTS) + s * ways;
+        if (!c->owned[s]) {
+            /* the set's k-th install went to slot k % ways */
+            const int64_t first = own_row(c, s) - c->fill[s];
+            for (int64_t k = 0; k < c->fill[s]; k++)
+                slots[k] = (int8_t)((first + k) % ways);
+        }
+        const int64_t n = c->fill[s];
+        int64_t i = 0, slot;
+        while (i < n && row[i] != line)
+            i++;
+        if (i < n) {
+            hit = 1;
+            slot = slots[i];
+            if (slot > 0) {     /* promotion */
+                for (int64_t j = 0; j < n; j++) {
+                    if (slots[j] == 0) {
+                        slots[j] = (int8_t)slot;
+                        break;
+                    }
+                }
+            }
+            memmove(row + i, row + i + 1, (size_t)(n - 1 - i) * sizeof *row);
+            memmove(slots + i, slots + i + 1, (size_t)(n - 1 - i));
+            row[n - 1] = line;
+            slots[n - 1] = 0;
+        } else if (n < ways) {  /* the lowest free slot */
+            for (slot = 0;; slot++) {
+                int64_t j = 0;
+                while (j < n && slots[j] != slot)
+                    j++;
+                if (j == n)
+                    break;
+            }
+            row[n] = line;
+            slots[n] = (int8_t)slot;
+            c->fill[s] = n + 1;
+        } else {                /* evict the LRU line, reuse its slot */
+            slot = slots[0];
+            memmove(row, row + 1, (size_t)(n - 1) * sizeof *row);
+            memmove(slots, slots + 1, (size_t)(n - 1));
+            row[n - 1] = line;
+            slots[n - 1] = (int8_t)slot;
+        }
+        bank = slot_banks[slot];
+        latency = TAG_CYCLES + bank_cycles[bank];
+    }
+    if (!hit)
+        latency += d[M_MEMORY_CYCLES];
+    const int64_t window = d[M_WINDOW];
+    if (window > 0) {
+        /* queue behind each of the last `window` accesses to this bank */
+        int64_t *recent = PTR(int64_t, M_RECENT), queued = 0;
+        for (int64_t k = 0; k < window; k++)
+            queued += recent[k] == bank;
+        if (queued) {
+            counts[N_CONFLICTS] += 1;
+            latency += queued * d[M_BANK_ACCESS_CYCLES];
+        }
+        memmove(recent, recent + 1, (size_t)(window - 1) * sizeof *recent);
+        recent[window - 1] = bank;
+    }
+    if (hit) {
+        if (!counts[N_L2_HITS] || latency < counts[N_LATENCY_MIN])
+            counts[N_LATENCY_MIN] = latency;
+        if (!counts[N_L2_HITS] || latency > counts[N_LATENCY_MAX])
+            counts[N_LATENCY_MAX] = latency;
+        counts[N_L2_HITS] += 1;
+        counts[N_LATENCY_TOTAL] += latency;
+    } else {
+        counts[N_L2_MISSES] += 1;
+    }
+    counts[N_BANKS + bank] += 1;
+    return latency;
+}
+
+/*
+ * Apply events [0, n) in order: kinds[e] selects a fetch (L1I, then the L2
+ * in I-space on a miss), a load (L1D, then the L2 on a miss) or a store
+ * commit (L1D only); out[e] receives the latency (0 for stores).  The
+ * call's counts overwrite the counts buffer.
+ */
+void memory_probe(int64_t *d, const int64_t *kinds, const int64_t *addresses,
+                  int64_t *out, int64_t n)
+{
+    const cache_t l1i = cache_at(d, M_L1I), l1d = cache_at(d, M_L1D);
+    const cache_t l2 = cache_at(d, M_L2);
+    const int64_t i_hit = d[M_I_HIT], d_hit = d[M_D_HIT];
+    const int64_t i_space = d[M_I_SPACE];
+    int64_t *counts = PTR(int64_t, M_COUNTS);
+
+    memset(counts, 0, (size_t)(N_BANKS + d[M_NUM_BANKS]) * sizeof *counts);
+    for (int64_t e = 0; e < n; e++) {
+        const int64_t address = addresses[e];
+        if (kinds[e] == EVENT_FETCH) {
+            if (lru_access(&l1i, address >> l1i.shift)) {
+                counts[N_L1I_HITS] += 1;
+                out[e] = i_hit;
+            } else {
+                counts[N_L1I_MISSES] += 1;
+                out[e] = i_hit + l2_access(d, &l2, address | i_space, counts);
+            }
+        } else if (lru_access(&l1d, address >> l1d.shift)) {
+            counts[N_L1D_HITS] += 1;
+            out[e] = kinds[e] == EVENT_LOAD ? d_hit : 0;
+        } else {
+            counts[N_L1D_MISSES] += 1;
+            out[e] = kinds[e] == EVENT_LOAD
+                         ? d_hit + l2_access(d, &l2, address, counts)
+                         : 0;
+        }
+    }
 }

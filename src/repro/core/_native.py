@@ -1,4 +1,4 @@
-"""Build, load and drive the compiled per-row timing kernels (``_kernel.c``).
+"""Build, load and drive the compiled timing kernels (``_kernel.c``).
 
 Imported on the first kernel use, never by ``import repro``.  :func:`load`
 compiles ``_kernel.c`` once per source version with the C compiler CPython
@@ -9,15 +9,17 @@ flags, so a stale build is never loaded; it is compiled into a temporary
 file and renamed into place, so processes that build at once all end
 with a valid library.  When it cannot be built or loaded, :func:`load`
 logs one warning per process and returns ``None``, and the timing layers
-run their Python per-row oracles instead.
+and the memory hierarchy run their Python oracles instead.
 
-Each scan reads one int64 descriptor that Python owns: the addresses of
-the columns it reads and writes, the geometry and the scalar carries.  A
-run binds its arrays once (:class:`LeadingScan`, :class:`CheckerScan`);
-a call passes only the descriptor and row bounds, so a call costs about
-as much as an empty ``ctypes`` call.  The descriptor holds raw addresses,
-so every array is validated (dtype, C order, length) before its address
-is stored, and the scan object keeps each bound array referenced.
+Each routine reads one int64 descriptor that Python owns: the addresses
+of the columns and tables it reads and writes, the geometry and the
+scalar carries.  A run binds its arrays once (:class:`LeadingScan`,
+:class:`CheckerScan`, and :class:`MemoryProbe` for a hierarchy's tag
+arrays); a call passes only the descriptor and row bounds (the probe:
+its event columns), so a call costs about as much as an empty ``ctypes``
+call.  The descriptor holds raw addresses, so every array is validated
+(dtype, C order, length, and the codes the routine indexes by) before
+its address is stored, and the bound object keeps each array referenced.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.common.config import NucaPolicy
 from repro.common.errors import SimulationError
 from repro.obs.log import get_logger
 
-__all__ = ["CheckerScan", "LeadingScan", "compiler", "load"]
+__all__ = ["CheckerScan", "LeadingScan", "MemoryProbe", "compiler", "load"]
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 # Plain IEEE double arithmetic: the checker scan must round exactly like
@@ -64,6 +67,26 @@ _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
     C_CAP0, C_CAP1, C_CAP2, C_CAP3,
     C_SLOTS,
 ) = range(19)
+# memory_probe: one block of cache slots per cache, then the L2's.
+(
+    K_TAGS, K_FILL, K_OWNED, K_RUNS, K_NUM_RUNS, K_SETS, K_WAYS, K_SHIFT,
+    K_SLOTS,
+) = range(9)
+M_L1I, M_L1D, M_L2 = 0, K_SLOTS, 2 * K_SLOTS
+(
+    M_L2_SLOTS, M_DISTRIBUTED_WAYS, M_SLOT_BANKS,
+    M_BANK_CYCLES, M_NUM_BANKS, M_MEMORY_CYCLES,
+    M_RECENT, M_WINDOW, M_BANK_ACCESS_CYCLES,
+    M_I_HIT, M_D_HIT, M_I_SPACE, M_COUNTS,
+    M_SLOTS,
+) = range(3 * K_SLOTS, 3 * K_SLOTS + 14)
+# memory_probe counts: L1I hits/misses, L1D hits/misses, L2 hits, misses,
+# conflicts and hit latency total/min/max, then one per bank.
+N_BANKS = 10
+_EVENT_KINDS = 3
+# Installed runs' lines stay far from int64 overflow in the probe's
+# arithmetic.
+_LINE_LIMIT = 1 << 60
 
 # leading_scan results below zero.
 _RING_FULL = -1
@@ -114,14 +137,20 @@ def _build() -> ctypes.CDLL:
                 os.unlink(tmp)
     lib = ctypes.CDLL(str(path))
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    for name in ("leading_slots", "checker_slots"):
+    layout = ("leading_slots", "checker_slots", "memory_slots",
+              "memory_counts")
+    for name in layout:
         getattr(lib, name).argtypes = []
         getattr(lib, name).restype = i64
     lib.leading_scan.argtypes = [ptr, i64, i64]
     lib.leading_scan.restype = i64
     lib.checker_consume.argtypes = [ptr, i64, i64, ctypes.c_double]
     lib.checker_consume.restype = None
-    if (lib.leading_slots(), lib.checker_slots()) != (L_SLOTS, C_SLOTS):
+    lib.memory_probe.argtypes = [ptr, ptr, ptr, ptr, i64]
+    lib.memory_probe.restype = None
+    if tuple(getattr(lib, name)() for name in layout) != (
+        L_SLOTS, C_SLOTS, M_SLOTS, N_BANKS
+    ):
         raise OSError(f"{path} does not match this module's descriptors")
     return lib
 
@@ -161,8 +190,19 @@ def _address(array: np.ndarray, dtype, rows: int) -> int:
 
 def _check_codes(array: np.ndarray, limit: int, what: str) -> None:
     """Reject codes outside ``[0, limit)``: the scans index by them."""
-    if len(array) and (array.min() < 0 or array.max() >= limit):
+    if array.size and (array.min() < 0 or array.max() >= limit):
         raise SimulationError(f"{what} codes must lie in [0, {limit})")
+
+
+def _table(array: np.ndarray, dtype, shape: tuple[int, ...]) -> int:
+    """``array``'s data address, once it is a C-ordered ``dtype`` array
+    of exactly ``shape``."""
+    if getattr(array, "shape", None) != shape:
+        raise SimulationError(
+            f"cache table must have shape {shape}, got "
+            f"{getattr(array, 'shape', type(array))}"
+        )
+    return _address(array, dtype, shape[0])
 
 
 class LeadingScan:
@@ -366,3 +406,89 @@ class CheckerScan:
         self._bound = (pool, src1, src2, dst, latency, available, out,
                        reg_ready)
         self._rows = rows
+
+
+class MemoryProbe:
+    """The descriptor of one memory hierarchy's compiled cache probe.
+
+    Binds the tag arrays of the hierarchy's L1I, L1D and NUCA L2, which
+    the caches allocate once, with the L2's placement, latency and
+    contention tables.  Each call revalidates what the probe indexes by
+    (fill counts, distributed-ways slots, event kinds), rebinds a cache's
+    installed runs when an install replaced them, and adds the call's
+    counts to the caches' statistics.
+    """
+
+    def __init__(self, lib, memory):
+        self._probe = lib.memory_probe
+        l1i, l1d, l2 = memory.l1i, memory.l1d, memory.l2
+        self.desc = d = np.zeros(M_SLOTS, dtype=np.int64)
+        self._addr = d.ctypes.data
+        self._blocks = (
+            (M_L1I, l1i, l1i._tags, l1i.geometry.ways),
+            (M_L1D, l1d, l1d._tags, l1d.geometry.ways),
+            (M_L2, l2, l2._lines, l2.total_ways),
+        )
+        self._runs = [None] * len(self._blocks)
+        for block, cache, tags, ways in self._blocks:
+            sets = cache.num_sets
+            if sets < 1 or ways < 1:
+                raise SimulationError("a cache needs sets and ways")
+            d[block + K_TAGS] = _table(tags, np.int64, (sets, ways))
+            d[block + K_FILL] = _table(cache._fill, np.int64, (sets,))
+            d[block + K_OWNED] = _table(cache._owned, np.uint8, (sets,))
+            d[block + K_SETS] = sets
+            d[block + K_WAYS] = ways
+            d[block + K_SHIFT] = cache._offset_bits
+        banks = l2.config.num_banks
+        ways = l2.total_ways
+        self._distributed_ways = (
+            l2.config.policy is NucaPolicy.DISTRIBUTED_WAYS
+        )
+        slot_banks = np.array(l2._data_banks, dtype=np.int64)
+        bank_cycles = np.array(l2._bank_cycles, dtype=np.int64)
+        _check_codes(slot_banks, banks, "slot bank")
+        self.counts = np.zeros(N_BANKS + banks, dtype=np.int64)
+        d[M_L2_SLOTS] = _table(l2._slots, np.int8, (l2.num_sets, ways))
+        d[M_DISTRIBUTED_WAYS] = int(self._distributed_ways)
+        d[M_SLOT_BANKS] = _address(slot_banks, np.int64, ways)
+        d[M_BANK_CYCLES] = _address(bank_cycles, np.int64, banks)
+        d[M_NUM_BANKS] = banks
+        d[M_MEMORY_CYCLES] = l2.memory_latency_cycles
+        d[M_RECENT] = _address(l2._recent, np.int64, len(l2._recent))
+        d[M_WINDOW] = len(l2._recent)
+        d[M_BANK_ACCESS_CYCLES] = l2.config.bank_access_cycles
+        d[M_I_HIT] = memory.core_config.l1_icache.hit_latency_cycles
+        d[M_D_HIT] = memory.core_config.l1_dcache.hit_latency_cycles
+        d[M_I_SPACE] = memory.I_SPACE
+        d[M_COUNTS] = _address(self.counts, np.int64, len(self.counts))
+        self._keep = (slot_banks, bank_cycles)
+        self._l1i, self._l1d, self._l2 = l1i, l1d, l2
+
+    def __call__(self, kinds: np.ndarray, addresses: np.ndarray,
+                 out: np.ndarray) -> None:
+        """Apply the events to the caches, writing each one's latency to
+        ``out``."""
+        n = len(kinds)
+        columns = (
+            _address(kinds, np.int64, n),
+            _address(addresses, np.int64, n),
+            _address(out, np.int64, n),
+        )
+        _check_codes(kinds, _EVENT_KINDS, "event kind")
+        d = self.desc
+        for index, (block, cache, _tags, ways) in enumerate(self._blocks):
+            runs = cache._runs
+            if runs is not self._runs[index]:
+                address = _table(runs, np.int64, (len(runs), 2))
+                _check_codes(runs, _LINE_LIMIT, "installed run")
+                d[block + K_RUNS], d[block + K_NUM_RUNS] = address, len(runs)
+                self._runs[index] = runs
+            _check_codes(cache._fill, ways + 1, "fill count")
+        if self._distributed_ways:
+            _check_codes(self._l2._slots, self._l2.total_ways, "way slot")
+        self._probe(self._addr, *columns, n)
+        counts = self.counts.tolist()
+        self._l1i.add_counts(*counts[0:2])
+        self._l1d.add_counts(*counts[2:4])
+        self._l2.add_counts(*counts[4:N_BANKS], counts[N_BANKS:])

@@ -20,12 +20,13 @@ small fraction of the cost.
 
 One production path: :meth:`LeadingCoreTiming.run` takes a whole columnar
 trace.  :meth:`~LeadingCoreTiming.prepare_window` first resolves a window's
-memory latencies, fetch-line breaks and mispredict flags as NumPy passes —
-legal because the cache and predictor access order is a pure function of
-the trace order, independent of the cycle timing — and the compiled
-issue/retire scan (``leading_scan`` in ``_kernel.c``, built on first use
-by :mod:`repro.core._native`) then closes every cycle from the positional
-indices of a :class:`TraceSchedule`.  The per-row state machine
+fetch-line breaks, memory latencies (one compiled cache-probe call,
+:meth:`~repro.core.memory.MemoryHierarchy.access_window`) and mispredict
+flags — legal because the cache and predictor access order is a pure
+function of the trace order, independent of the cycle timing — and the
+compiled issue/retire scan (``leading_scan`` in ``_kernel.c``, built on
+first use by :mod:`repro.core._native`) then closes every cycle from the
+positional indices of a :class:`TraceSchedule`.  The per-row state machine
 (:meth:`LeadingCoreTiming._advance`, driven by
 :meth:`~LeadingCoreTiming._run_reference`) is the scan's reference oracle:
 deques and a rename map, no schedule.  Results are bit-identical; where no
@@ -511,9 +512,9 @@ class LeadingCoreTiming:
         cycle arithmetic because those state machines see only the address
         and outcome streams, never the timing.  The hierarchy sees the
         per-event order of a row-by-row replay: per row, the I-fetch
-        (:meth:`MemoryHierarchy.fetch_latency`, on a line break) precedes
-        the data access (``load_latency``, or ``store_commit``, which
-        touches L1D only).
+        (:meth:`MemoryHierarchy.fetch_latency`, on a break of the
+        I-cache's line) precedes the data access (``load_latency``, or
+        ``store_commit``, which touches L1D only).
         """
         ops = arrays.op[start:end]
         n = len(ops)
@@ -528,44 +529,32 @@ class LeadingCoreTiming:
         is_store = ops == OP_STORE
         is_mem = is_load | is_store
 
-        # Fetch-line breaks (carrying the last line across windows).
-        lines = pc >> 6
+        # Fetch-line breaks on the I-cache's own lines (carrying the last
+        # line across windows).
+        memory = self.memory
+        lines = pc >> memory.l1i.geometry.line_bytes.bit_length() - 1
         prev_lines = np.concatenate([[self._last_fetch_line], lines[:-1]])
-        breaks = lines != prev_lines
         self._last_fetch_line = int(lines[-1])
 
         # One merged event stream keeps the hierarchy's access order
-        # identical to the per-event replay: fetch (key 2r) before data
-        # (2r+1).
-        fetch_rows = np.nonzero(breaks)[0]
-        mem_rows = np.nonzero(is_mem)[0]
-        keys = np.concatenate([2 * fetch_rows, 2 * mem_rows + 1])
-        kinds = np.concatenate(
-            [
-                np.zeros(fetch_rows.size, dtype=np.int64),
-                np.where(is_store[mem_rows], 2, 1),
-            ]
+        # identical to the per-event replay: row r's fetch (event slot
+        # 2r, on a line break) precedes its data access (slot 2r + 1).
+        present = np.empty((n, 2), dtype=bool)
+        present[:, 0] = lines != prev_lines
+        present[:, 1] = is_mem
+        events = np.flatnonzero(present)
+        kinds = np.empty((n, 2), dtype=np.int64)
+        kinds[:, 0] = memory.FETCH
+        kinds[:, 1] = np.where(is_store, memory.STORE, memory.LOAD)
+        slot_latency = np.zeros(2 * n, dtype=np.int64)
+        slot_latency[events] = memory.access_window(
+            kinds.reshape(-1)[events],
+            np.stack([pc, address], axis=1).reshape(-1)[events],
         )
-        event_addrs = np.concatenate([pc[fetch_rows], address[mem_rows]])
-        order = np.argsort(keys)  # keys are unique: plain sort is stable here
-        sorted_rows = keys[order] >> 1
-        sorted_kinds = kinds[order]
-        latencies = np.array(
-            self.memory.access_window(
-                sorted_kinds.tolist(), event_addrs[order].tolist()
-            ),
-            dtype=np.int64,
-        )
-
-        fetch_lat = np.zeros(n, dtype=np.int64)
-        fmask = sorted_kinds == 0
-        fetch_lat[sorted_rows[fmask]] = latencies[fmask]
+        fetch_lat, load_lat = slot_latency.reshape(n, 2).T
         i_hit = self.config.l1_icache.hit_latency_cycles
         fetch_add = np.where(fetch_lat > i_hit, fetch_lat, 0)
 
-        load_lat = np.zeros(n, dtype=np.int64)
-        lmask = sorted_kinds == 1
-        load_lat[sorted_rows[lmask]] = latencies[lmask]
         latency = np.where(is_load, load_lat, _LATENCY_ARR[ops])
 
         # Branch resolution pre-pass (predictor state is trace-ordered).

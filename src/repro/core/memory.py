@@ -9,6 +9,8 @@ caches carry no data).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cache.nuca import NucaCache, bank_hops_for_model
 from repro.cache.sram import SetAssociativeCache
 from repro.common.config import ChipModel, LeadingCoreConfig, NucaConfig
@@ -52,13 +54,17 @@ class MemoryHierarchy:
             bank_hops=bank_hops_for_model(chip),
             memory_latency_cycles=core_config.memory_latency_cycles,
         )
+        self._probe = None  # a _native.MemoryProbe once the kernel loads
+
+    # The L2 sees instruction lines at this bit, disjoint from data.
+    I_SPACE = 1 << 40
 
     # ------------------------------------------------------------------
     def fetch_latency(self, pc: int) -> int:
         """Instruction fetch latency in cycles for the line holding ``pc``."""
         if self.l1i.access(pc):
             return self.core_config.l1_icache.hit_latency_cycles
-        result = self.l2.access(pc | (1 << 40))  # I-space disjoint from D-space
+        result = self.l2.access(pc | self.I_SPACE)
         return self.core_config.l1_icache.hit_latency_cycles + result.latency_cycles
 
     def load_latency(self, address: int) -> int:
@@ -74,92 +80,46 @@ class MemoryHierarchy:
 
     FETCH, LOAD, STORE = 0, 1, 2  # access_window event kinds
 
-    def access_window(self, kinds: list[int], addresses: list[int]) -> list[int]:
+    def access_window(self, kinds, addresses) -> np.ndarray:
         """Apply a trace-ordered batch of hierarchy accesses.
 
         ``kinds[i]`` selects :meth:`fetch_latency` (``FETCH``),
         :meth:`load_latency` (``LOAD``) or :meth:`store_commit` (``STORE``)
-        for ``addresses[i]``; returns the per-event latency (0 for stores).
-        The L1 probe (LRU lookup-and-fill) is inlined over the caches'
-        set lists and the hit/miss counters are bulk-incremented once at
-        the end — state evolution and counter totals are identical to
-        issuing :meth:`SetAssociativeCache.access` per event, which is
-        what lets the columnar scheduler pre-resolve a whole window's
-        memory behaviour.  Only L1 misses (rare) pay a method call into
-        the NUCA L2.
+        for ``addresses[i]``; returns the per-event latency (0 for stores)
+        as an int64 array.  Both inputs are int64 arrays (anything else is
+        converted).  The compiled cache probe (``memory_probe`` in
+        ``_kernel.c``) applies the whole batch to the caches' tag arrays,
+        building untouched rows on first touch, and its hit, miss, bank
+        and latency counts are added to the caches' statistics after the
+        call, so state and counters end exactly as with the per-event
+        calls (:meth:`_access_window_reference`, which runs where no
+        kernel can be built).
         """
-        l1i = self.l1i
-        l1d = self.l1d
-        d_sets = l1d._sets
-        d_off = l1d._offset_bits
-        d_num = l1d._num_sets
-        d_ways = l1d.geometry.ways
-        i_sets = l1i._sets
-        i_off = l1i._offset_bits
-        i_num = l1i._num_sets
-        i_ways = l1i.geometry.ways
-        l2_access = self.l2.access
-        i_hit = self.core_config.l1_icache.hit_latency_cycles
-        d_hit = self.core_config.l1_dcache.hit_latency_cycles
-        d_hits = d_misses = i_hits = i_misses = 0
-        out: list[int] = []
-        append = out.append
-        for kind, address in zip(kinds, addresses):
-            if kind == 1:
-                line = address >> d_off
-                ways = d_sets[line % d_num]
-                try:
-                    ways.remove(line)
-                except ValueError:
-                    d_misses += 1
-                    ways.append(line)
-                    if len(ways) > d_ways:
-                        del ways[0]
-                    append(d_hit + l2_access(address).latency_cycles)
-                else:
-                    d_hits += 1
-                    ways.append(line)  # move to MRU
-                    append(d_hit)
-            elif kind == 0:
-                line = address >> i_off
-                ways = i_sets[line % i_num]
-                try:
-                    ways.remove(line)
-                except ValueError:
-                    i_misses += 1
-                    ways.append(line)
-                    if len(ways) > i_ways:
-                        del ways[0]
-                    append(
-                        i_hit + l2_access(address | (1 << 40)).latency_cycles
-                    )
-                else:
-                    i_hits += 1
-                    ways.append(line)
-                    append(i_hit)
-            else:
-                line = address >> d_off
-                ways = d_sets[line % d_num]
-                try:
-                    ways.remove(line)
-                except ValueError:
-                    d_misses += 1
-                    ways.append(line)
-                    if len(ways) > d_ways:
-                        del ways[0]
-                else:
-                    d_hits += 1
-                    ways.append(line)
-                append(0)
-        if d_hits:
-            l1d._hits.increment(d_hits)
-        if d_misses:
-            l1d._misses.increment(d_misses)
-        if i_hits:
-            l1i._hits.increment(i_hits)
-        if i_misses:
-            l1i._misses.increment(i_misses)
+        kinds = np.ascontiguousarray(kinds, dtype=np.int64)
+        addresses = np.ascontiguousarray(addresses, dtype=np.int64)
+        if self._probe is None:
+            from repro.core import _native
+
+            lib = _native.load()
+            if lib is None:
+                return self._access_window_reference(kinds, addresses)
+            self._probe = _native.MemoryProbe(lib, self)
+        out = np.empty(len(kinds), dtype=np.int64)
+        self._probe(kinds, addresses, out)
         return out
+
+    def _access_window_reference(self, kinds, addresses) -> np.ndarray:
+        """The per-event oracle of :meth:`access_window`."""
+        calls = (self.fetch_latency, self.load_latency, self.store_commit)
+        return np.array(
+            [
+                calls[kind](address) or 0
+                for kind, address in zip(
+                    np.asarray(kinds).tolist(), np.asarray(addresses).tolist()
+                )
+            ],
+            dtype=np.int64,
+        )
 
     # ------------------------------------------------------------------
     def preload_profile(self, profile) -> None:
@@ -168,9 +128,9 @@ class MemoryHierarchy:
         into L1I, in :func:`resident_runs` order.
 
         The regions are contiguous line runs installed into empty caches,
-        so the warm state has a closed form: the L2 stores the runs and
-        builds each set's row on first touch, and the L1s build their
-        rows from the same formula here.  Nothing per resident line is
+        so the warm state has a closed form: every cache stores its runs
+        and builds each set's row on first touch (in the compiled probe,
+        or the Python access methods).  Nothing per resident line is
         built or kept.  The per-address reference runs instead when the
         closed form does not apply (a cache not fresh, L2 contention
         modelling, L1D and L2 line sizes differing, or overlapping

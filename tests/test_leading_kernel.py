@@ -32,6 +32,7 @@ from repro.common import memo
 from repro.common.config import (
     CheckerCoreConfig,
     ChipModel,
+    NucaPolicy,
     QueueConfig,
     SystemConfig,
 )
@@ -180,32 +181,41 @@ def test_kernel_equals_oracle_under_heavy_backpressure(name, rvp):
     assert sim_k._occupancy_samples == sim_o._occupancy_samples
 
 
-@given(
-    profile=st.sampled_from(_PROFILES),
-    seed=st.integers(0, 10_000),
-    n=st.integers(1, 1500),
-    cut_fracs=st.lists(st.floats(0.0, 1.0), max_size=3),
-    chip=st.sampled_from(list(ChipModel)),
-    preload=st.booleans(),
-)
-@settings(max_examples=15, deadline=None)
-def test_window_prepass_matches_per_event_replay(
-    profile, seed, n, cut_fracs, chip, preload
-):
-    """``prepare_window`` == a trace-order replay of per-event calls.
+def _with_caches(cfg, policy=None, contention=None, icache_line=None):
+    """``cfg`` with another L2 placement policy, contention modelling or
+    I-cache line size."""
+    nuca = cfg.nuca
+    if policy is not None:
+        nuca = dataclasses.replace(nuca, policy=policy)
+    if contention is not None:
+        nuca = dataclasses.replace(nuca, model_contention=contention)
+    core = cfg.leading
+    if icache_line is not None:
+        core = dataclasses.replace(
+            core,
+            l1_icache=dataclasses.replace(
+                core.l1_icache, line_bytes=icache_line
+            ),
+        )
+    return dataclasses.replace(cfg, nuca=nuca, leading=core)
 
-    The kernel and the ``_advance`` oracle both consume the prepass, so
-    neither can see a prepass defect; this replays the same trace row
-    by row through ``fetch_latency`` (on a fetch-line break),
-    ``load_latency``, ``store_commit`` and ``BranchPredictor.update``,
-    over 0-3 arbitrary window cuts, and compares the per-row columns,
-    the L1 set contents, the L1/L2 hit and miss counts, and the
-    predictor totals.
-    """
-    cfg = SystemConfig.for_chip(chip)
-    trace = TraceGenerator(profile, seed=seed).generate_arrays(n)
-    cuts = sorted(int(f * n) for f in cut_fracs)
 
+def _assert_same_tags(a, b):
+    """Same installed runs, the same touched sets and the same rows in
+    them (an untouched set's row is the runs' warm row on both)."""
+    assert a._runs.tolist() == b._runs.tolist()
+    assert a._owned.tolist() == b._owned.tolist()
+    touched = np.flatnonzero(a._owned).tolist()
+    assert [a.row(s) for s in touched] == [b.row(s) for s in touched]
+
+
+def _assert_prepass_matches_replay(cfg, profile, trace, cuts, preload):
+    """Prepare ``trace`` in the windows ``cuts`` makes and compare with a
+    trace-order replay of the per-event calls on a second hierarchy:
+    the per-row columns, every cache's tag state, the L1/L2 hit and
+    miss counts, the L2's per-bank accesses, bank conflicts, contention
+    window and hit-latency statistics, and the predictor totals."""
+    n = len(trace)
     core = _leading_core(cfg)
     if preload:
         core.memory.preload_profile(profile)
@@ -225,6 +235,7 @@ def test_window_prepass_matches_per_event_replay(
         memory.preload_profile(profile)
     predictor = BranchPredictor()
     i_hit = cfg.leading.l1_icache.hit_latency_cycles
+    shift = cfg.leading.l1_icache.line_bytes.bit_length() - 1
     expected = {"fetch_add": [], "latency": [], "mispredicted": []}
     last_line = -1
     for op, pc, address, taken, target in zip(
@@ -232,8 +243,8 @@ def test_window_prepass_matches_per_event_replay(
         trace.taken.tolist(), trace.target.tolist(),
     ):
         fetch_add = 0
-        if pc >> 6 != last_line:
-            last_line = pc >> 6
+        if pc >> shift != last_line:
+            last_line = pc >> shift
             fetch = memory.fetch_latency(pc)
             fetch_add = fetch if fetch > i_hit else 0
         expected["fetch_add"].append(fetch_add)
@@ -250,14 +261,71 @@ def test_window_prepass_matches_per_event_replay(
 
     assert got == expected
     fast = core.memory
-    assert fast.l1i._sets == memory.l1i._sets
-    assert fast.l1d._sets == memory.l1d._sets
     for level in ("l1i", "l1d", "l2"):
         a, b = getattr(fast, level), getattr(memory, level)
         assert (a.hits, a.misses) == (b.hits, b.misses)
+        _assert_same_tags(a, b)
+    l2, reference = fast.l2, memory.l2
+    assert l2.bank_access_counts() == reference.bank_access_counts()
+    assert (
+        l2.stats["bank_conflicts"].value
+        == reference.stats["bank_conflicts"].value
+    )
+    assert l2._recent.tolist() == reference._recent.tolist()
+    assert l2.stats["hit_latency"] == reference.stats["hit_latency"]
     assert (core.predictor.lookups, core.predictor.mispredicts) == (
         predictor.lookups, predictor.mispredicts
     )
+    return fast
+
+
+@given(
+    profile=st.sampled_from(_PROFILES),
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 1500),
+    cut_fracs=st.lists(st.floats(0.0, 1.0), max_size=3),
+    chip=st.sampled_from(list(ChipModel)),
+    policy=st.sampled_from(list(NucaPolicy)),
+    contention=st.booleans(),
+    preload=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_window_prepass_matches_per_event_replay(
+    profile, seed, n, cut_fracs, chip, policy, contention, preload
+):
+    """``prepare_window`` == a trace-order replay of per-event calls.
+
+    The kernel and the ``_advance`` oracle both consume the prepass, so
+    neither can see a prepass defect; this replays the same trace row
+    by row through ``fetch_latency`` (on a break of the I-cache's line),
+    ``load_latency``, ``store_commit`` and ``BranchPredictor.update``,
+    over 0-3 arbitrary window cuts, under both L2 placement policies
+    with and without bank contention.  Where the kernel loads, the
+    prepass runs the compiled cache probe, so this is also the probe's
+    oracle check (first-touch rows in C included, with ``preload``).
+    """
+    cfg = _with_caches(
+        SystemConfig.for_chip(chip), policy=policy, contention=contention
+    )
+    trace = TraceGenerator(profile, seed=seed).generate_arrays(n)
+    cuts = sorted(int(f * n) for f in cut_fracs)
+    _assert_prepass_matches_replay(cfg, profile, trace, cuts, preload)
+
+
+@pytest.mark.parametrize("line_bytes", [32, 128])
+def test_prepass_breaks_fetch_lines_on_the_icache_line(line_bytes):
+    """Fetch-line breaks follow ``l1_icache.line_bytes``: with 32- or
+    128-byte I-lines, breaking every 64 bytes fetches other lines than
+    the I-cache holds (vortex seed 1, 20k rows from cold caches, 2d-a)."""
+    cfg = _with_caches(
+        SystemConfig.for_chip(ChipModel.TWO_D_A), icache_line=line_bytes
+    )
+    profile = get_profile("vortex")
+    trace = TraceGenerator(profile, seed=1).generate_arrays(20_000)
+    memory = _assert_prepass_matches_replay(
+        cfg, profile, trace, [6000], preload=False
+    )
+    assert memory.l1i.misses > 0
 
 
 def test_usage_maps_stay_bounded_across_prunes():
@@ -507,10 +575,26 @@ def test_kernel_rejects_columns_it_cannot_read():
     with pytest.raises(SimulationError):
         core.advance_window(core.prepare_window(trace, 10, 100), 10)
 
+    # The cache probe: event kinds and fill counts index its tables.
+    memory = MemoryHierarchy(_CFG_3D.leading, _CFG_3D.nuca, _CFG_3D.chip)
+    reference = MemoryHierarchy(_CFG_3D.leading, _CFG_3D.nuca, _CFG_3D.chip)
+    with pytest.raises(SimulationError):
+        memory.access_window([1, 3], [0, 64])
+    memory.l1d._fill[0] = memory.l1d.geometry.ways + 1
+    with pytest.raises(SimulationError):
+        memory.access_window([1], [0])
+    memory.l1d._fill[0] = 0
+    assert (memory.l1d.accesses, memory.l2.accesses) == (0, 0)
+    kinds, addresses = [1, 0, 2, 1], [0, 0, 64, 64]
+    assert memory.access_window(kinds, addresses).tolist() == (
+        reference._access_window_reference(kinds, addresses).tolist()
+    )
+
 
 def test_fallback_runs_the_oracles(monkeypatch):
-    """With the kernel unavailable, ``run`` on both classes and
-    ``consume_window`` equal their oracles, the fig6 goldens hold, and
+    """With the kernel unavailable, ``run`` on both classes,
+    ``consume_window`` and ``MemoryHierarchy.access_window`` equal their
+    oracles (the cache probe is never bound), the fig6 goldens hold, and
     the process logs exactly one warning."""
     def no_kernel():
         raise OSError("no compiler")
@@ -548,6 +632,15 @@ def test_fallback_runs_the_oracles(monkeypatch):
                 scalar.consume_op(*(int(c[i]) for c in columns), a)
                 for i, a in enumerate(available.tolist())
             ]
+
+        memory = MemoryHierarchy(cfg.leading, cfg.nuca, cfg.chip)
+        reference = MemoryHierarchy(cfg.leading, cfg.nuca, cfg.chip)
+        kinds, addresses = [1, 0, 2, 1, 0], [0, 0, 64, 64, 1 << 20]
+        got = memory.access_window(kinds, addresses)
+        assert memory._probe is None
+        assert got.tolist() == reference._access_window_reference(
+            kinds, addresses
+        ).tolist()
 
         assert _fig6_rows(jobs=1) == _GOLDEN_FIG6
     finally:

@@ -10,6 +10,11 @@ from repro.core.memory import MemoryHierarchy
 from repro.workloads.profiles import get_profile
 
 
+def rows(cache):
+    """Every set's row of an array-backed cache, through its accessor."""
+    return [cache.row(s) for s in range(cache.num_sets)]
+
+
 def make_memory(chip=ChipModel.TWO_D_A):
     return MemoryHierarchy(
         LeadingCoreConfig(), NucaConfig(num_banks=chip.l2_banks), chip
@@ -100,13 +105,10 @@ class TestPreload:
         memory.preload_profile(second)
         reference._preload_profile_reference(second)
         for level in ("l1i", "l1d", "l2"):
-            fast = getattr(memory, level)
-            if level == "l2":
-                for s in range(fast.num_sets):
-                    if not fast._owned[s]:
-                        fast._own(s)
-            assert fast._sets == getattr(reference, level)._sets
-        assert memory.l2._recent_banks == reference.l2._recent_banks
+            assert rows(getattr(memory, level)) == rows(
+                getattr(reference, level)
+            )
+        assert memory.l2._recent.tolist() == reference.l2._recent.tolist()
 
     def test_cold_preload_keeps_nothing_per_resident_line(self):
         # mcf leaves ~246k lines resident in a 15 MB L2.  The warm state

@@ -91,13 +91,15 @@ class TestPreloadFastPath:
         fast.preload_profile(profile)
         reference = build_memory(chip, policy=policy)
         reference._preload_profile_reference(profile)
-        assert fast.l1d._sets == reference.l1d._sets
-        assert fast.l1i._sets == reference.l1i._sets
-        # L2 rows are built on first touch: build every one through the
-        # path the access methods take, then compare.
-        for s in range(fast.l2.num_sets):
-            assert not fast.l2._owned[s]
-            assert fast.l2._own(s) == reference.l2._sets[s]
+        # Every level builds its rows on first touch: nothing is built
+        # yet; build every row through the path the access methods take,
+        # then compare.
+        for level in ("l1d", "l1i", "l2"):
+            cache, expected = getattr(fast, level), getattr(reference, level)
+            assert not cache._owned.any()
+            for s in range(cache.num_sets):
+                cache._own(s)
+                assert cache.row(s) == expected.row(s)
 
 
 # ---------------------------------------------------------------------

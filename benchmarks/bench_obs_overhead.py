@@ -1,16 +1,13 @@
 """Overhead budget of the observability layer.
 
-Runs the same serial Figure 6 slice in fresh interpreters across four
-modes — observability off (``REPRO_OBS=off``), instrumented (the
-default), instrumented *with the full streaming path active* (a live
-listener plus a Prometheus metrics endpoint being scraped), and the
-streaming consumers registered while ``REPRO_OBS=off`` (the kill switch
-must keep the piggybacking near-zero even with consumers attached) —
-and asserts every mode stays within the 5% overhead budget the
-telemetry design targets (aggregate-point publication, no
-per-instruction instrumentation).  Fresh processes ensure the env
-switch is exercised the way workers see it: read once at import, every
-instrument resolved to a shared no-op.
+Runs the same serial Figure 6 slice in fresh interpreters in two modes —
+observability off (``REPRO_OBS=off``) and instrumented (the default:
+metrics, per-simulation spans including the two ``sim.prepass`` windows)
+— and asserts the instrumented mode stays within the 5% overhead budget
+the telemetry design targets (aggregate-point publication, no per-row
+or per-event instrumentation).  Fresh processes ensure the env switch is
+exercised the way workers see it: read once at import, every instrument
+resolved to a shared no-op.
 
 Each mode takes the minimum of three child runs to suppress scheduler
 noise; a small absolute slack absorbs residual timer jitter on loaded
@@ -29,59 +26,29 @@ from conftest import print_table
 import repro
 
 _CHILD = """
-import sys
 import time
 from repro.experiments.perf import fig6_performance
 from repro.experiments.runner import SimulationWindow
 from repro.workloads.profiles import get_profile
 
-live = "--live" in sys.argv
-if live:
-    import threading
-    import urllib.request
-    from repro.obs import live as live_mod
-
-    live_mod.add_listener(lambda kind, stats: None)
-    server = live_mod.start_metrics_server(0)
-    stop = threading.Event()
-
-    def scrape():
-        while not stop.is_set():
-            try:
-                urllib.request.urlopen(server.url, timeout=1).read()
-            except OSError:
-                pass
-            stop.wait(0.1)
-
-    scraper = threading.Thread(target=scrape, daemon=True)
-    scraper.start()
-
 window = SimulationWindow(warmup=2000, measured=8000)
 benchmarks = [get_profile(n) for n in ("gzip", "mcf")]
 start = time.perf_counter()
 fig6_performance(window=window, benchmarks=benchmarks, jobs=1)
-elapsed = time.perf_counter() - start
-if live:
-    stop.set()
-    scraper.join(timeout=2)
-    live_mod.stop_metrics_server()
-print(elapsed)
+print(time.perf_counter() - start)
 """
 
 _ROUNDS = 3
 
 
-def _child_seconds(obs: str, live: bool = False) -> float:
+def _child_seconds(obs: str) -> float:
     env = dict(os.environ)
     env["REPRO_OBS"] = obs
     env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
-    argv = [sys.executable, "-c", _CHILD]
-    if live:
-        argv.append("--live")
     best = float("inf")
     for _ in range(_ROUNDS):
         proc = subprocess.run(
-            argv,
+            [sys.executable, "-c", _CHILD],
             env=env, capture_output=True, text=True, check=True, timeout=600,
         )
         best = min(best, float(proc.stdout.strip().splitlines()[-1]))
@@ -93,12 +60,7 @@ def test_obs_overhead_within_budget():
     start = time.perf_counter()
     off_s = _child_seconds("off")
     on_s = _child_seconds("on")
-    live_s = _child_seconds("on", live=True)
-    off_live_s = _child_seconds("off", live=True)
     total = time.perf_counter() - start
-
-    def pct(s: float) -> str:
-        return f"{s / off_s - 1.0:+.1%}"
 
     print_table(
         "Observability overhead (serial fig6 slice, min of "
@@ -106,26 +68,16 @@ def test_obs_overhead_within_budget():
         ["mode", "wall (s)", "vs off"],
         [
             ["REPRO_OBS=off", f"{off_s:.2f}", "—"],
-            ["instrumented", f"{on_s:.2f}", pct(on_s)],
-            ["instrumented + live/scrape", f"{live_s:.2f}", pct(live_s)],
-            ["off + live consumers", f"{off_live_s:.2f}", pct(off_live_s)],
+            ["instrumented", f"{on_s:.2f}", f"{on_s / off_s - 1.0:+.1%}"],
         ],
     )
     print(f"(benchmark wall time {total:.1f}s)")
 
-    # The budget: instrumentation costs < 5% on the hot serial path, and
-    # the streaming consumers (listener folds, a scraper hitting the
-    # endpoint) must fit inside the same envelope.  With REPRO_OBS=off
-    # the kill switch disables the piggybacking entirely, so attached
-    # consumers must cost nothing.  A small absolute slack absorbs
-    # cross-process timer noise on short runs.
+    # The budget: instrumentation costs < 5% on the hot serial path.  A
+    # small absolute slack absorbs cross-process timer noise on short
+    # runs.
     budget = off_s * 1.05 + 0.5
-    for label, seconds in (
-        ("instrumented", on_s),
-        ("instrumented + live/scrape", live_s),
-        ("off + live consumers", off_live_s),
-    ):
-        assert seconds <= budget, (
-            f"{label} run {seconds:.2f}s vs {off_s:.2f}s baseline "
-            f"({pct(seconds)}) exceeds the 5% observability budget"
-        )
+    assert on_s <= budget, (
+        f"instrumented run {on_s:.2f}s vs {off_s:.2f}s baseline "
+        f"({on_s / off_s - 1.0:+.1%}) exceeds the 5% observability budget"
+    )

@@ -21,14 +21,13 @@ counts because nothing changed.
 The fig6 ratio is also the performance regression guard: the run fails,
 and leaves ``BENCH_trace.json`` as it was, when the same-run speedup
 falls more than 20% below the committed one.  Both sides share the
-machine and the moment — a legacy round and the per-task rounds of a
-pair run back to back, so a host speed spell hits both — and the guard
-takes the median of the per-pair ratios, which holds still where
-absolute seconds swing with the host's speed.  A pair's per-task side
-is the mean of three rounds over six profiles (about 1.3 s in all on
-the 2-vCPU reference VM), so tens of milliseconds of host noise move
-one pair's ratio by a few percent, and the median of five pairs by
-less; the seconds are recorded as information.
+machine and the moment: a pair interleaves them profile by profile —
+one profile's legacy fig6 and its per-task rounds run back to back,
+alternating which side goes first — and sums each side over the six
+profiles, so a host speed spell lands on both sides instead of on
+whichever side happened to run then.  The guard takes the median of the
+per-pair ratios, which holds still where absolute seconds swing with
+the host's speed; the seconds are recorded as information.
 """
 
 import dataclasses
@@ -56,9 +55,8 @@ _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_trace.json"
 _GEN_INSTRUCTIONS = 200_000
 # The same-run fig6 speedup may fall this far below the committed one.
 _ALLOWED_RATIO_DROP = 0.20
-# Alternating (legacy, per-task) fig6 pairs; the guard takes the median
-# of their ratios.  A pair's per-task side is the mean of a few rounds,
-# so it lasts about as long as a second of host time.
+# (legacy, per-task) fig6 pairs; the guard takes the median of their
+# ratios.  A profile's per-task side is the mean of a few rounds.
 _FIG6_PAIRS = 5
 _PER_TASK_ROUNDS = 3
 
@@ -180,33 +178,44 @@ def test_trace_kernel_speedups(benchmark):
     leading_kernel_speedup = oracle_s / kernel_s
 
     # -- fig6 end-to-end ------------------------------------------------
-    # Fresh-cache rounds in (legacy, per-task) pairs: a spell of host
-    # speed lands on both sides of a pair rather than on whichever side
-    # happened to run then, and the median pair ratio discards the pairs
-    # a spell split.
+    # Fresh-cache (legacy, per-task) pairs, interleaved profile by
+    # profile with the side that goes first alternating, so a spell of
+    # host speed lands on both sides of a pair; the median pair ratio
+    # discards the pairs a spell split.
     benchmarks = [profile.name for profile in BENCH_SUBSET]
 
-    def _timed_fig6():
+    def _timed_fig6(profile):
         memo.clear_cache()
         start = time.perf_counter()
         rows = fig6_performance(
-            window=BENCH_WINDOW, benchmarks=BENCH_SUBSET, jobs=1
+            window=BENCH_WINDOW, benchmarks=[profile], jobs=1
         )
-        return time.perf_counter() - start, rows
+        return time.perf_counter() - start, [
+            dataclasses.asdict(r) for r in rows
+        ]
+
+    def _legacy(profile):
+        with _legacy_pipeline():
+            return _timed_fig6(profile)
+
+    def _per_task(profile):
+        rounds = [_timed_fig6(profile) for _ in range(_PER_TASK_ROUNDS)]
+        for _round_s, rows in rounds[1:]:
+            assert rows == rounds[0][1]
+        return statistics.fmean(s for s, _ in rounds), rounds[0][1]
 
     legacy_times, columnar_times = [], []
-    for _ in range(_FIG6_PAIRS):
-        with _legacy_pipeline():
-            elapsed, legacy_rows = _timed_fig6()
-        legacy_times.append(elapsed)
-        elapsed = 0.0
-        for _ in range(_PER_TASK_ROUNDS):
-            round_s, columnar_rows = _timed_fig6()
-            elapsed += round_s
-            assert [dataclasses.asdict(r) for r in columnar_rows] == [
-                dataclasses.asdict(r) for r in legacy_rows
-            ]
-        columnar_times.append(elapsed / _PER_TASK_ROUNDS)
+    for pair in range(_FIG6_PAIRS):
+        legacy_s = columnar_s = 0.0
+        for k, profile in enumerate(BENCH_SUBSET):
+            sides = (_legacy, _per_task) if (pair + k) % 2 == 0 \
+                else (_per_task, _legacy)
+            timed = {side: side(profile) for side in sides}
+            assert timed[_per_task][1] == timed[_legacy][1]
+            legacy_s += timed[_legacy][0]
+            columnar_s += timed[_per_task][0]
+        legacy_times.append(legacy_s)
+        columnar_times.append(columnar_s)
     pair_ratios = [a / b for a, b in zip(legacy_times, columnar_times)]
     fig6_speedup = statistics.median(pair_ratios)
     fig6_legacy_s = statistics.median(legacy_times)

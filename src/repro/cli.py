@@ -7,8 +7,7 @@ Usage::
     python -m repro fig4 | fig7 | fig8 | fig9
     python -m repro table4 | table5 | table6 | table7 | table8
     python -m repro vias | wires | coverage | constraint | hetero
-    python -m repro fig6 --progress live --metrics-port 9109
-    python -m repro tail events.jsonl --follow  # watch another process
+    python -m repro fig6 --window 20000 --metrics m.json  # + span self times
 
 The heavyweight figures (fig5, fig6) accept ``--window N`` to trade
 fidelity for time; the pytest-benchmark harness under ``benchmarks/``
@@ -19,11 +18,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import signal
 import sys
 import threading
-import time
 
 from repro.common.config import ChipModel
 from repro.common.errors import ReproError, SweepDrainedError
@@ -51,9 +48,7 @@ from repro.experiments import (
     via_summary,
 )
 from repro.obs import events, log
-from repro.obs import export as export_mod
-from repro.obs import live as live_mod
-from repro.obs import profile as profile_mod
+from repro.obs.tracing import span_self_times
 from repro.workloads.profiles import get_profile, spec2k_suite
 
 _CHIP_BY_NAME = {c.value: c for c in ChipModel}
@@ -338,72 +333,6 @@ def _cmd_gc(args) -> None:
     _say(summary)
 
 
-def _cmd_tail(args) -> None:
-    """Print another run's JSONL event stream, optionally following it.
-
-    Reads only complete lines (the follower buffers a torn trailing
-    line until its newline arrives) so tailing a live writer never
-    shows mangled events.
-    """
-    path = live_mod.resolve_events_path(args.path)
-    if args.follow:
-        _say(f"tailing {path} (Ctrl-C to stop)")
-    idle_since = time.monotonic()
-    follower = live_mod.EventFollower(path)
-    while True:
-        records = follower.poll()
-        for record in records:
-            _say(live_mod.format_event(record))
-        if not args.follow:
-            break
-        if records:
-            idle_since = time.monotonic()
-        elif (
-            args.exit_idle_s is not None
-            and time.monotonic() - idle_since >= args.exit_idle_s
-        ):
-            _say(f"idle for {args.exit_idle_s}s, exiting")
-            break
-        time.sleep(args.interval)
-    if follower.skipped:
-        _say(f"skipped {follower.skipped} partial/corrupt line(s)")
-
-
-def _cmd_top(args) -> None:
-    """Live dashboard reconstructed from a run's JSONL event stream."""
-    path = live_mod.resolve_events_path(args.path)
-    follower = live_mod.EventFollower(path)
-    stats = None
-    idle_since = time.monotonic()
-    ansi = sys.stdout.isatty()
-    frame_lines = 0
-    from repro.viz.ascii import render_dashboard
-
-    while True:
-        records = follower.poll()
-        for record in records:
-            stats = live_mod.fold_event(stats, record)
-        if stats is not None:
-            text = render_dashboard(stats.as_row())
-            if ansi and frame_lines:
-                sys.stdout.write(f"\x1b[{frame_lines}F\x1b[J")
-            sys.stdout.write(text + "\n")
-            sys.stdout.flush()
-            frame_lines = text.count("\n") + 1
-        if args.once or (stats is not None and stats.finished):
-            break
-        if records:
-            idle_since = time.monotonic()
-        elif (
-            args.exit_idle_s is not None
-            and time.monotonic() - idle_since >= args.exit_idle_s
-        ):
-            break
-        time.sleep(args.interval)
-    if stats is None:
-        _say(f"no sweep events in {path}")
-
-
 def _cmd_hetero(args) -> None:
     result = section4_heterogeneous(window=_window(args))
     _say(f"checker power : {result.checker_power_65nm_w:.1f} W (65nm) -> "
@@ -435,8 +364,6 @@ _COMMANDS = {
     "constraint": _cmd_constraint,
     "hetero": _cmd_hetero,
     "gc": _cmd_gc,
-    "tail": _cmd_tail,
-    "top": _cmd_top,
     "report": _cmd_report,
     "thermalmap": _cmd_thermalmap,
     "presets": _cmd_presets,
@@ -482,25 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dry-run", action="store_true",
                            help="report what would be removed, delete "
                                 "nothing")
-        if name in ("tail", "top"):
-            p.add_argument("path",
-                           help="a JSONL event stream (another run's "
-                                "--trace-out file) or a directory to "
-                                "search for the newest one")
-            p.add_argument("--interval", type=float, default=0.5,
-                           metavar="SECONDS",
-                           help="poll interval while following")
-            p.add_argument("--exit-idle-s", type=float, default=None,
-                           metavar="SECONDS",
-                           help="stop after this long with no new events "
-                                "(default: keep following)")
-        if name == "tail":
-            p.add_argument("--follow", action="store_true",
-                           help="keep polling for new events instead of "
-                                "printing the backlog once")
-        if name == "top":
-            p.add_argument("--once", action="store_true",
-                           help="render the current state once and exit")
         p.add_argument("--window", type=int, default=20_000,
                        help="measured instructions per simulation")
         p.add_argument("--seed", type=int, default=42)
@@ -545,22 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "accounting) to PATH after the command")
         p.add_argument("--trace-out", default=None, metavar="PATH",
                        help="append JSONL events (run/sweep/manifest) to PATH")
-        p.add_argument("--progress", default="off", choices=("off", "live"),
-                       help="live ANSI dashboard of running sweeps "
-                            "(tasks, rate, ETA, per-worker health)")
-        p.add_argument("--metrics-port", type=int, default=None,
-                       metavar="PORT",
-                       help="serve Prometheus text-format metrics on "
-                            "127.0.0.1:PORT while the command runs "
-                            "(0 = ephemeral; default: REPRO_METRICS_PORT)")
-        p.add_argument("--trace-export", default=None, metavar="PATH",
-                       help="write the run's task timeline as Chrome "
-                            "trace-event JSON (Perfetto-loadable)")
-        p.add_argument("--profile", nargs="?", const="profile.collapsed",
-                       default=None, metavar="PATH",
-                       help="cProfile every sweep task and write "
-                            "flamegraph-ready collapsed stacks to PATH "
-                            "(default profile.collapsed; slow)")
         p.add_argument("-v", "--verbose", action="count", default=0,
                        help="more output (DEBUG-level logging)")
         p.add_argument("-q", "--quiet", action="count", default=0,
@@ -597,25 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     checkpoint_dir = args.checkpoint or (
         ".repro/checkpoints" if args.resume else None
     )
-    renderer = None
-    profile_env_prior = None
     try:
-        if args.progress == "live":
-            renderer = live_mod.LiveRenderer()
-            live_mod.add_listener(renderer)
-        metrics_port = live_mod.resolve_metrics_port(args.metrics_port)
-        if metrics_port is not None:
-            server = live_mod.start_metrics_server(metrics_port)
-            _say(f"serving metrics at {server.url}")
-        if args.trace_export:
-            export_mod.set_collector(export_mod.TraceCollector())
-        if args.profile:
-            # Workers inherit the environment, so the env knob (not the
-            # in-process accumulator) is what switches profiling on in
-            # pool worker processes.
-            profile_env_prior = os.environ.get(profile_mod.PROFILE_ENV_VAR)
-            os.environ[profile_mod.PROFILE_ENV_VAR] = "1"
-            profile_mod.set_accumulator(profile_mod.ProfileAccumulator())
         engine.set_default_jobs(args.jobs)
         overrides = {
             field: value
@@ -639,6 +513,7 @@ def main(argv: list[str] | None = None) -> int:
             chaos_mod.set_chaos(chaos_mod.ChaosPolicy.parse(args.chaos))
         _COMMANDS[args.command](args)
         if args.metrics:
+            metrics = engine.run_metrics(run_id)
             events.write_manifest(
                 args.metrics,
                 command=args.command,
@@ -646,11 +521,15 @@ def main(argv: list[str] | None = None) -> int:
                 window=args.window,
                 jobs=engine.resolve_jobs(args.jobs),
                 run_id=run_id,
-                metrics=engine.run_metrics(run_id).as_dict(),
+                metrics=metrics.as_dict(),
                 sweeps=engine.timing_summary(run_id),
                 extra={
                     "executor": engine.resolve_executor(
                         engine.resolve_jobs(args.jobs)
+                    ),
+                    "span_self_s": span_self_times(
+                        metrics.spans,
+                        sum(t.cpu_s for t in engine.timings(run_id)),
                     ),
                 },
             )
@@ -694,31 +573,6 @@ def main(argv: list[str] | None = None) -> int:
         engine.set_default_policy(None)
         checkpoint_mod.set_checkpoint_dir(None)
         chaos_mod.set_chaos(None)
-        if renderer is not None:
-            live_mod.remove_listener(renderer)
-        live_mod.stop_metrics_server()
-        collector = export_mod.get_collector()
-        export_mod.set_collector(None)
-        accumulator = profile_mod.get_accumulator()
-        profile_mod.set_accumulator(None)
-        if args.profile:
-            if profile_env_prior is None:
-                os.environ.pop(profile_mod.PROFILE_ENV_VAR, None)
-            else:
-                os.environ[profile_mod.PROFILE_ENV_VAR] = profile_env_prior
-        try:
-            if args.trace_export and collector is not None \
-                    and collector.records:
-                out = export_mod.write_chrome_trace(
-                    args.trace_export, collector.records, run_id=run_id
-                )
-                _say(f"wrote trace {out} ({len(collector.records)} tasks)")
-            if args.profile and accumulator is not None \
-                    and accumulator.stacks:
-                out = accumulator.write_collapsed(args.profile)
-                _say(f"wrote profile {out} ({accumulator.tasks} tasks)")
-        except OSError as exc:  # never mask the command's own outcome
-            logger.error(f"telemetry export failed: {exc}")
         if args.trace_out:
             events.set_sink(None)
 

@@ -63,6 +63,7 @@ from repro.isa.opcodes import (
     OpClass,
 )
 from repro.isa.soa import TraceArrays
+from repro.obs.tracing import span
 
 __all__ = [
     "LeadingCoreTiming",
@@ -357,13 +358,17 @@ class LeadingCoreTiming:
         Lazy on purpose: the measured window is prepared — and
         :meth:`start_measurement` snapshots the counters — only once the
         caller has scheduled the warmup window, so the snapshot sees
-        exactly the warmed cache/predictor state.
+        exactly the warmed cache/predictor state.  Each prepass runs
+        under the ``sim.prepass`` span, apart from the scan that
+        consumes it.
         """
         for start, end in ((0, warmup), (warmup, len(arrays))):
             if start == warmup and warmup:
                 self.start_measurement()
             if end > start:
-                yield start, self.prepare_window(arrays, start, end)
+                with span("sim.prepass"):
+                    prepared = self.prepare_window(arrays, start, end)
+                yield start, prepared
 
     def _claim(self, rows: int) -> None:
         """Take this core for its one run (kernel or oracle) of ``rows``

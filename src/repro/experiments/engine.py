@@ -75,9 +75,6 @@ from repro.experiments import executors as executors_mod
 from repro.experiments.chaos import ChaosPolicy, hash01
 from repro.experiments.executors import resolve_executor
 from repro.obs import events
-from repro.obs import export as export_mod
-from repro.obs import live as live_mod
-from repro.obs import profile as profile_mod
 from repro.obs.metrics import MetricsSnapshot, merge_snapshots
 
 # Worker-side execution moved to repro.experiments.executors in PR 7;
@@ -449,9 +446,6 @@ class _SweepState:
         self.walls: list[float] = [0.0] * n
         self.snapshots: list[MetricsSnapshot | None] = [None] * n
         self.failures: list[TaskError] = []
-        # Live telemetry aggregate (None unless a consumer is attached;
-        # every use below is observation-only).
-        self.live: live_mod.LiveStats | None = None
         # At-most-once commit: task keys whose slot is already decided.
         # The first commit wins; every later arrival for the key is
         # counted as a duplicate and dropped.
@@ -475,24 +469,17 @@ class _SweepState:
         self.timing.resumed_tasks += 1
         return True
 
-    def absorb(self, outcome: _TaskOutcome, chunk_id: int | None = None,
-               worker: str = "") -> None:
+    def absorb(self, outcome: _TaskOutcome) -> None:
         """Fold one final task outcome into the sweep (and checkpoint).
 
         Commits at most once per task key: a duplicate arrival is
         counted and dropped, keeping results, metrics, and the
         checkpoint identical to a single clean delivery.
-
-        ``chunk_id`` and ``worker`` are trace context for the live /
-        export consumers only — scheduling never reads them, and every
-        telemetry fold below is observation-only.
         """
         i = outcome.index
         key = checkpoint_mod.task_key(self.tasks[i], i)
         if key in self.committed:
             self.timing.duplicate_results += 1
-            if self.live is not None:
-                self.live.note_duplicate()
             events.emit(
                 "duplicate_result_dropped",
                 run_id=self.timing.run_id,
@@ -518,14 +505,16 @@ class _SweepState:
                     outcome.result,
                     outcome.metrics,
                 )
-            self._observe_commit(outcome, key, chunk_id, worker)
+            events.emit(
+                "task_done",
+                run_id=self.timing.run_id,
+                label=self.label,
+                task_index=i,
+                wall_s=round(outcome.wall_s, 6),
+                worker=outcome.worker,
+            )
             return
         self.timing.failures += 1
-        if self.live is not None:
-            self.live.fold_task(
-                i, False, 0.0, None, worker=worker,
-                retries=outcome.retries, timeouts=outcome.timeouts,
-            )
         message = (
             f"sweep {self.label!r} task {i} failed after "
             f"{outcome.attempts} attempt(s): {outcome.error}"
@@ -560,47 +549,6 @@ class _SweepState:
                 label=self.label,
                 failures=self.failures,
             ) from error
-
-    def _observe_commit(self, outcome: _TaskOutcome, key: str,
-                        chunk_id: int | None, worker: str) -> None:
-        """Feed one committed success to the telemetry consumers.
-
-        Observation-only by construction: reads the outcome, writes only
-        to the live aggregate, the trace collector, the profile
-        accumulator, and the event sink — never to sweep state.
-        """
-        i = outcome.index
-        telemetry = outcome.telemetry or {}
-        if self.live is not None:
-            self.live.fold_task(
-                i, True, outcome.wall_s, outcome.metrics, worker=worker,
-                retries=outcome.retries, timeouts=outcome.timeouts,
-            )
-        collector = export_mod.get_collector()
-        if collector is not None and telemetry:
-            collector.record(export_mod.TaskTrace(
-                label=self.label,
-                index=i,
-                task_key=key,
-                chunk_id=-1 if chunk_id is None else chunk_id,
-                worker=worker,
-                pid=telemetry.get("pid", 0),
-                start_unix=telemetry.get("start_unix", 0.0),
-                wall_s=outcome.wall_s,
-                spans=getattr(outcome.metrics, "spans", None),
-                run_id=self.timing.run_id,
-            ))
-        accumulator = profile_mod.get_accumulator()
-        if accumulator is not None and telemetry.get("profile"):
-            accumulator.fold(telemetry["profile"])
-        events.emit(
-            "task_done",
-            run_id=self.timing.run_id,
-            label=self.label,
-            task_index=i,
-            wall_s=round(outcome.wall_s, 6),
-            worker=worker,
-        )
 
     def absorb_chunk_error(self, chunk, exc: Exception) -> None:
         """An infrastructure failure lost a whole chunk (e.g. the result
@@ -765,11 +713,8 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
                 leases[event.chunk_id] = time.monotonic() + _wave_budget(
                     [outstanding[event.chunk_id]], policy
                 )
-            if state.live is not None:
-                state.live.chunk_started(event.chunk_id, event.worker)
         elif isinstance(event, executors_mod.TaskDone):
-            state.absorb(event.outcome, chunk_id=event.chunk_id,
-                         worker=event.worker)
+            state.absorb(event.outcome)
         elif isinstance(event, executors_mod.ChunkDone):
             outstanding.pop(event.chunk_id, None)
             leases.pop(event.chunk_id, None)
@@ -853,23 +798,14 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
             armed = [d for d in leases.values() if d is not None]
             if armed:
                 wait_s = max(0.0, min(armed) - time.monotonic())
-            if state.live is not None and (wait_s is None or wait_s > 0.5):
-                # Live consumers need the loop back regularly for a
-                # heartbeat fold / renderer tick even when no lease is
-                # armed (local pool would otherwise block indefinitely
-                # on its futures).
-                wait_s = 0.5
             if wait_s is None or wait_s > 1.0:
                 # Bounded wait so a drain request (SIGTERM) is noticed
-                # within a second even with no lease armed and no live
-                # consumer attached.
+                # within a second even with no lease armed.
                 wait_s = 1.0
             if draining:
                 wait_s = min(wait_s, 0.25)
             for event in executor.poll(wait_s):
                 handle_event(event)
-            if state.live is not None:
-                state.live.tick(executor)
             if draining and outstanding \
                     and time.monotonic() >= drain_deadline:
                 # In-flight chunks outlived the drain timeout: give up
@@ -887,8 +823,6 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
                     leases.pop(chunk_id, None)
                     continue
                 timing.lease_expiries += 1
-                if state.live is not None:
-                    state.live.lease_expired()
                 events.emit(
                     "lease_expired",
                     run_id=timing.run_id,
@@ -1029,18 +963,6 @@ def run_sweep(
         executor=backend,
         resumed_tasks=timing.resumed_tasks,
     )
-    state.live = live_mod.sweep_begin(
-        label, len(tasks), run_id=run_id, backend=backend, jobs=jobs
-    )
-    if state.live is not None and timing.resumed_tasks:
-        # Checkpoint-restored slots are already committed; fold them so
-        # the live totals (and merged_metrics) cover the whole sweep.
-        for i in range(len(tasks)):
-            if state.is_committed(i):
-                state.live.fold_task(
-                    i, True, state.walls[i], state.snapshots[i],
-                    resumed=True,
-                )
     start = time.perf_counter()
     try:
         if pending_chunks:
@@ -1079,8 +1001,6 @@ def run_sweep(
     # a fixed order keeps even float-valued span times reproducible for
     # a given worker count.
     timing.metrics = merge_snapshots(state.snapshots)
-    if state.live is not None:
-        live_mod.sweep_end(state.live)
     if record:
         _TIMINGS.append(timing)
         events.emit(

@@ -53,7 +53,6 @@ from typing import Callable, Sequence
 
 from repro.common.errors import ChaosError, ConfigError
 from repro.experiments.chaos import ChaosPolicy
-from repro.obs import profile as profile_mod
 from repro.obs.metrics import MetricsSnapshot, get_registry
 
 __all__ = [
@@ -147,11 +146,7 @@ class _TaskOutcome:
     error_kind: str = ""     # "error" | "timeout" | "chaos"
     error: str = ""
     traceback: str = ""
-    #: Optional trace context piggybacked for the live/export consumers:
-    #: ``pid``, ``start_unix``/``end_unix`` wall-clock stamps, and (with
-    #: ``--profile``) the attempt's collapsed-stack ``profile`` dict.
-    #: ``None`` whenever observability is off (``REPRO_OBS=off``).
-    telemetry: dict | None = None
+    worker: int = 0          # pid of the process that ran the attempts
 
 
 def _attempt_task(
@@ -177,7 +172,7 @@ def _attempt_task(
     alarm had fired.  Attempts that never return are the controller
     lease's problem.
     """
-    outcome = _TaskOutcome(index=index)
+    outcome = _TaskOutcome(index=index, worker=os.getpid())
     attempts_allowed = max(1, policy.max_retries + 1 - base_attempt)
     registry = get_registry()
     for n in range(attempts_allowed):
@@ -191,9 +186,6 @@ def _attempt_task(
             if chaos is not None:
                 chaos.inject(index, attempt, in_worker=in_worker)
             mark = registry.begin_task()
-            prof = profile_mod.start_profile() if profile_mod.enabled() \
-                else None
-            start_unix = time.time()
             try:
                 start = time.perf_counter()
                 with _deadline(policy.timeout_s):
@@ -207,8 +199,6 @@ def _attempt_task(
                     raise _TaskTimeout()
                 snapshot = registry.end_task(mark)
             except BaseException:
-                if prof is not None:
-                    prof.disable()
                 registry.end_task(mark)
                 raise
         except _TaskTimeout:
@@ -231,15 +221,6 @@ def _attempt_task(
             outcome.result = result
             outcome.wall_s = wall
             outcome.metrics = snapshot
-            if registry.enabled:
-                telemetry = {
-                    "pid": os.getpid(),
-                    "start_unix": start_unix,
-                    "end_unix": start_unix + wall,
-                }
-                if prof is not None:
-                    telemetry["profile"] = profile_mod.collapse(prof)
-                outcome.telemetry = telemetry
             return outcome
         if n + 1 < attempts_allowed:
             outcome.retries += 1
@@ -269,21 +250,14 @@ class ChunkStarted:
     """A worker began executing a chunk (re-arms its lease)."""
 
     chunk_id: int
-    worker: str = ""
 
 
 @dataclass(frozen=True)
 class TaskDone:
-    """One task of a chunk finished (ok or exhausted); carries the outcome.
-
-    ``worker`` names the executing worker when the backend knows it
-    (``"inline"`` or a pool pid) — live telemetry attribution only,
-    never scheduling state.
-    """
+    """One task of a chunk finished (ok or exhausted); carries the outcome."""
 
     chunk_id: int
     outcome: _TaskOutcome = None
-    worker: str = ""
 
 
 @dataclass(frozen=True)
@@ -353,19 +327,6 @@ class Executor:
         """
         return False
 
-    def heartbeat(self) -> dict:
-        """Live-worker health, keyed by worker id (a string).
-
-        Every backend reports the same schema — each value is a dict
-        with ``worker`` (the same id), ``age_s`` (seconds since the
-        worker was last heard from; ``0.0`` for the in-process and pool
-        workers, whose liveness is implicit), and ``inflight_chunk``
-        (the chunk id currently placed on the worker, or ``None`` when
-        idle or unknown).  Observation-only: the scheduler never reads
-        this; it feeds ``LiveStats`` and the metrics endpoint.
-        """
-        return {}
-
     def shutdown(self, kill: bool = False) -> None:
         """Release workers; ``kill`` terminates them without waiting."""
         raise NotImplementedError
@@ -400,14 +361,14 @@ class InlineExecutor(Executor):
                 return events
             chunk_id, entries = self._queue.popleft()
             self._current = [chunk_id, entries, 0]
-            events.append(ChunkStarted(chunk_id, worker="inline"))
+            events.append(ChunkStarted(chunk_id))
         chunk_id, entries, pos = self._current
         index, base, item = entries[pos]
         outcome = _attempt_task(
             self._fn, item, index, base, self._policy, self._chaos,
             in_worker=False,
         )
-        events.append(TaskDone(chunk_id, outcome, worker="inline"))
+        events.append(TaskDone(chunk_id, outcome))
         if pos + 1 >= len(entries):
             events.append(ChunkDone(chunk_id))
             self._current = None
@@ -433,11 +394,6 @@ class InlineExecutor(Executor):
                 self._queue.remove(queued)
                 return True
         return False
-
-    def heartbeat(self) -> dict:
-        inflight = self._current[0] if self._current is not None else None
-        return {"inline": {"worker": "inline", "age_s": 0.0,
-                           "inflight_chunk": inflight}}
 
     def shutdown(self, kill: bool = False) -> None:
         self._queue.clear()
@@ -528,14 +484,7 @@ class LocalPoolExecutor(Executor):
         self._by_chunk[chunk_id] = future
 
     def _chunk_events(self, chunk_id: int, outcomes) -> list:
-        events = []
-        for outcome in outcomes:
-            telemetry = getattr(outcome, "telemetry", None) or {}
-            pid = telemetry.get("pid")
-            events.append(TaskDone(
-                chunk_id, outcome,
-                worker="" if pid is None else str(pid),
-            ))
+        events = [TaskDone(chunk_id, outcome) for outcome in outcomes]
         events.append(ChunkDone(chunk_id))
         return events
 
@@ -605,25 +554,6 @@ class LocalPoolExecutor(Executor):
         self._by_chunk.pop(chunk_id, None)
         self._futures.pop(future, None)
         return True
-
-    def heartbeat(self) -> dict:
-        if self._pool is None:
-            return {}
-        try:
-            pids = sorted(
-                pid for pid, proc in (self._pool._processes or {}).items()
-                if proc.is_alive()
-            )
-        except Exception:
-            return {}
-        # Chunk placement inside the pool is the pool's own business, so
-        # ``inflight_chunk`` is unknowable here; liveness is implicit in
-        # the process being alive (age 0.0).
-        return {
-            str(pid): {"worker": str(pid), "age_s": 0.0,
-                       "inflight_chunk": None}
-            for pid in pids
-        }
 
     def _teardown(self, kill: bool) -> None:
         pool, self._pool = self._pool, None

@@ -35,7 +35,7 @@ from repro.experiments.technology import (
 )
 from repro.experiments.thermal import fig4_thermal_sweep, thermal_variants
 from repro.obs import events
-from repro.obs.tracing import flatten_spans
+from repro.obs.tracing import UNATTRIBUTED, flatten_spans, span_self_times
 from repro.workloads.profiles import get_profile
 
 __all__ = ["generate_report", "render_partial_report"]
@@ -197,11 +197,13 @@ def _render_markdown(data: dict) -> str:
         ))
     span_rows = flatten_spans(metrics.get("spans"))
     if span_rows:
+        self_s = data["span_self_s"]
         sections.append(format_table(
             "Span hot paths",
-            ["span", "count", "wall (s)", "cpu (s)"],
-            [[path, count, f"{wall:.3f}", f"{cpu:.3f}"]
-             for path, count, wall, cpu in span_rows],
+            ["span", "count", "wall (s)", "cpu (s)", "self (s)"],
+            [[path, count, f"{wall:.3f}", f"{cpu:.3f}", f"{self_s[path]:.3f}"]
+             for path, count, wall, cpu in span_rows]
+            + [[UNATTRIBUTED, "", "", "", f"{self_s[UNATTRIBUTED]:.3f}"]],
         ))
     return "\n\n".join(sections) + "\n"
 
@@ -225,7 +227,7 @@ def render_partial_report(
     if root is None:
         raise ConfigError(
             "partial report needs a checkpoint directory "
-            "(--checkpoint-dir or set_checkpoint_dir)"
+            "(--checkpoint or set_checkpoint_dir)"
         )
     run_dir = Path(root) / run_id
     sweeps = [
@@ -247,7 +249,7 @@ def render_partial_report(
         "committed to the checkpoint before the run stopped; figures and "
         "derived metrics are omitted because they would be computed from "
         f"incomplete sweeps. Resume with:\n\n"
-        f"    python -m repro <command> --checkpoint-dir {root} "
+        f"    python -m repro <command> --checkpoint {root} "
         f"--resume {run_id}\n",
     ]
     if sweeps:
@@ -294,7 +296,11 @@ def generate_report(
     run_id = events.begin_run("report")
     data = _collect(window, subset)
     data["sweep_timings"] = engine.timing_summary(run_id)
-    data["metrics"] = engine.run_metrics(run_id).as_dict()
+    metrics = engine.run_metrics(run_id)
+    data["metrics"] = metrics.as_dict()
+    data["span_self_s"] = span_self_times(
+        metrics.spans, sum(t.cpu_s for t in engine.timings(run_id))
+    )
     (out / "results.json").write_text(json.dumps(data, indent=2, default=str))
     (out / "results.md").write_text(_render_markdown(data))
     events.write_manifest(
@@ -304,5 +310,6 @@ def generate_report(
         run_id=run_id,
         metrics=data["metrics"],
         sweeps=data["sweep_timings"],
+        extra={"span_self_s": data["span_self_s"]},
     )
     return data

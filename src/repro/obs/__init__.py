@@ -1,31 +1,24 @@
 """repro.obs — the structured telemetry layer.
 
-Seven small modules, one switch:
+Four small modules, one switch:
 
 * :mod:`repro.obs.metrics` — the process-local :class:`MetricsRegistry`
   (counters / gauges / fixed-bucket histograms) and its mergeable,
   picklable :class:`MetricsSnapshot`;
 * :mod:`repro.obs.tracing` — nested ``span("...")`` timers building a
-  per-task span tree with wall/CPU time and entry counts;
+  per-task span tree with wall/CPU time and entry counts, and
+  :func:`~repro.obs.tracing.span_self_times`, the per-span self-time
+  table (plus the task time no span covers) that the report and the
+  ``--metrics`` manifest carry;
 * :mod:`repro.obs.events` — run ids, an optional JSONL event sink
   (flushed per line; ``REPRO_OBS_FSYNC`` adds fsync), and the per-run
   manifest written next to results;
-* :mod:`repro.obs.live` — the streaming side: the per-sweep
-  :class:`~repro.obs.live.LiveStats` aggregate the engine folds worker
-  telemetry into, the ``--progress=live`` renderer, the Prometheus
-  ``--metrics-port`` endpoint, and the event-stream follower behind
-  ``repro tail`` / ``repro top``;
-* :mod:`repro.obs.export` — Chrome trace-event JSON export of a sweep's
-  distributed task timeline (``--trace-export``, Perfetto-loadable);
-* :mod:`repro.obs.profile` — opt-in per-task cProfile with
-  flamegraph-ready collapsed-stack output (``--profile``);
 * :mod:`repro.obs.log` — the single ``repro`` stdlib-logging hierarchy
   all user-facing text flows through.
 
 ``REPRO_OBS=off`` in the environment turns every instrument call into a
-no-op — including the live-telemetry piggybacking on executor frames
-(``benchmarks/bench_obs_overhead.py`` asserts the instrumented and
-streaming paths stay within a small budget of that baseline).
+no-op (``benchmarks/bench_obs_overhead.py`` asserts the instrumented
+path stays within a small budget of that baseline).
 
 The experiment engine is the integration point: each task runs between
 ``registry.begin_task()`` / ``end_task()`` so its metric *delta* and

@@ -13,12 +13,11 @@ writes.  It is off unless :func:`set_sink` is given a path (the CLI's
 ``--trace-out``), and :func:`emit` is a cheap no-op while off.
 
 Flush policy: every :meth:`EventSink.emit` flushes its line so a
-concurrent follower (``repro tail``) and crash post-mortems see all
-complete recent events; a process killed mid-``write`` can still leave
-one torn trailing line, which followers must skip (and
-:class:`repro.obs.live.EventFollower` does).  Set ``REPRO_OBS_FSYNC=1``
-to additionally ``os.fsync`` per line — durable through power loss, at
-a per-event syscall cost.
+concurrent reader (``tail -f``) and crash post-mortems see all complete
+recent events; a process killed mid-``write`` can still leave one torn
+trailing line, which readers must skip.  Set ``REPRO_OBS_FSYNC=1`` to
+additionally ``os.fsync`` per line — durable through power loss, at a
+per-event syscall cost.
 
 The *run manifest* is the auditable summary written next to results:
 run id, git SHA, command, seed/window/jobs, a configuration hash, and
@@ -89,7 +88,7 @@ def current_run_id() -> str:
 class EventSink:
     """Append-only JSONL event log, flushed per line.
 
-    Each event is written and flushed as one line so external followers
+    Each event is written and flushed as one line so external readers
     see it promptly; with ``REPRO_OBS_FSYNC`` truthy it is also fsynced,
     trading a syscall per event for durability through power loss.
     """

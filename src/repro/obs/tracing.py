@@ -20,6 +20,8 @@ Trees are exchanged as plain nested dicts (JSON- and pickle-friendly) and
 merged with :func:`merge_span_dicts` — counts and times sum, children
 merge by name — so a parallel sweep's merged tree matches the serial
 sweep's in structure and counts exactly (only the timings differ).
+:func:`span_self_times` reads a merged tree as a ledger: each span's
+time not spent in its children, plus the task time outside every span.
 
 ``REPRO_OBS=off`` turns :func:`span` into a shared no-op context manager
 (see :mod:`repro.obs.metrics` for the switch).
@@ -40,7 +42,12 @@ __all__ = [
     "merge_span_dicts",
     "span_structure",
     "flatten_spans",
+    "span_self_times",
+    "UNATTRIBUTED",
 ]
+
+#: The :func:`span_self_times` row for task time outside every span.
+UNATTRIBUTED = "(unattributed)"
 
 
 def _env_enabled() -> bool:
@@ -247,3 +254,30 @@ def flatten_spans(
         rows.append((path, child["count"], child["wall_s"], child["cpu_s"]))
         rows.extend(flatten_spans(child, prefix=path + "."))
     return rows
+
+
+def span_self_times(tree: dict | None, task_wall_s: float) -> dict[str, float]:
+    """Span path -> self time, depth-first: where the task time went.
+
+    A span's self time is its wall time minus its children's, so every
+    second inside a span counts once, at the innermost span that ran
+    it.  Paths follow :func:`flatten_spans`; a last :data:`UNATTRIBUTED`
+    entry holds ``task_wall_s`` (the summed task wall time the tree was
+    recorded in) minus the top-level spans, so the values sum to
+    ``task_wall_s``.
+    """
+    table: dict[str, float] = {}
+    covered = 0.0
+    if tree is not None:
+        _add_self_times(tree, "", table)
+        covered = sum(c["wall_s"] for c in tree["children"].values())
+    table[UNATTRIBUTED] = task_wall_s - covered
+    return table
+
+
+def _add_self_times(node: dict, prefix: str, table: dict) -> None:
+    for name, child in sorted(node["children"].items()):
+        path = f"{prefix}{name}"
+        inner = sum(c["wall_s"] for c in child["children"].values())
+        table[path] = child["wall_s"] - inner
+        _add_self_times(child, path + ".", table)

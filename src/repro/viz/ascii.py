@@ -15,8 +15,6 @@ __all__ = [
     "heatmap",
     "floorplan_map",
     "bar_chart",
-    "progress_bar",
-    "render_dashboard",
 ]
 
 _SHADES = " .:-=+*#%@"
@@ -85,80 +83,6 @@ def floorplan_map(
     lines.extend(
         f"  {letter} = {name}" for letter, name in sorted(legend.items())
     )
-    return "\n".join(lines)
-
-
-def progress_bar(done: int, total: int, width: int = 40) -> str:
-    """A ``[###...]`` bar for ``done`` of ``total`` (total 0 = empty)."""
-    if total <= 0:
-        return "[" + "." * width + "]"
-    filled = min(width, int(width * done / total + 0.5))
-    return "[" + "#" * filled + "." * (width - filled) + "]"
-
-
-def _fmt_duration(seconds: float | None) -> str:
-    if seconds is None:
-        return "—"
-    seconds = max(0.0, seconds)
-    if seconds < 60:
-        return f"{seconds:.0f}s"
-    minutes, secs = divmod(int(seconds + 0.5), 60)
-    if minutes < 60:
-        return f"{minutes}m{secs:02d}s"
-    hours, minutes = divmod(minutes, 60)
-    return f"{hours}h{minutes:02d}m"
-
-
-def render_dashboard(row: dict, width: int = 40) -> str:
-    """Render one live-sweep status row as a small terminal dashboard.
-
-    ``row`` is :meth:`repro.obs.live.LiveStats.as_row` (or an event
-    follower's reconstruction): progress bar with percentage, rate and
-    ETA, a per-worker health line, and a failure/recovery counter line
-    that only appears once something went wrong.
-    """
-    total = row.get("tasks_total", 0)
-    done = row.get("tasks_done", 0)
-    pct = 100.0 * done / total if total else 0.0
-    eta = row.get("eta_s")
-    header = f"{row.get('label', 'sweep')}"
-    backend = row.get("backend", "")
-    if backend:
-        header += f" · {backend} · jobs={row.get('jobs', 1)}"
-    if row.get("run_id"):
-        header += f" · {row['run_id']}"
-    lines = [
-        header,
-        (
-            f"{progress_bar(done, total, width)} {done}/{total} "
-            f"({pct:5.1f}%)  {row.get('rate_per_s', 0.0):.2f}/s  "
-            f"eta {_fmt_duration(eta)}  "
-            f"elapsed {_fmt_duration(row.get('elapsed_s', 0.0))}"
-            + ("  done" if row.get("finished") else "")
-        ),
-    ]
-    workers = row.get("workers") or []
-    if workers:
-        parts = []
-        for health in workers:
-            chunk = health.get("inflight_chunk")
-            parts.append(
-                f"{health.get('worker', '?')}"
-                f"[{'-' if chunk is None else f'c{chunk}'}"
-                f" {health.get('tasks_done', 0)}t"
-                f" {health.get('age_s', 0.0):.1f}s]"
-            )
-        lines.append("workers: " + " ".join(parts))
-    trouble = {
-        key: row.get(key, 0)
-        for key in ("failures", "retries", "timeouts", "lease_expiries",
-                    "duplicate_results")
-        if row.get(key)
-    }
-    if trouble:
-        lines.append(
-            "trouble: " + "  ".join(f"{k}={v}" for k, v in trouble.items())
-        )
     return "\n".join(lines)
 
 

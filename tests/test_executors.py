@@ -1,7 +1,7 @@
 """Executor backends (inline, local pool) and the backend-agnostic scheduler.
 
 Covers backend selection from the worker count, per-backend equivalence
-to the serial path, the shared heartbeat schema, fig6 under worker-kill
+to the serial path, the worker pid on ``task_done``, fig6 under worker-kill
 chaos on both backends, the at-most-once result commit (including a
 hypothesis interleaving property), the no-SIGALRM timeout fallback,
 truncated-checkpoint recovery, and gc hardening.
@@ -139,49 +139,41 @@ class TestBackendEquivalence:
 
 
 # ---------------------------------------------------------------------
-def _schema_ok(heartbeat: dict) -> bool:
-    """Every backend's heartbeat() speaks the same documented schema."""
-    for worker, info in heartbeat.items():
-        assert isinstance(worker, str)
-        assert info["worker"] == worker
-        assert isinstance(info["age_s"], float) and info["age_s"] >= 0.0
-        assert info["inflight_chunk"] is None \
-            or isinstance(info["inflight_chunk"], int)
-    return True
+def _pid(_item):
+    return os.getpid()
 
 
-class TestHeartbeatSchema:
-    def test_inline_reports_itself(self):
-        ex = make_executor("inline", fn=_double, policy=TaskPolicy(),
-                           chaos=None)
-        assert _schema_ok(ex.heartbeat())
-        assert ex.heartbeat()["inline"]["inflight_chunk"] is None
-        ex.submit_chunk(7, [(0, 0, 1), (1, 0, 2)])
-        ex.poll()       # one task per poll: the chunk is now current
-        assert _schema_ok(ex.heartbeat())
-        assert ex.heartbeat()["inline"]["inflight_chunk"] == 7
-        ex.poll()       # second task drains the chunk
-        assert ex.heartbeat()["inline"]["inflight_chunk"] is None
-        ex.shutdown()
+class TestTaskDoneWorker:
+    """``task_done`` names the pid of the process that ran the task,
+    whatever ``REPRO_OBS`` says: pool workers at jobs > 1, the
+    controller itself inline."""
 
-    def test_local_reports_pool_pids(self):
-        ex = make_executor("local", fn=_double, policy=TaskPolicy(),
-                           chaos=None, jobs=2)
-        assert ex.heartbeat() == {}     # pool not built yet
+    def _sweep(self, tmp_path, jobs):
+        sink = tmp_path / f"events-j{jobs}.jsonl"
+        events.set_sink(sink)
         try:
-            ex.submit_chunk(0, [(0, 0, 1)])
-            deadline = time.monotonic() + 10.0
-            heartbeat = {}
-            while time.monotonic() < deadline and not heartbeat:
-                ex.poll(timeout_s=0.1)
-                heartbeat = ex.heartbeat()
-            assert heartbeat
-            assert _schema_ok(heartbeat)
-            for worker, info in heartbeat.items():
-                assert worker == str(int(worker))   # OS pids
-                assert info["age_s"] == 0.0         # liveness is implicit
+            pids, _timing = run_sweep(_pid, list(range(8)), jobs=jobs,
+                                      chunksize=2, record=False)
         finally:
-            ex.shutdown(kill=True)
+            events.set_sink(None)
+        records = [json.loads(line) for line in sink.read_text().splitlines()]
+        workers = {r["task_index"]: str(r["worker"]) for r in records
+                   if r["event"] == "task_done"}
+        return pids, workers
+
+    @pytest.mark.parametrize("obs", [True, False], ids=["obs-on", "obs-off"])
+    def test_pool_names_its_worker_pids(self, tmp_path, obs):
+        metrics.set_enabled(obs)
+        try:
+            pids, workers = self._sweep(tmp_path, jobs=2)
+        finally:
+            metrics.set_enabled(True)
+        assert workers == {i: str(pid) for i, pid in enumerate(pids)}
+        assert os.getpid() not in pids
+
+    def test_inline_names_the_controller(self, tmp_path):
+        _pids, workers = self._sweep(tmp_path, jobs=1)
+        assert workers == {i: str(os.getpid()) for i in range(8)}
 
 
 def _exit_worker(item):

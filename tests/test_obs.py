@@ -25,9 +25,11 @@ from repro.obs.metrics import (
     merge_snapshots,
 )
 from repro.obs.tracing import (
+    UNATTRIBUTED,
     flatten_spans,
     merge_span_dicts,
     span,
+    span_self_times,
     span_structure,
 )
 from repro.workloads.profiles import get_profile
@@ -168,6 +170,19 @@ class TestSpans:
         assert merged["children"]["a"]["count"] == 2
         assert merged["children"]["b"]["count"] == 1
         assert merge_span_dicts(None, None) is None
+
+    def test_self_times_subtract_children(self):
+        def node(wall, **children):
+            return {"name": "", "count": 1, "wall_s": wall, "cpu_s": 0.0,
+                    "children": children}
+
+        tree = node(0.0, a=node(3.0, b=node(1.0)), c=node(0.5))
+        table = span_self_times(tree, 4.0)
+        assert list(table.items()) == [
+            ("a", 2.0), ("a.b", 1.0), ("c", 0.5), (UNATTRIBUTED, 0.5),
+        ]
+        assert list(table)[:-1] == [row[0] for row in flatten_spans(tree)]
+        assert span_self_times(None, 2.0) == {UNATTRIBUTED: 2.0}
 
 
 class TestTaskScoping:
@@ -320,6 +335,23 @@ class TestSimulationDeterminism:
         )
         assert "sim.leading" in serial.spans["children"]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_span_self_times_cover_task_wall_time(self, jobs):
+        benchmarks = [get_profile(n) for n in ("gzip", "mcf")]
+        run_id = events.begin_run(f"self-times-jobs{jobs}")
+        fig6_performance(window=TINY, benchmarks=benchmarks, jobs=jobs)
+        tree = engine.run_metrics(run_id).spans
+        task_wall = sum(t.cpu_s for t in engine.timings(run_id))
+        table = span_self_times(tree, task_wall)
+        assert abs(sum(table.values()) - task_wall) <= 1e-6
+        assert min(table.values()) >= -1e-9
+        # Both the leading-only and the RMT simulations split their two
+        # window prepasses (warmup, measured) out of the scan.
+        counts = {path: count for path, count, _w, _c in flatten_spans(tree)}
+        for parent in ("sim.leading", "sim.rmt"):
+            assert counts[f"{parent}.sim.prepass"] == 2 * counts[parent]
+            assert table[f"{parent}.sim.prepass"] > 0.0
+
 
 # ---------------------------------------------------------------------
 class TestEvents:
@@ -355,6 +387,26 @@ class TestEvents:
         assert manifest["command"] == "x"
 
 
+class TestEventSinkFlush:
+    def test_lines_visible_immediately(self, tmp_path):
+        path = tmp_path / "ev.jsonl"
+        events.set_sink(path)
+        events.emit("probe", run_id="r1")
+        # Per-line flush: a concurrent reader sees the event without the
+        # sink being closed first.
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["event"] for r in records] == ["probe"]
+        events.set_sink(None)
+
+    def test_fsync_env_knob(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(events.FSYNC_ENV_VAR, "1")
+        path = tmp_path / "ev.jsonl"
+        events.set_sink(path)
+        events.emit("durable", run_id="r1")
+        assert '"durable"' in path.read_text()
+        events.set_sink(None)
+
+
 class TestCliManifest:
     def _run(self, tmp_path, jobs):
         memo.clear_cache()
@@ -382,6 +434,13 @@ class TestCliManifest:
             parallel["metrics"]["spans"]
         )
         assert serial["jobs"] == 1 and parallel["jobs"] == 2
+        for manifest in (serial, parallel):
+            # The self-time table accounts for every task second (the
+            # sweep rows round cpu_s to milliseconds).
+            table = manifest["span_self_s"]
+            assert UNATTRIBUTED in table and "sim.rmt.sim.prepass" in table
+            cpu_s = sum(s["cpu_s"] for s in manifest["sweeps"])
+            assert abs(sum(table.values()) - cpu_s) <= 1e-3
         assert serial["command"] == "fig6"
         assert serial["run_id"] != parallel["run_id"]
         assert [s["label"] for s in serial["sweeps"]] == ["fig6_performance"]

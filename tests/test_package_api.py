@@ -88,6 +88,23 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_import_does_not_load_servers_or_profilers():
+    """The run record is the manifest and the event sink, so importing the
+    package loads no HTTP server and no profiler."""
+    src = Path(importlib.util.find_spec("repro").origin).parents[1]
+    probe = (
+        "import sys, repro; "
+        "print([m for m in ('http.server', 'socketserver', 'cProfile') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_import_builds_no_kernel(tmp_path):
     """The compiled timing kernel is built and loaded on first use only:
     importing the package loads neither its loader nor setuptools, and

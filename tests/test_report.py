@@ -27,3 +27,14 @@ def test_generate_report(tmp_path):
     assert "Table 8" in text
     assert "fault coverage" in text
     assert data["vias"]["num_vias"] == 1409
+
+    # The span table carries each span's self time and the task time no
+    # span covers; the run manifest carries the same table.
+    assert "self (s)" in text and "(unattributed)" in text
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["span_self_s"] == loaded["span_self_s"]
+    # Each sweep row rounds its cpu_s to milliseconds.
+    sweeps = loaded["sweep_timings"]
+    cpu_s = sum(t["cpu_s"] for t in sweeps)
+    assert abs(sum(loaded["span_self_s"].values()) - cpu_s) \
+        <= 5e-4 * len(sweeps) + 1e-9

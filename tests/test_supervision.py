@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import build_parser
 from repro.common.errors import ConfigError, SweepDrainedError
 from repro.experiments import chaos as chaos_mod
 from repro.experiments import checkpoint as checkpoint_mod
@@ -276,6 +277,13 @@ class TestPartialReport:
         assert "interrupted" in text
         assert "--resume run-abc" in text
         assert "Quarantined" not in text
+        # The resume hint is a command line the CLI accepts.
+        hint = next(line for line in text.splitlines()
+                    if "--resume" in line)
+        argv = hint.split("python -m repro", 1)[1].split()
+        argv[argv.index("<command>")] = "fig6"
+        args = build_parser().parse_args(argv)
+        assert (args.checkpoint, args.resume) == (str(root), "run-abc")
         payload = json.loads((out / "results_partial.json").read_text())
         assert payload["run_id"] == "run-abc"
 

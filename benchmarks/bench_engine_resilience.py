@@ -2,16 +2,15 @@
 
 Two guarantees ride on this file:
 
-* the resilience machinery (attempt loop, outcome objects, policy
-  checks) costs the undisturbed happy path no more than 3% over a bare
-  pre-resilience sweep loop — measured against an inline reimplementation
-  of the old engine's serial path, on tasks of a fixed busy-wait length
-  so the comparison is stable across hosts;
-* a real CLI invocation survives aggressive chaos (worker kills plus
-  injected first-attempt failures) end to end on the process pool:
-  ``python -m repro fig6 --chaos worker-kill:0.9,task-fail:0.9
-  --retries 2`` exits 0, rebuilds the pool at least once, and writes a
-  run manifest with zero task failures.
+* the engine's bookkeeping (outcome objects, at-most-once commits,
+  checkpoint probes) costs the undisturbed happy path no more than 3%
+  over a bare pre-resilience sweep loop — measured against an inline
+  reimplementation of the old engine's serial path, on tasks of a fixed
+  busy-wait length so the comparison is stable across hosts;
+* a real CLI invocation survives aggressive worker kills end to end on
+  the process pool: ``python -m repro fig6 --chaos worker-kill:0.9``
+  exits 0, rebuilds the pool at least once, and writes a run manifest
+  with zero task failures.
 """
 
 import json
@@ -101,8 +100,8 @@ def _timed(fn):
 
 @pytest.mark.slow
 def test_cli_survives_chaos(tmp_path):
-    """The acceptance smoke target: a chaos-ridden CLI sweep recovers,
-    exits 0, and its manifest metrics carry the full sweep."""
+    """The acceptance smoke target: a CLI sweep whose workers keep dying
+    recovers, exits 0, and its manifest metrics carry the full sweep."""
     repo = Path(__file__).resolve().parent.parent
     manifest_path = tmp_path / "manifest.json"
     env = dict(os.environ)
@@ -111,7 +110,7 @@ def test_cli_survives_chaos(tmp_path):
         [
             sys.executable, "-m", "repro", "fig6",
             "--benchmarks", "gzip,mcf", "--window", "1500", "--jobs", "2",
-            "--retries", "2", "--chaos", "worker-kill:0.9,task-fail:0.9,seed:1",
+            "--chaos", "worker-kill:0.9,seed:1",
             "--metrics", str(manifest_path),
         ],
         cwd=repo,
@@ -124,10 +123,9 @@ def test_cli_survives_chaos(tmp_path):
     manifest = json.loads(manifest_path.read_text())
     sweep = manifest["sweeps"][0]
     print_table(
-        "CLI chaos smoke (fig6 under worker kills + injected failures)",
-        ["tasks", "failures", "retries", "pool rebuilds"],
-        [[sweep["tasks"], sweep["failures"], sweep["retries"],
-          sweep["pool_rebuilds"]]],
+        "CLI chaos smoke (fig6 under worker kills)",
+        ["tasks", "failures", "pool rebuilds"],
+        [[sweep["tasks"], sweep["failures"], sweep["pool_rebuilds"]]],
     )
     assert sweep["tasks"] == 8
     assert sweep["failures"] == 0

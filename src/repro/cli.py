@@ -17,7 +17,6 @@ remains the canonical way to regenerate everything with assertions.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import signal
 import sys
 import threading
@@ -310,29 +309,6 @@ def _cmd_report(args) -> None:
     _say(f"wrote {args.out}/results.json and {args.out}/results.md")
 
 
-def _cmd_gc(args) -> None:
-    report = checkpoint_mod.gc_checkpoints(
-        args.dir,
-        keep_last=args.keep_last,
-        max_age_days=args.max_age_days,
-        dry_run=args.dry_run,
-    )
-    verb = "would remove" if args.dry_run else "removed"
-    for run_id in report.removed:
-        _say(f"  {verb} {run_id}")
-    for run_id in report.skipped:
-        _say(f"  skipped {run_id} (unreadable)")
-    summary = (
-        f"{verb} {len(report.removed)} run(s) "
-        f"({report.reclaimed_files} file(s), "
-        f"{report.reclaimed_bytes / 1024:.1f} KiB), "
-        f"kept {len(report.kept)}"
-    )
-    if report.skipped:
-        summary += f", skipped {len(report.skipped)}"
-    _say(summary)
-
-
 def _cmd_hetero(args) -> None:
     result = section4_heterogeneous(window=_window(args))
     _say(f"checker power : {result.checker_power_65nm_w:.1f} W (65nm) -> "
@@ -363,7 +339,6 @@ _COMMANDS = {
     "coverage": _cmd_coverage,
     "constraint": _cmd_constraint,
     "hetero": _cmd_hetero,
-    "gc": _cmd_gc,
     "report": _cmd_report,
     "thermalmap": _cmd_thermalmap,
     "presets": _cmd_presets,
@@ -397,18 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--benchmarks", default=None,
                 help="comma-separated benchmark subset (default: full suite)",
             )
-        if name == "gc":
-            p.add_argument("--dir", default=".repro/checkpoints",
-                           metavar="DIR",
-                           help="checkpoint root to collect")
-            p.add_argument("--keep-last", type=int, default=None, metavar="N",
-                           help="keep the N most recently active runs")
-            p.add_argument("--max-age-days", type=float, default=None,
-                           metavar="DAYS",
-                           help="remove runs idle for more than DAYS")
-            p.add_argument("--dry-run", action="store_true",
-                           help="report what would be removed, delete "
-                                "nothing")
         p.add_argument("--window", type=int, default=20_000,
                        help="measured instructions per simulation")
         p.add_argument("--seed", type=int, default=42)
@@ -416,25 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for sweeps: 1 runs them "
                             "in-process, more use a process pool "
                             "(default: REPRO_JOBS or cpu count)")
-        p.add_argument("--retries", type=int, default=None,
-                       help="re-executions allowed per failed sweep task "
-                            "(default: REPRO_RETRIES or 0)")
-        p.add_argument("--task-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="kill any single sweep task attempt that "
-                            "runs longer than this (default: "
-                            "REPRO_TASK_TIMEOUT or unlimited)")
-        p.add_argument("--drain-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="on SIGTERM, wait this long for in-flight "
-                            "chunks to finish and checkpoint before "
-                            "abandoning them (default: 30)")
-        p.add_argument("--fail-fast", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="abort a sweep on the first exhausted task "
-                            "(--no-fail-fast collects failures and "
-                            "returns None for their slots; default: "
-                            "fail fast)")
         p.add_argument("--checkpoint", nargs="?", const=".repro/checkpoints",
                        default=None, metavar="DIR",
                        help="persist completed sweep tasks under DIR "
@@ -445,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "checkpoint")
         p.add_argument("--chaos", default=None, metavar="SPEC",
                        help="inject faults into sweep execution, e.g. "
-                            "'worker-kill:0.1,task-fail:0.05' "
+                            "'worker-kill:0.1,short-write:0.2,seed:7' "
                             "(or set REPRO_CHAOS)")
         p.add_argument("--metrics", nargs="?", const="run_manifest.json",
                        default=None, metavar="PATH",
@@ -491,21 +435,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         engine.set_default_jobs(args.jobs)
-        overrides = {
-            field: value
-            for field, value in (
-                ("max_retries", args.retries),
-                ("timeout_s", args.task_timeout),
-                ("fail_fast", args.fail_fast),
-                ("drain_timeout_s", args.drain_timeout),
-            )
-            if value is not None
-        }
-        if overrides:
-            # CLI flags outrank the REPRO_RETRIES / REPRO_TASK_TIMEOUT
-            # env knobs but leave unflagged fields to them.
-            base = engine.policy_from_env() or engine.TaskPolicy()
-            engine.set_default_policy(dataclasses.replace(base, **overrides))
         if checkpoint_dir:
             checkpoint_mod.set_checkpoint_dir(checkpoint_dir)
             _say(f"checkpointing sweeps under {checkpoint_dir}/{run_id}")
@@ -514,19 +443,23 @@ def main(argv: list[str] | None = None) -> int:
         _COMMANDS[args.command](args)
         if args.metrics:
             metrics = engine.run_metrics(run_id)
+            sweeps = engine.timing_summary(run_id)
+            # The worker count the sweeps ran with (a sweep with fewer
+            # chunks than workers runs with fewer); the request only when
+            # the command ran no sweep.
+            jobs = max((s["jobs"] for s in sweeps),
+                       default=engine.resolve_jobs(args.jobs))
             events.write_manifest(
                 args.metrics,
                 command=args.command,
                 seed=args.seed,
                 window=args.window,
-                jobs=engine.resolve_jobs(args.jobs),
+                jobs=jobs,
                 run_id=run_id,
                 metrics=metrics.as_dict(),
-                sweeps=engine.timing_summary(run_id),
+                sweeps=sweeps,
                 extra={
-                    "executor": engine.resolve_executor(
-                        engine.resolve_jobs(args.jobs)
-                    ),
+                    "executor": engine.resolve_executor(jobs),
                     "span_self_s": span_self_times(
                         metrics.spans,
                         sum(t.cpu_s for t in engine.timings(run_id)),
@@ -570,7 +503,6 @@ def main(argv: list[str] | None = None) -> int:
             signal.signal(signal.SIGTERM, prior_sigterm or signal.SIG_DFL)
         engine.clear_drain()
         engine.set_default_jobs(None)
-        engine.set_default_policy(None)
         checkpoint_mod.set_checkpoint_dir(None)
         chaos_mod.set_chaos(None)
         if args.trace_out:

@@ -41,19 +41,17 @@ class CalibrationError(ReproError):
 
 
 # ---------------------------------------------------------------------
-# Sweep-execution failure taxonomy (repro.experiments.engine).  The
-# engine mirrors the paper's detect-and-recover discipline: every task
-# failure is classified, carries enough context to re-run the task, and
-# is either retried, collected, or escalated to a sweep abort.
+# Sweep-execution failures (repro.experiments.engine).  Each task runs
+# once; the first task error aborts the sweep, carrying enough context
+# to re-run the task.
 
 
 class TaskError(ReproError):
-    """One sweep task exhausted its attempts.
+    """One sweep task raised.
 
-    Carries the task's checkpoint key, its position in the sweep, how
-    many attempts were executed, and the traceback captured inside the
-    worker process (a plain string — the original exception object never
-    crosses the process boundary).
+    Carries the task's checkpoint key, its position in the sweep, and
+    the traceback captured inside the worker process (a plain string —
+    the original exception object never crosses the process boundary).
     """
 
     def __init__(
@@ -62,52 +60,16 @@ class TaskError(ReproError):
         *,
         task_key: str = "",
         task_index: int | None = None,
-        attempts: int = 1,
         worker_traceback: str = "",
     ):
         super().__init__(message)
         self.task_key = task_key
         self.task_index = task_index
-        self.attempts = attempts
         self.worker_traceback = worker_traceback
 
 
-class TaskTimeoutError(TaskError):
-    """A task exceeded its per-task timeout on every allowed attempt."""
-
-    def __init__(self, message: str, *, timeout_s: float = 0.0, **kwargs):
-        super().__init__(message, **kwargs)
-        self.timeout_s = timeout_s
-
-
-class WorkerCrashError(ReproError):
-    """The worker pool kept dying and serial degradation was disabled.
-
-    Raised only when ``TaskPolicy.degrade_serial`` is off; with the
-    default policy the engine falls back to in-process execution instead.
-    """
-
-    def __init__(self, message: str, *, rebuilds: int = 0):
-        super().__init__(message)
-        self.rebuilds = rebuilds
-
-
-class ExecutorBrokenError(ReproError):
-    """The process pool exceeded its rebuild budget.
-
-    Raised *internally* by the scheduler to abandon the pool; the
-    sweep then degrades down the backend chain (``local -> inline``).
-    With degradation disabled the scheduler raises
-    :class:`WorkerCrashError` instead.
-    """
-
-    def __init__(self, message: str, *, backend: str = ""):
-        super().__init__(message)
-        self.backend = backend
-
-
 class SweepAbortedError(ReproError):
-    """A fail-fast sweep stopped early; ``failures`` holds the task errors."""
+    """A sweep stopped at its first task error; ``failures`` holds it."""
 
     def __init__(self, message: str, *, label: str = "", failures=()):
         super().__init__(message)
@@ -141,7 +103,3 @@ class SweepDrainedError(ReproError):
         self.completed = completed
         self.total = total
         self.stranded = stranded
-
-
-class ChaosError(ReproError):
-    """A fault injected by the chaos hook (``REPRO_CHAOS``), not a real bug."""

@@ -53,19 +53,12 @@ from repro.experiments.pipeline_depth import (
 from repro.experiments.chaos import ChaosPolicy
 from repro.experiments.engine import (
     SweepTiming,
-    TaskPolicy,
     format_timing_summary,
     parallel_map,
     resolve_executor,
     resolve_jobs,
     run_sweep,
     timing_summary,
-)
-from repro.experiments.executors import (
-    Executor,
-    InlineExecutor,
-    LocalPoolExecutor,
-    make_executor,
 )
 from repro.experiments.runner import (
     DEFAULT_WINDOW,
@@ -138,16 +131,11 @@ __all__ = [
     "slack_comparison",
     "table5_pipeline_power",
     "ChaosPolicy",
-    "Executor",
-    "InlineExecutor",
-    "LocalPoolExecutor",
-    "make_executor",
     "resolve_executor",
     "DEFAULT_WINDOW",
     "SimTask",
     "SimulationWindow",
     "SweepTiming",
-    "TaskPolicy",
     "build_memory",
     "format_timing_summary",
     "parallel_map",

@@ -2,15 +2,13 @@
 
 The simulated cores get their faults from :mod:`repro.core.faults`; this
 module does the same for the machinery that *runs* the simulations, so
-the engine's recovery paths (retries, pool rebuilds, serial degradation)
-are themselves testable.  A :class:`ChaosPolicy` injects four kinds of
-trouble:
+the engine's recovery paths (pool rebuilds, serial degradation, torn
+checkpoint lines) are themselves testable.  A :class:`ChaosPolicy`
+injects two kinds of trouble:
 
-* ``task-fail`` — raise :class:`~repro.common.errors.ChaosError` before
-  the task body runs;
-* ``worker-kill`` — ``os._exit`` the worker process (surfaces to the
-  controller as a ``BrokenProcessPool``), only ever inside pool workers;
-* ``task-delay`` — sleep before the task body runs;
+* ``worker-kill`` — ``os._exit`` the worker process before the task body
+  runs (surfaces to the controller as a ``BrokenProcessPool``), only
+  ever inside pool workers;
 * ``short-write`` — the checkpoint writer persists only a prefix of the
   JSONL line for the named task, simulating a crash torn mid-byte.
 
@@ -18,29 +16,28 @@ Two rules make chaos compatible with the engine's determinism contract
 (results, merged metrics, and manifests bit-identical to an undisturbed
 run):
 
-1. **Injections happen before the task body.**  A chaos-failed attempt
-   executes none of the task, so it warms no memo cache and produces no
-   metric delta; the retry behaves exactly like a clean first run.
-2. **Only first attempts are disturbed** (``attempt == 0``).  Retries
-   and kill-recovery resubmissions always run clean, so every task
-   eventually succeeds with a bit-identical result.
+1. **Kills happen before the task body.**  A killed attempt executes
+   none of the task, so it warms no memo cache and produces no metric
+   delta; the rerun behaves exactly like a clean first run.
+2. **Only first attempts are disturbed** (``attempt == 0``).  Reruns
+   after a kill always run clean, so every task eventually succeeds
+   with a bit-identical result.
 
 Decisions are pure functions of ``(seed, kind, task index)`` — both the
 worker (to inject) and the controller (to attribute a pool crash to the
 task chaos killed) compute them independently and agree.
 
 Activate with the ``REPRO_CHAOS`` environment variable or the CLI's
-``--chaos`` flag, e.g. ``worker-kill:0.1,task-fail:0.05``.
+``--chaos`` flag, e.g. ``worker-kill:0.1,short-write:0.2,seed:7``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import time
 from dataclasses import dataclass
 
-from repro.common.errors import ChaosError, ConfigError
+from repro.common.errors import ConfigError
 
 __all__ = [
     "CHAOS_ENV_VAR",
@@ -61,37 +58,24 @@ def hash01(text: str) -> float:
 
 @dataclass(frozen=True)
 class ChaosPolicy:
-    """Probabilities (and a seed) for the task and checkpoint injections."""
+    """Probabilities (and a seed) for the worker and checkpoint injections."""
 
-    fail_p: float = 0.0
     kill_p: float = 0.0
-    delay_p: float = 0.0
-    delay_s: float = 0.01
     short_write_p: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("fail_p", "kill_p", "delay_p", "short_write_p"):
+        for name in ("kill_p", "short_write_p"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"chaos {name} must be in [0, 1], got {p}")
-        if self.delay_s < 0:
-            raise ConfigError(f"chaos delay_s must be >= 0, got {self.delay_s}")
 
     def _roll(self, kind: str, index: int) -> float:
         return hash01(f"{self.seed}:{kind}:{index}")
 
-    def fails(self, index: int, attempt: int) -> bool:
-        """Whether the task at ``index`` gets an injected failure."""
-        return attempt == 0 and self._roll("fail", index) < self.fail_p
-
     def kills(self, index: int, attempt: int) -> bool:
         """Whether the task at ``index`` gets its worker killed."""
         return attempt == 0 and self._roll("kill", index) < self.kill_p
-
-    def delays(self, index: int, attempt: int) -> bool:
-        """Whether the task at ``index`` gets an injected delay."""
-        return attempt == 0 and self._roll("delay", index) < self.delay_p
 
     def short_writes(self, index: int) -> bool:
         """Whether the checkpoint append for task ``index`` persists
@@ -100,32 +84,13 @@ class ChaosPolicy:
         carries a torn line, so resumed runs converge."""
         return self._roll("short", index) < self.short_write_p
 
-    def inject(self, index: int, attempt: int, in_worker: bool) -> None:
-        """Apply this policy ahead of one task attempt.
-
-        Called by the engine *before* the task body (and before its
-        metric bracket).  Kills only fire inside pool workers — during
-        serial (in-process) execution they are skipped, which is what
-        lets a degraded or ``jobs=1`` run complete under any policy.
-        """
-        if self.delays(index, attempt):
-            time.sleep(self.delay_s)
-        if in_worker and self.kills(index, attempt):
-            os._exit(17)
-        if self.fails(index, attempt):
-            raise ChaosError(
-                f"chaos: injected failure for task {index} (attempt {attempt})"
-            )
-
     # -- spec parsing --------------------------------------------------
     @classmethod
     def parse(cls, spec: str) -> "ChaosPolicy":
         """Build a policy from a spec string.
 
-        Comma-separated ``kind:value`` fields; kinds are ``task-fail``
-        (or ``fail``), ``worker-kill`` (``kill``), ``task-delay``
-        (``delay``, with an optional second value for the sleep in
-        seconds), ``short-write`` (``short``), and ``seed``.  Example::
+        Comma-separated ``kind:value`` fields; kinds are ``worker-kill``
+        (or ``kill``), ``short-write`` (``short``), and ``seed``.  Example::
 
             worker-kill:0.1,short-write:0.2,seed:7
         """
@@ -137,14 +102,8 @@ class ChaosPolicy:
             parts = field.split(":")
             kind = parts[0].strip().lower()
             try:
-                if kind in ("task-fail", "fail"):
-                    values["fail_p"] = float(parts[1])
-                elif kind in ("worker-kill", "kill"):
+                if kind in ("worker-kill", "kill"):
                     values["kill_p"] = float(parts[1])
-                elif kind in ("task-delay", "delay"):
-                    values["delay_p"] = float(parts[1])
-                    if len(parts) > 2:
-                        values["delay_s"] = float(parts[2])
                 elif kind in ("short-write", "short"):
                     values["short_write_p"] = float(parts[1])
                 elif kind == "seed":

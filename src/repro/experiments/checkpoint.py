@@ -48,9 +48,7 @@ import json
 import os
 import pickle
 import re
-import shutil
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.common.errors import ConfigError
@@ -65,8 +63,6 @@ __all__ = [
     "SweepCheckpoint",
     "open_sweep",
     "scan_sweep",
-    "GcReport",
-    "gc_checkpoints",
 ]
 
 _DIR: Path | None = None
@@ -375,113 +371,3 @@ def scan_sweep(path: str | Path) -> dict:
         except (OSError, json.JSONDecodeError):
             summary["finalize_info"] = None
     return summary
-
-
-# ---------------------------------------------------------------------
-# Retention: checkpoints accumulate one directory per run id and nothing
-# ever removed them; ``repro gc`` applies a keep-last-N / max-age policy.
-
-
-@dataclass
-class GcReport:
-    """What one retention pass removed (or would remove, under dry-run)."""
-
-    removed: list[str] = field(default_factory=list)
-    kept: list[str] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
-    reclaimed_bytes: int = 0
-    reclaimed_files: int = 0
-    dry_run: bool = False
-
-
-def _run_mtime(run_dir: Path) -> float:
-    """A run's last activity: the newest mtime among its files (appends
-    touch the files, not the directory).  Raises ``OSError`` only when
-    the run directory itself is unreadable."""
-    newest = run_dir.stat().st_mtime
-    for path in run_dir.rglob("*"):
-        try:
-            newest = max(newest, path.stat().st_mtime)
-        except OSError:
-            continue
-    return newest
-
-
-def _run_size(run_dir: Path) -> tuple[int, int]:
-    """Total ``(bytes, file_count)`` under one run directory, skipping
-    entries that cannot be stat'ed."""
-    total = 0
-    count = 0
-    try:
-        paths = list(run_dir.rglob("*"))
-    except OSError:
-        return 0, 0
-    for path in paths:
-        try:
-            if path.is_file():
-                total += path.stat().st_size
-                count += 1
-        except OSError:
-            continue
-    return total, count
-
-
-def gc_checkpoints(
-    root: str | Path,
-    keep_last: int | None = None,
-    max_age_days: float | None = None,
-    dry_run: bool = False,
-) -> GcReport:
-    """Remove old checkpoint run directories under ``root``.
-
-    A run directory is removed when it falls outside the ``keep_last``
-    most recently active runs *or* its last activity is older than
-    ``max_age_days`` — at least one knob must be given.  Activity is the
-    newest file mtime inside the run, so a long sweep that is still
-    appending never looks stale.  With ``dry_run`` nothing is deleted;
-    the report lists what a real pass would reclaim, including the byte
-    and file counts.  A run directory whose entries cannot be read
-    (permissions, races with concurrent deletion) is skipped — listed in
-    ``report.skipped`` — instead of aborting the pass.
-    """
-    if keep_last is None and max_age_days is None:
-        raise ConfigError(
-            "gc_checkpoints needs a retention policy: keep_last and/or "
-            "max_age_days"
-        )
-    if keep_last is not None and keep_last < 0:
-        raise ConfigError(f"keep_last must be >= 0, got {keep_last}")
-    if max_age_days is not None and max_age_days < 0:
-        raise ConfigError(f"max_age_days must be >= 0, got {max_age_days}")
-    report = GcReport(dry_run=dry_run)
-    root = Path(root)
-    if not root.is_dir():
-        return report
-    mtimes: dict[str, float] = {}
-    runs = []
-    for path in sorted(root.iterdir()):
-        try:
-            if not path.is_dir():
-                continue
-            mtimes[path.name] = _run_mtime(path)
-        except OSError:
-            report.skipped.append(path.name)
-            continue
-        runs.append(path)
-    runs.sort(key=lambda path: (-mtimes[path.name], path.name))
-    now = time.time()
-    for rank, run_dir in enumerate(runs):
-        stale = (keep_last is not None and rank >= keep_last) or (
-            max_age_days is not None
-            and now - mtimes[run_dir.name] > max_age_days * 86400.0
-        )
-        if not stale:
-            report.kept.append(run_dir.name)
-            continue
-        report.removed.append(run_dir.name)
-        size, files = _run_size(run_dir)
-        report.reclaimed_bytes += size
-        report.reclaimed_files += files
-        if not dry_run:
-            shutil.rmtree(run_dir, ignore_errors=True)
-    return report

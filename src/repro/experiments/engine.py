@@ -1,52 +1,51 @@
-"""Fault-tolerant parallel experiment execution engine.
+"""Parallel experiment execution engine.
 
 Every figure/table driver is a sweep over independent ``(benchmark x chip
 model x policy)`` simulations, so the drivers submit their task lists here
 instead of running nested loops inline.  The engine provides:
 
-* :func:`parallel_map` / :func:`run_sweep` — order-preserving map over a
-  pluggable executor backend (:mod:`repro.experiments.executors`) with
+* :func:`parallel_map` / :func:`run_sweep` — an order-preserving map with
   chunked submission (chunks keep a worker on one benchmark's tasks so
   its per-process artifact cache gets hits; see :mod:`repro.common.memo`);
 * a worker-count policy: an explicit ``jobs`` argument wins, then the
-  ``REPRO_JOBS`` environment variable, then ``os.cpu_count()``.  The
-  backend follows from it: ``inline`` for one worker (a pure in-process
-  loop — no executor processes, no pickling — so ``pdb``, profilers,
-  and coverage keep working) and the ``local`` process pool otherwise;
-* a backend-agnostic scheduler loop driven by per-chunk **leases**
-  (deadline = the wave's worst-case serial budget): an expired lease
-  cancels the chunk and commits its unfinished tasks as timeouts,
-  results commit **at most once** per task key (a duplicate delivery
-  is counted and dropped), and a pool that keeps breaking degrades
-  down the chain ``local -> inline``;
-* a resilience policy (:class:`TaskPolicy`): per-task retries with
-  exponential backoff and deterministic jitter, a per-task timeout that
-  kills hung attempts from inside the worker, fail-fast vs.
-  collect-errors modes, transparent rebuild of a broken worker pool
-  (``BrokenProcessPool``), and graceful degradation after repeated
-  worker deaths;
+  ``REPRO_JOBS`` environment variable, then ``os.cpu_count()``.  One
+  worker runs the sweep ``inline`` (a plain in-process loop — no worker
+  processes, no pickling — so ``pdb``, profilers, and coverage keep
+  working); more run it on a ``local`` process pool;
+* fail-fast: each task runs once, and the first task error aborts the
+  sweep with :class:`SweepAbortedError` carrying the worker traceback
+  (the simulations are deterministic, so a rerun would fail again);
+* pool recovery: a pool that breaks (``BrokenProcessPool``) is rebuilt
+  and its lost chunks resubmitted whole, up to :data:`MAX_POOL_REBUILDS`
+  times; after that the rest of the sweep runs inline (``degraded``).
+  Results commit **at most once** per task key (a duplicate delivery is
+  counted and dropped);
+* graceful drains (:func:`request_drain`, the CLI's SIGTERM): chunks
+  already running finish and commit, the rest are withdrawn, and the
+  sweep raises :class:`SweepDrainedError` so the caller can exit with a
+  resume hint;
 * sweep checkpointing (:mod:`repro.experiments.checkpoint`): completed
   task results append to a JSONL file keyed by run id and task key, so an
   interrupted sweep resumes via ``--resume <run_id>`` and re-executes
   only the tasks that never finished;
 * a chaos hook (:mod:`repro.experiments.chaos`, ``REPRO_CHAOS``) that
-  injects worker-side failures, delays, and process kills so the recovery
-  machinery is itself testable — mirroring how :mod:`repro.core.faults`
+  kills pool workers and tears checkpoint lines, so the recovery paths
+  are themselves testable — mirroring how :mod:`repro.core.faults`
   injects faults into the simulated cores;
 * per-task wall-clock, metric-delta, and failure accounting recorded as a
   :class:`SweepTiming` per sweep (stamped with the active run id) that
   ``experiments/report.py`` and the benchmark harness render.
 
 Determinism: results are returned in task-submission order regardless of
-completion, retry, or resume history.  Tasks are pure — a retried attempt
-is bit-identical to a clean first run — and the metric deltas of failed
-attempts are discarded, so merged sweep metrics are equal across any
-worker count, retry history, or resume boundary.  Chaos injections fire
-*before* a task's body and only on first attempts, which keeps even a
-chaos-disturbed sweep bit-identical to an undisturbed serial one.
+completion, rebuild, or resume history.  Tasks are pure — a chunk re-run
+after a pool break is bit-identical to a clean first run — so merged
+sweep metrics are equal across any worker count, pool break, or resume
+boundary.  Chaos kills fire *before* a task's body and only on first
+attempts, which keeps even a chaos-disturbed sweep bit-identical to an
+undisturbed serial one.
 
-Failure accounting (failures/retries/timeouts/pool rebuilds) deliberately
-stays **out** of the merged metric snapshots and in dedicated
+Recovery accounting (failures, pool rebuilds, resumes) deliberately stays
+**out** of the merged metric snapshots and in dedicated
 :class:`SweepTiming` fields: the ``metrics`` section of a run manifest
 must stay bit-identical between a faulted-and-recovered run and a clean
 one, which it could not if recovery events were counted there.
@@ -54,52 +53,33 @@ one, which it could not if recovery events were counted there.
 
 from __future__ import annotations
 
-import itertools
 import os
+import threading
 import time
-from dataclasses import dataclass, field, replace
+import traceback as traceback_mod
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+from concurrent.futures import wait as futures_wait
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.common.errors import (
     ConfigError,
-    ExecutorBrokenError,
     SweepAbortedError,
     SweepDrainedError,
     TaskError,
-    TaskTimeoutError,
-    WorkerCrashError,
 )
 from repro.experiments import chaos as chaos_mod
 from repro.experiments import checkpoint as checkpoint_mod
-from repro.experiments import executors as executors_mod
-from repro.experiments.chaos import ChaosPolicy, hash01
-from repro.experiments.executors import resolve_executor
+from repro.experiments.chaos import ChaosPolicy
 from repro.obs import events
-from repro.obs.metrics import MetricsSnapshot, merge_snapshots
-
-# Worker-side execution moved to repro.experiments.executors in PR 7;
-# aliased here because engine is their historical home and the runner,
-# tests, and docs refer to them through this module.
-from repro.experiments.executors import (  # noqa: F401
-    _TaskOutcome,
-    _TaskTimeout,
-    _attempt_task,
-    _deadline,
-    _kill_pool_workers,
-    _run_chunk,
-)
+from repro.obs.metrics import MetricsSnapshot, get_registry, merge_snapshots
 
 __all__ = [
     "JOBS_ENV_VAR",
-    "RETRIES_ENV_VAR",
-    "TASK_TIMEOUT_ENV_VAR",
-    "TaskPolicy",
     "SweepTiming",
     "resolve_jobs",
     "set_default_jobs",
-    "set_default_policy",
-    "policy_from_env",
-    "resolve_policy",
     "resolve_executor",
     "parallel_map",
     "run_sweep",
@@ -126,128 +106,11 @@ _MAX_AUTO_JOBS = 16
 # Guard against division by a degenerate (sub-resolution) wall clock.
 _EPS_WALL_S = 1e-9
 
+#: Pool breaks a sweep survives; one more and the rest runs inline.
+MAX_POOL_REBUILDS = 3
 
-# ---------------------------------------------------------------------
-@dataclass(frozen=True)
-class TaskPolicy:
-    """How a sweep treats task failures, hangs, and worker deaths.
-
-    ``max_retries`` counts *re*-executions per task beyond the first
-    attempt.  ``timeout_s`` kills an attempt from inside the worker (a
-    ``SIGALRM`` timer around the task body; enforcement needs a Unix
-    main thread and otherwise degrades to no limit).  Backoff between a
-    task's attempts grows exponentially from ``backoff_s`` and carries
-    deterministic jitter derived from the task index, so retry storms
-    from chunk-mates never synchronise yet stay reproducible.  With
-    ``fail_fast`` (the default) the first exhausted task aborts the
-    sweep with :class:`SweepAbortedError`; otherwise failures are
-    collected, failed slots return ``None``, and the sweep completes.
-    A pool that keeps dying is rebuilt ``max_pool_rebuilds`` times, then
-    the remaining tasks run serially in-process (``degrade_serial``) or
-    :class:`WorkerCrashError` is raised.  ``drain_timeout_s`` bounds how
-    long a drain (SIGTERM) waits for in-flight chunks to finish before
-    giving up on them.
-    """
-
-    max_retries: int = 0
-    timeout_s: float | None = None
-    backoff_s: float = 0.0
-    backoff_multiplier: float = 2.0
-    max_backoff_s: float = 2.0
-    fail_fast: bool = True
-    max_pool_rebuilds: int = 3
-    degrade_serial: bool = True
-    drain_timeout_s: float = 30.0
-
-    def __post_init__(self):
-        if self.max_retries < 0:
-            raise ConfigError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ConfigError(
-                f"timeout_s must be positive, got {self.timeout_s}"
-            )
-        if self.backoff_s < 0 or self.max_backoff_s < 0:
-            raise ConfigError("backoff times must be >= 0")
-        if self.max_pool_rebuilds < 0:
-            raise ConfigError(
-                f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds}"
-            )
-        if self.drain_timeout_s <= 0:
-            raise ConfigError(
-                f"drain_timeout_s must be positive, got "
-                f"{self.drain_timeout_s}"
-            )
-
-    def backoff(self, task_index: int, attempt: int) -> float:
-        """Seconds to wait before ``attempt`` (>= 1) of ``task_index``.
-
-        Exponential in the attempt number, capped at ``max_backoff_s``,
-        with up to +50% jitter hashed from the task index — deterministic
-        for a given sweep, decorrelated across tasks.
-        """
-        if self.backoff_s <= 0:
-            return 0.0
-        base = min(
-            self.backoff_s * self.backoff_multiplier ** (attempt - 1),
-            self.max_backoff_s,
-        )
-        return base * (1.0 + 0.5 * hash01(f"backoff:{task_index}:{attempt}"))
-
-
-_BASE_POLICY = TaskPolicy()
-_DEFAULT_POLICY: TaskPolicy | None = None
-
-RETRIES_ENV_VAR = "REPRO_RETRIES"
-TASK_TIMEOUT_ENV_VAR = "REPRO_TASK_TIMEOUT"
-
-
-def set_default_policy(policy: TaskPolicy | None) -> None:
-    """Set the process-wide resilience policy (the CLI's retry flags).
-
-    Applies to every sweep that does not pass ``policy`` explicitly;
-    ``None`` restores the environment-derived (or base) default.
-    """
-    global _DEFAULT_POLICY
-    _DEFAULT_POLICY = policy
-
-
-def policy_from_env() -> TaskPolicy | None:
-    """The resilience policy implied by ``REPRO_RETRIES`` /
-    ``REPRO_TASK_TIMEOUT``, or None when neither is set.
-
-    Mirrors ``REPRO_JOBS``: environment knobs sit below explicit
-    arguments and :func:`set_default_policy` (the CLI flags), above the
-    built-in default.  Re-read on every resolution so tests and long
-    processes see environment changes.
-    """
-    overrides: dict[str, object] = {}
-    raw = os.environ.get(RETRIES_ENV_VAR, "").strip()
-    if raw:
-        try:
-            overrides["max_retries"] = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{RETRIES_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
-    raw = os.environ.get(TASK_TIMEOUT_ENV_VAR, "").strip()
-    if raw:
-        try:
-            overrides["timeout_s"] = float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{TASK_TIMEOUT_ENV_VAR} must be a number, got {raw!r}"
-            ) from None
-    if not overrides:
-        return None
-    return replace(_BASE_POLICY, **overrides)
-
-
-def resolve_policy(policy: TaskPolicy | None = None) -> TaskPolicy:
-    """The effective policy: argument, then :func:`set_default_policy`,
-    then the environment knobs, then the built-in default."""
-    return policy or _DEFAULT_POLICY or policy_from_env() or _BASE_POLICY
+#: How long a drain waits for running chunks before abandoning them.
+DRAIN_TIMEOUT_S = 30.0
 
 
 # ---------------------------------------------------------------------
@@ -261,16 +124,13 @@ class SweepTiming:
     wall_s: float = 0.0
     run_id: str = ""
     metrics: MetricsSnapshot | None = None
-    failures: int = 0        # tasks that exhausted every attempt
-    retries: int = 0         # failed attempts that were retried
-    timeouts: int = 0        # attempts killed by the per-task timeout
+    failures: int = 0        # tasks that raised (the first aborts the sweep)
+    retries: int = 0         # always 0: tasks run once
     pool_rebuilds: int = 0   # BrokenProcessPool recoveries
     resumed_tasks: int = 0   # tasks restored from a checkpoint
-    degraded: bool = False   # fell down the backend chain mid-sweep
+    degraded: bool = False   # finished inline after the pool broke for good
     empty: bool = False      # sweep had no tasks (not recorded)
-    executor: str = ""       # backend the sweep started on
-    backends: list[str] = field(default_factory=list)  # backends used, in order
-    lease_expiries: int = 0  # chunk leases that expired at the controller
+    executor: str = ""       # "inline" or "local", from the worker count
     duplicate_results: int = 0  # late/duplicate commits dropped per task key
 
     @property
@@ -334,14 +194,10 @@ def timing_summary(
             "wall_s": round(t.wall_s, 3),
             "speedup": round(t.speedup, 2),
             "failures": t.failures,
-            "retries": t.retries,
-            "timeouts": t.timeouts,
             "pool_rebuilds": t.pool_rebuilds,
             "resumed_tasks": t.resumed_tasks,
             "degraded": t.degraded,
             "executor": t.executor,
-            "backends": list(t.backends),
-            "lease_expiries": t.lease_expiries,
             "duplicate_results": t.duplicate_results,
         }
         if include_metrics:
@@ -418,34 +274,138 @@ def resolve_jobs(jobs: int | None = None) -> int:
     return jobs
 
 
+def resolve_executor(jobs: int | None = None) -> str:
+    """The backend for ``jobs`` workers: ``inline`` for one, ``local``
+    (the process pool) otherwise."""
+    return "inline" if (jobs or 1) <= 1 else "local"
+
+
 # ---------------------------------------------------------------------
-# Controller side: chunk scheduling, lease supervision, backend
-# degradation, checkpointing.  (Worker-side execution — the
-# attempt loop, SIGALRM deadline, and chunk runner — lives in
-# repro.experiments.executors and is re-exported above.)
+# Task execution, on either side of the process boundary.
+#
+# A sweep entry is the tuple ``(index, base_attempt, item)``.
+# ``base_attempt`` is nonzero only after a chaos kill was attributed to
+# the task, so its rerun is injection-free.
+
+
+@dataclass
+class _TaskOutcome:
+    """What one task produced (picklable)."""
+
+    index: int
+    ok: bool = False
+    result: object = None
+    wall_s: float = 0.0
+    metrics: MetricsSnapshot | None = None
+    error: str = ""
+    traceback: str = ""
+    worker: int = 0          # pid of the process that ran the task
+
+
+def _run_task(fn: Callable, item, index: int, base_attempt: int,
+              chaos: ChaosPolicy | None, in_worker: bool) -> _TaskOutcome:
+    """Run one task once; a task error is returned, never raised.
+
+    A chaos kill fires before the task body and only inside pool workers
+    (killing the controller is never useful), which is what lets an
+    inline or degraded run complete under any chaos policy.  A failed
+    task calls ``end_task`` only to unwind the span stack; its metric
+    delta is discarded.
+    """
+    if in_worker and chaos is not None and chaos.kills(index, base_attempt):
+        os._exit(17)
+    outcome = _TaskOutcome(index=index, worker=os.getpid())
+    registry = get_registry()
+    mark = registry.begin_task()
+    try:
+        start = time.perf_counter()
+        outcome.result = fn(item)
+        outcome.wall_s = time.perf_counter() - start
+    except Exception as exc:
+        registry.end_task(mark)
+        outcome.error = f"{type(exc).__name__}: {exc}"
+        outcome.traceback = traceback_mod.format_exc()
+        return outcome
+    except BaseException:
+        registry.end_task(mark)
+        raise
+    outcome.metrics = registry.end_task(mark)
+    outcome.ok = True
+    return outcome
+
+
+def _run_chunk(fn: Callable, entries: Sequence[tuple[int, int, object]],
+               chaos: ChaosPolicy | None) -> list[_TaskOutcome]:
+    """Run one chunk of entries in order inside a pool worker (the unit
+    of placement)."""
+    return [
+        _run_task(fn, item, index, base, chaos, in_worker=True)
+        for index, base, item in entries
+    ]
+
+
+#: How often a pool worker checks that its parent is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: end the worker once its parent is gone.
+
+    A controller killed with SIGKILL never shuts its pool down; the
+    workers are reparented and would wait on the call queue forever
+    (the drain handler they inherit makes them ignore SIGTERM too).  A
+    daemon thread watches the parent pid and exits the worker when it
+    changes.
+    """
+    parent = os.getppid()
+
+    def _watch():
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=_watch, daemon=True).start()
+
+
+def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
+    """Best-effort SIGKILL of pool workers on abnormal exits, so an
+    abort, a drain timeout, or a pool break is not held hostage by a
+    long or hung task.  SIGKILL rather than SIGTERM: workers forked by
+    the CLI inherit its drain handler and would ignore SIGTERM.  Reaches
+    into executor internals, hence the broad guard."""
+    try:
+        processes = list((pool._processes or {}).values())
+    except Exception:
+        return
+    for process in processes:
+        try:
+            process.kill()
+        except Exception:
+            pass
+
+
+# ---------------------------------------------------------------------
+# Controller side: commits, checkpointing, the two sweep loops.
 
 
 class _SweepState:
-    """Per-sweep bookkeeping shared by the serial and pool paths."""
+    """Per-sweep bookkeeping shared by the inline and pool loops."""
 
     def __init__(
         self,
         tasks: Sequence,
         label: str,
-        policy: TaskPolicy,
         timing: SweepTiming,
         ckpt: checkpoint_mod.SweepCheckpoint | None,
     ):
         self.tasks = tasks
         self.label = label
-        self.policy = policy
         self.timing = timing
         self.ckpt = ckpt
         n = len(tasks)
         self.results: list = [None] * n
         self.walls: list[float] = [0.0] * n
         self.snapshots: list[MetricsSnapshot | None] = [None] * n
-        self.failures: list[TaskError] = []
         # At-most-once commit: task keys whose slot is already decided.
         # The first commit wins; every later arrival for the key is
         # counted as a duplicate and dropped.
@@ -470,11 +430,13 @@ class _SweepState:
         return True
 
     def absorb(self, outcome: _TaskOutcome) -> None:
-        """Fold one final task outcome into the sweep (and checkpoint).
+        """Commit one task outcome (and checkpoint it).
 
         Commits at most once per task key: a duplicate arrival is
         counted and dropped, keeping results, metrics, and the
-        checkpoint identical to a single clean delivery.
+        checkpoint identical to a single clean delivery.  A failed task
+        commits as decided and aborts the sweep with
+        :class:`SweepAbortedError`.
         """
         i = outcome.index
         key = checkpoint_mod.task_key(self.tasks[i], i)
@@ -489,8 +451,6 @@ class _SweepState:
             )
             return
         self.committed.add(key)
-        self.timing.retries += outcome.retries
-        self.timing.timeouts += outcome.timeouts
         if outcome.ok:
             self.results[i] = outcome.result
             self.walls[i] = outcome.wall_s
@@ -515,54 +475,68 @@ class _SweepState:
             )
             return
         self.timing.failures += 1
-        message = (
-            f"sweep {self.label!r} task {i} failed after "
-            f"{outcome.attempts} attempt(s): {outcome.error}"
-        )
-        if outcome.error_kind == "timeout":
-            cls = TaskTimeoutError
-        else:
-            cls = TaskError
-        kwargs = dict(
+        message = f"sweep {self.label!r} task {i} failed: {outcome.error}"
+        error = TaskError(
+            message,
             task_key=key,
             task_index=i,
-            attempts=outcome.attempts,
             worker_traceback=outcome.traceback,
         )
-        if cls is TaskTimeoutError:
-            kwargs["timeout_s"] = self.policy.timeout_s or 0.0
-        error = cls(message, **kwargs)
-        self.failures.append(error)
         events.emit(
             "task_failed",
             run_id=self.timing.run_id,
             label=self.label,
             task_index=i,
             task_key=key,
-            attempts=outcome.attempts,
-            error_kind=outcome.error_kind,
             error=outcome.error,
         )
-        if self.policy.fail_fast:
-            raise SweepAbortedError(
-                f"sweep {self.label!r} aborted: {message}",
-                label=self.label,
-                failures=self.failures,
-            ) from error
+        raise SweepAbortedError(
+            f"sweep {self.label!r} aborted: {message}",
+            label=self.label,
+            failures=[error],
+        ) from error
 
-    def absorb_chunk_error(self, chunk, exc: Exception) -> None:
-        """An infrastructure failure lost a whole chunk (e.g. the result
-        would not unpickle); every not-yet-committed task in it counts
-        as failed."""
-        for index, base, _item in chunk:
-            if self.is_committed(index):
-                continue
-            self.absorb(_TaskOutcome(
-                index=index,
-                attempts=base + 1,
-                error_kind="error",
-                error=f"chunk execution failed: {type(exc).__name__}: {exc}",
-            ))
+    def fail_chunk(self, chunk, exc: Exception) -> None:
+        """An infrastructure failure lost a whole chunk (e.g. its result
+        would not unpickle): its first uncommitted task fails the sweep."""
+        for index, _base, _item in chunk:
+            if not self.is_committed(index):
+                self.absorb(_TaskOutcome(
+                    index=index,
+                    error=f"chunk execution failed: {type(exc).__name__}: {exc}",
+                ))
+
+    def uncommitted(self, chunks) -> int:
+        """How many tasks of ``chunks`` have no committed outcome."""
+        return sum(
+            1 for chunk in chunks for index, _base, _item in chunk
+            if not self.is_committed(index)
+        )
+
+    def drained(self, stranded: int) -> SweepDrainedError:
+        """The error that ends a drained sweep."""
+        return SweepDrainedError(
+            f"sweep {self.label!r} drained after "
+            f"{_DRAIN['reason'] or 'drain request'}: "
+            f"{len(self.committed)}/{len(self.tasks)} task(s) "
+            f"committed, {stranded} stranded",
+            label=self.label,
+            run_id=self.timing.run_id,
+            completed=len(self.committed),
+            total=len(self.tasks),
+            stranded=stranded,
+        )
+
+    def emit_draining(self, inflight_chunks: int, stranded: int) -> None:
+        """Announce that a drain has begun."""
+        events.emit(
+            "sweep_draining",
+            run_id=self.timing.run_id,
+            label=self.label,
+            reason=_DRAIN["reason"],
+            inflight_chunks=inflight_chunks,
+            stranded_tasks=stranded,
+        )
 
 
 def _chunked(entries: list, chunksize: int) -> list[list]:
@@ -587,17 +561,8 @@ def _bump_killed_entries(chunk, chaos: ChaosPolicy | None):
     ]
 
 
-# Controller-deadline slack over the serial worst case: covers dispatch,
-# pickling, and scheduler noise without masking a genuinely stuck worker.
-_DEADLINE_SLACK = 1.25
-_DEADLINE_GRACE_S = 2.0
-
-
 # ---------------------------------------------------------------------
-# Drain requests (SIGTERM): a process-wide flag the scheduler loop polls
-# between events.  On a drain, in-flight chunks finish and commit,
-# pending chunks are withdrawn, and the sweep raises
-# :class:`SweepDrainedError` so the caller can exit with a resume hint.
+# Drain requests (SIGTERM): a process-wide flag the sweep loops poll.
 
 _DRAIN = {"requested": False, "reason": ""}
 
@@ -605,8 +570,8 @@ _DRAIN = {"requested": False, "reason": ""}
 def request_drain(reason: str = "signal") -> None:
     """Ask running (and subsequent) sweeps to drain and stop.
 
-    Safe to call from a signal handler: sets a flag the scheduler loop
-    polls — no locks, no I/O.  Stays set until :func:`clear_drain`, so
+    Safe to call from a signal handler: sets a flag the sweep loops
+    poll — no locks, no I/O.  Stays set until :func:`clear_drain`, so
     a multi-sweep command stops after the sweep that noticed it.
     """
     _DRAIN["requested"] = True
@@ -624,274 +589,142 @@ def clear_drain() -> None:
     _DRAIN["reason"] = ""
 
 
-def _wave_budget(chunks, policy: TaskPolicy) -> float:
-    """Worst-case wall budget for one submission wave.
+def _run_inline(fn, chunks: list, chaos, state: _SweepState) -> None:
+    """Run chunks in-process, in order, committing each task as it ends.
 
-    Every attempt of every entry at the per-attempt timeout plus maximal
-    backoffs, run *serially* — a pessimistic bound that stays valid
-    however the pool distributes chunks over workers (a queued chunk's
-    wait time is someone else's run time, already counted).  Only
-    meaningful when ``policy.timeout_s`` is set.
+    The first task error aborts mid-chunk.  A drain is noticed between
+    chunks: the remaining ones are withdrawn and the sweep raises
+    :class:`SweepDrainedError`.
     """
-    budget = 0.0
-    for chunk in chunks:
-        for _index, base, _item in chunk:
-            attempts = max(1, policy.max_retries + 1 - base)
-            budget += attempts * policy.timeout_s
-            budget += (attempts - 1) * policy.max_backoff_s * 1.5
-    return budget * _DEADLINE_SLACK + _DEADLINE_GRACE_S
+    for position, chunk in enumerate(chunks):
+        if _DRAIN["requested"]:
+            stranded = state.uncommitted(chunks[position:])
+            state.emit_draining(0, stranded)
+            raise state.drained(stranded)
+        for index, base, item in chunk:
+            state.absorb(_run_task(fn, item, index, base, chaos,
+                                   in_worker=False))
 
 
-def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
-                   backend: str) -> list:
-    """Run chunks to completion on one backend; return what it stranded.
+def _run_pool(fn, chunks: list, jobs: int, chaos,
+              state: _SweepState) -> list:
+    """Run chunks on a ``jobs``-worker process pool; return the chunks it
+    could not finish.
 
-    The scheduler is backend-agnostic: it submits chunks with a lease
-    (deadline = the wave's worst-case serial budget, armed only when the
-    policy carries a per-task timeout), consumes the executor's event
-    stream, and supervises two failure paths —
+    Waits for the first finished chunk (1 s at a time, 0.25 s while
+    draining) and commits its outcomes in order.  When the pool breaks —
+    ``BrokenProcessPool`` from ``submit`` or from a future — the other
+    futures are collected first (what they finished commits), the chaos
+    kills are attributed so the rerun is injection-free, and the lost
+    chunks are resubmitted whole onto a rebuilt pool.  A chunk re-run
+    from a cold cache re-produces bit-identical metric deltas, and the
+    at-most-once commit drops whichever copy arrives second.  After
+    :data:`MAX_POOL_REBUILDS` rebuilds the lost chunks are returned for
+    the inline loop instead (``[]`` when the pool finished everything).
 
-    * **lease expiry**: the chunk is cancelled (a running pool chunk
-      gets its workers killed) and its unfinished tasks are declared
-      timed out by the controller;
-    * **pool breakage**: counted against ``policy.max_pool_rebuilds``
-      and resubmitted whole onto a rebuilt pool, with the chaos kills
-      that caused it attributed so the rerun is injection-free.
-
-    A chunk that is resubmitted whole re-runs from a cold cache for its
-    task keys, so re-produced metric deltas are bit-identical and the
-    at-most-once commit can drop whichever copy arrives second.
-    Returns the chunks still unfinished when the backend broke for good
-    (``[]`` on normal completion); raises :class:`WorkerCrashError`
-    instead when ``policy.degrade_serial`` is off.
+    On a drain, chunks not yet picked up by a worker are withdrawn, the
+    running ones finish and commit for up to :data:`DRAIN_TIMEOUT_S`,
+    and :class:`SweepDrainedError` is raised.
     """
     timing = state.timing
-    executor = executors_mod.make_executor(
-        backend, fn=fn, policy=policy, chaos=chaos,
-        jobs=max(1, min(jobs, len(chunks))),
-    )
-    outstanding: dict[int, list] = {}
-    leases: dict[int, float | None] = {}
-    ids = itertools.count()
-    pool_rebuilds = 0
-
-    def submit_wave(wave) -> None:
-        deadline = None
-        if policy.timeout_s is not None:
-            deadline = time.monotonic() + _wave_budget(wave, policy)
-        for chunk in wave:
-            chunk_id = next(ids)
-            outstanding[chunk_id] = chunk
-            leases[chunk_id] = deadline
-            executor.submit_chunk(chunk_id, chunk)
-
-    def expire_chunk(chunk) -> None:
-        # The controller backstop fired: no result inside the worst-case
-        # serial budget.  Raises SweepAbortedError via absorb when the
-        # policy is fail-fast.
-        for index, base, _item in chunk:
-            if state.is_committed(index):
-                continue
-            state.absorb(_TaskOutcome(
-                index=index,
-                attempts=max(1, policy.max_retries + 1 - base),
-                timeouts=1,
-                error_kind="timeout",
-                error=(
-                    "controller deadline expired: task still unfinished "
-                    f"after the wave's worst-case budget "
-                    f"(per-attempt timeout {policy.timeout_s}s)"
-                ),
-            ))
-
-    def handle_event(event) -> None:
-        nonlocal pool_rebuilds
-        if isinstance(event, executors_mod.ChunkStarted):
-            # A worker picked the chunk up: re-arm its lease to the
-            # chunk's own budget (tighter than the shared wave bound).
-            if event.chunk_id in outstanding and policy.timeout_s is not None:
-                leases[event.chunk_id] = time.monotonic() + _wave_budget(
-                    [outstanding[event.chunk_id]], policy
+    pending = list(chunks)   # chunks waiting for (re)submission
+    running: dict = {}       # future -> chunk
+    pool = None
+    rebuilds = 0
+    draining = False
+    drain_deadline = 0.0
+    stranded = 0
+    try:
+        while pending or running:
+            if _DRAIN["requested"] and not draining:
+                draining = True
+                drain_deadline = time.monotonic() + DRAIN_TIMEOUT_S
+                withdrawn = pending + [
+                    running.pop(f) for f in list(running) if f.cancel()
+                ]
+                pending = []
+                stranded += state.uncommitted(withdrawn)
+                state.emit_draining(len(running), stranded)
+                if not running:
+                    break
+            elif draining and time.monotonic() >= drain_deadline:
+                # Running chunks outlived the drain timeout: abandon them
+                # (the resume re-runs their uncommitted tasks).
+                break
+            lost: list = []
+            if pending and pool is None:
+                pool = ProcessPoolExecutor(
+                    max_workers=jobs, initializer=_exit_with_parent
                 )
-        elif isinstance(event, executors_mod.TaskDone):
-            state.absorb(event.outcome)
-        elif isinstance(event, executors_mod.ChunkDone):
-            outstanding.pop(event.chunk_id, None)
-            leases.pop(event.chunk_id, None)
-        elif isinstance(event, executors_mod.ChunkFailed):
-            chunk = outstanding.pop(event.chunk_id, None)
-            leases.pop(event.chunk_id, None)
-            if chunk is not None:
-                state.absorb_chunk_error(chunk, event.error)
-        elif isinstance(event, executors_mod.PoolBroken):
-            pool_rebuilds += 1
+            for position, chunk in enumerate(pending):
+                try:
+                    running[pool.submit(_run_chunk, fn, chunk, chaos)] = chunk
+                except BrokenProcessPool:
+                    lost = pending[position:]
+                    break
+            pending = []
+            if not lost:
+                done, _ = futures_wait(
+                    running, timeout=0.25 if draining else 1.0,
+                    return_when=FIRST_COMPLETED,
+                )
+                for future in done:
+                    chunk = running.pop(future)
+                    try:
+                        outcomes = future.result()
+                    except BrokenProcessPool:
+                        lost.append(chunk)
+                        continue
+                    except Exception as exc:
+                        state.fail_chunk(chunk, exc)
+                        continue
+                    for outcome in outcomes:
+                        state.absorb(outcome)
+            if not lost:
+                continue
+            # The pool is dead: every other future is doomed or already
+            # holds a result, so collect them before rebuilding.
+            for future, chunk in running.items():
+                try:
+                    outcomes = future.result(timeout=10.0)
+                except Exception:
+                    lost.append(chunk)
+                    continue
+                for outcome in outcomes:
+                    state.absorb(outcome)
+            running.clear()
+            _kill_pool_workers(pool)
+            pool.shutdown(wait=False, cancel_futures=True)
+            pool = None
+            rebuilds += 1
             timing.pool_rebuilds += 1
             events.emit(
                 "pool_rebuilt",
                 run_id=timing.run_id,
                 label=state.label,
-                rebuilds=pool_rebuilds,
-                unfinished_tasks=sum(
-                    len(outstanding[cid]) for cid in event.chunk_ids
-                    if cid in outstanding
-                ),
+                rebuilds=rebuilds,
+                unfinished_tasks=sum(len(c) for c in lost),
             )
-            wave = []
-            for chunk_id in event.chunk_ids:
-                chunk = outstanding.get(chunk_id)
-                if chunk is None:
-                    continue
-                # Attribute chaos kills before any resubmission or
-                # degradation handoff, so the rerun is injection-free.
-                chunk = _bump_killed_entries(chunk, chaos)
-                outstanding[chunk_id] = chunk
-                wave.append(chunk_id)
-            if pool_rebuilds > policy.max_pool_rebuilds:
-                if not policy.degrade_serial:
-                    raise WorkerCrashError(
-                        f"sweep {state.label!r}: worker pool died "
-                        f"{pool_rebuilds} times (max_pool_rebuilds="
-                        f"{policy.max_pool_rebuilds})",
-                        rebuilds=pool_rebuilds,
-                    )
-                raise ExecutorBrokenError(
-                    f"worker pool died {pool_rebuilds} times",
-                    backend=backend,
-                )
-            deadline = None
-            if policy.timeout_s is not None:
-                deadline = time.monotonic() + _wave_budget(
-                    [outstanding[cid] for cid in wave], policy
-                )
-            for chunk_id in wave:
-                leases[chunk_id] = deadline
-                executor.submit_chunk(chunk_id, outstanding[chunk_id])
-
-    remaining: list = []
-    broken = False
-    draining = False
-    drain_deadline = 0.0
-    stranded_tasks = 0
-    try:
-        submit_wave(chunks)
-        while outstanding:
-            if _DRAIN["requested"] and not draining:
-                draining = True
-                drain_deadline = time.monotonic() + policy.drain_timeout_s
-                # Withdraw everything not yet running; what a worker
-                # already picked up finishes and commits normally.
-                for chunk_id in sorted(outstanding):
-                    if executor.cancel_pending(chunk_id):
-                        stranded_tasks += len(outstanding.pop(chunk_id))
-                        leases.pop(chunk_id, None)
-                events.emit(
-                    "sweep_draining",
-                    run_id=timing.run_id,
-                    label=state.label,
-                    reason=_DRAIN["reason"],
-                    inflight_chunks=len(outstanding),
-                    stranded_tasks=stranded_tasks,
-                )
-                if not outstanding:
-                    break
-            wait_s = None
-            armed = [d for d in leases.values() if d is not None]
-            if armed:
-                wait_s = max(0.0, min(armed) - time.monotonic())
-            if wait_s is None or wait_s > 1.0:
-                # Bounded wait so a drain request (SIGTERM) is noticed
-                # within a second even with no lease armed.
-                wait_s = 1.0
+            lost = sorted(
+                (_bump_killed_entries(c, chaos) for c in lost),
+                key=lambda c: c[0][0],
+            )
             if draining:
-                wait_s = min(wait_s, 0.25)
-            for event in executor.poll(wait_s):
-                handle_event(event)
-            if draining and outstanding \
-                    and time.monotonic() >= drain_deadline:
-                # In-flight chunks outlived the drain timeout: give up
-                # on them (their uncommitted tasks count as stranded —
-                # the resume re-runs them) and let shutdown kill the
-                # workers.
-                break
-            if not armed:
-                continue
-            now = time.monotonic()
-            for chunk_id, deadline in list(leases.items()):
-                if deadline is None or deadline > now:
-                    continue
-                if chunk_id not in outstanding:
-                    leases.pop(chunk_id, None)
-                    continue
-                timing.lease_expiries += 1
-                events.emit(
-                    "lease_expired",
-                    run_id=timing.run_id,
-                    label=state.label,
-                    backend=backend,
-                    chunk_id=chunk_id,
-                    timeout_s=policy.timeout_s,
-                )
-                executor.cancel(chunk_id)
-                chunk = outstanding.pop(chunk_id)
-                leases.pop(chunk_id, None)
-                expire_chunk(chunk)
+                stranded += state.uncommitted(lost)
+            elif rebuilds > MAX_POOL_REBUILDS:
+                return lost
+            else:
+                pending = lost
         if draining:
-            for chunk in outstanding.values():
-                stranded_tasks += sum(
-                    1 for index, _base, _item in chunk
-                    if not state.is_committed(index)
-                )
-            raise SweepDrainedError(
-                f"sweep {state.label!r} drained after "
-                f"{_DRAIN['reason'] or 'drain request'}: "
-                f"{len(state.committed)}/{len(state.tasks)} task(s) "
-                f"committed, {stranded_tasks} stranded",
-                label=state.label,
-                run_id=timing.run_id,
-                completed=len(state.committed),
-                total=len(state.tasks),
-                stranded=stranded_tasks,
-            )
-    except ExecutorBrokenError:
-        broken = True
-        remaining = [outstanding[cid] for cid in sorted(outstanding)]
+            raise state.drained(stranded + state.uncommitted(running.values()))
     except BaseException:
-        executor.shutdown(kill=True)
+        if pool is not None:
+            _kill_pool_workers(pool)
+            pool.shutdown(wait=False, cancel_futures=True)
         raise
-    executor.shutdown(kill=broken)
-    return remaining
-
-
-def _run_with_executors(fn, chunks, jobs, policy, chaos, state: _SweepState,
-                        backend: str) -> None:
-    """Drive the sweep down the degradation chain starting at ``backend``.
-
-    A broken pool hands its unfinished chunks to the next link
-    (``local -> inline``); ``inline`` is the in-process loop and cannot
-    break, so the chain always terminates.
-    """
-    chain = executors_mod.DEGRADATION_CHAIN
-    position = chain.index(backend)
-    pending = [list(chunk) for chunk in chunks]
-    while pending:
-        name = chain[position]
-        state.timing.backends.append(name)
-        pending = _drive_backend(
-            fn, pending, jobs, policy, chaos, state, name
-        )
-        if not pending:
-            return
-        position += 1
-        state.timing.degraded = True
-        events.emit(
-            "sweep_degraded",
-            run_id=state.timing.run_id,
-            label=state.label,
-            backend=name,
-            fallback=chain[position],
-            rebuilds=state.timing.pool_rebuilds,
-            remaining_tasks=sum(len(c) for c in pending),
-        )
+    if pool is not None:
+        pool.shutdown(wait=False, cancel_futures=True)
+    return []
 
 
 # ---------------------------------------------------------------------
@@ -902,31 +735,26 @@ def run_sweep(
     chunksize: int | None = None,
     label: str = "sweep",
     record: bool = True,
-    policy: TaskPolicy | None = None,
     chaos: ChaosPolicy | None = None,
 ) -> tuple[list[R], SweepTiming]:
-    """Map ``fn`` over ``items``, preserving order, with fault tolerance.
+    """Map ``fn`` over ``items``, preserving order.
 
     ``fn`` must be a module-level callable and every item picklable when
     the work leaves the process (the ``local`` pool, used whenever more
-    than one worker runs).  With ``jobs=1`` (the ``inline`` backend)
+    than one worker runs).  With ``jobs=1`` (the ``inline`` loop)
     nothing is pickled and everything runs in-process.
     ``chunksize`` controls how many consecutive tasks form one unit of
     worker placement; drivers pass the inner-loop length so one worker
     runs all of a benchmark's chip models and reuses its memoized trace.
 
-    ``policy`` (default: :func:`set_default_policy`, else no retries,
-    fail fast) governs retries, timeouts, error collection, and pool
-    recovery; ``chaos`` (default: :func:`chaos.set_chaos`, else the
-    ``REPRO_CHAOS`` environment variable) injects faults for testing.
-    In collect-errors mode the returned list holds ``None`` for tasks
-    that exhausted their attempts.
+    The first task error raises :class:`SweepAbortedError`.  ``chaos``
+    (default: :func:`chaos.set_chaos`, else the ``REPRO_CHAOS``
+    environment variable) injects faults for testing.
 
     An empty task list returns immediately with ``timing.empty`` set and
     records nothing, so reports never show zero-task sweeps.
     """
     tasks: Sequence[T] = list(items)
-    policy = resolve_policy(policy)
     chaos = chaos if chaos is not None else chaos_mod.current_chaos()
     run_id = events.current_run_id()
     timing = SweepTiming(label=label, jobs=1, run_id=run_id)
@@ -940,7 +768,7 @@ def run_sweep(
     entries = [(i, 0, item) for i, item in enumerate(tasks)]
     chunks = _chunked(entries, chunksize)
     ckpt = checkpoint_mod.open_sweep(label, run_id, chaos=chaos)
-    state = _SweepState(tasks, label, policy, timing, ckpt)
+    state = _SweepState(tasks, label, timing, ckpt)
     # Chunk-granular restore: a chunk re-runs whole unless every one of
     # its tasks is checkpointed (see repro.experiments.checkpoint).
     pending_chunks = []
@@ -965,9 +793,20 @@ def run_sweep(
     )
     start = time.perf_counter()
     try:
-        if pending_chunks:
-            _run_with_executors(fn, pending_chunks, jobs, policy, chaos,
-                                state, backend)
+        if backend == "local":
+            pending_chunks = _run_pool(fn, pending_chunks, jobs, chaos, state)
+            if pending_chunks:
+                timing.degraded = True
+                events.emit(
+                    "sweep_degraded",
+                    run_id=run_id,
+                    label=label,
+                    backend=backend,
+                    fallback="inline",
+                    rebuilds=timing.pool_rebuilds,
+                    remaining_tasks=sum(len(c) for c in pending_chunks),
+                )
+        _run_inline(fn, pending_chunks, chaos, state)
         if ckpt is not None:
             # The sweep ran to completion: publish the crash-consistent
             # "this checkpoint is the full record" marker.
@@ -1011,8 +850,6 @@ def run_sweep(
             jobs=jobs,
             wall_s=round(timing.wall_s, 3),
             failures=timing.failures,
-            retries=timing.retries,
-            timeouts=timing.timeouts,
             pool_rebuilds=timing.pool_rebuilds,
             resumed_tasks=timing.resumed_tasks,
             executor=backend,
@@ -1026,12 +863,10 @@ def parallel_map(
     jobs: int | None = None,
     chunksize: int | None = None,
     label: str = "sweep",
-    policy: TaskPolicy | None = None,
     chaos: ChaosPolicy | None = None,
 ) -> list[R]:
     """:func:`run_sweep` without the timing handle (it is still recorded)."""
     results, _ = run_sweep(
-        fn, items, jobs=jobs, chunksize=chunksize, label=label,
-        policy=policy, chaos=chaos,
+        fn, items, jobs=jobs, chunksize=chunksize, label=label, chaos=chaos,
     )
     return results

@@ -131,53 +131,33 @@ def _render_markdown(data: dict) -> str:
         ))
         disturbed = [
             t for t in data["sweep_timings"]
-            if t.get("failures") or t.get("retries") or t.get("timeouts")
-            or t.get("pool_rebuilds") or t.get("resumed_tasks")
-            or t.get("degraded") or t.get("lease_expiries")
+            if t.get("failures") or t.get("pool_rebuilds")
+            or t.get("resumed_tasks") or t.get("degraded")
             or t.get("duplicate_results")
         ]
         if disturbed:
             sections.append(format_table(
-                "Sweep resilience (failures, retries, recovery)",
-                ["sweep", "failures", "retries", "timeouts",
-                 "pool rebuilds", "resumed", "degraded"],
+                "Sweep resilience (pool rebuilds, resumes)",
+                ["sweep", "failures", "pool rebuilds", "resumed",
+                 "dup results dropped", "degraded"],
                 [
-                    [t["label"], t.get("failures", 0), t.get("retries", 0),
-                     t.get("timeouts", 0), t.get("pool_rebuilds", 0),
-                     t.get("resumed_tasks", 0),
+                    [t["label"], t.get("failures", 0),
+                     t.get("pool_rebuilds", 0), t.get("resumed_tasks", 0),
+                     t.get("duplicate_results", 0),
                      "yes" if t.get("degraded") else "no"]
                     for t in disturbed
-                ],
-            ))
-        backends: dict[str, dict] = {}
-        for t in data["sweep_timings"]:
-            for name in (t.get("backends") or [t.get("executor") or "?"]):
-                row = backends.setdefault(name, {
-                    "sweeps": 0, "lease_expiries": 0, "duplicate_results": 0,
-                    "pool_rebuilds": 0, "degraded": 0,
-                })
-                row["sweeps"] += 1
-                for key in ("lease_expiries", "duplicate_results",
-                            "pool_rebuilds"):
-                    row[key] += t.get(key, 0)
-                row["degraded"] += 1 if t.get("degraded") else 0
-        if backends:
-            sections.append(format_table(
-                "Executor backends (per-backend resilience)",
-                ["backend", "sweeps", "lease expiries",
-                 "dup results dropped", "pool rebuilds", "degraded sweeps"],
-                [
-                    [name, row["sweeps"], row["lease_expiries"],
-                     row["duplicate_results"], row["pool_rebuilds"],
-                     row["degraded"]]
-                    for name, row in sorted(backends.items())
                 ],
             ))
     metrics = data.get("metrics") or {}
     counters = metrics.get("counters") or {}
     if counters:
         cache_rows = []
-        for category in ("trace", "predictor", "thermal", "grid"):
+        categories = sorted({
+            name.split(".")[1] for name in counters
+            if name.startswith("memo.")
+            and name.endswith((".hits", ".misses"))
+        })
+        for category in categories:
             hits = counters.get(f"memo.{category}.hits", 0)
             misses = counters.get(f"memo.{category}.misses", 0)
             if hits or misses:

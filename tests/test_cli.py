@@ -1,8 +1,6 @@
 """The command-line interface."""
 
 import json
-import os
-import time
 
 import pytest
 
@@ -104,13 +102,9 @@ class TestCommands:
 class TestResilience:
     def test_parser_accepts_resilience_flags(self):
         args = build_parser().parse_args([
-            "fig6", "--retries", "2", "--task-timeout", "1.5",
-            "--no-fail-fast", "--checkpoint", "--resume", "run-1",
+            "fig6", "--checkpoint", "--resume", "run-1",
             "--chaos", "kill:0.1,seed:3",
         ])
-        assert args.retries == 2
-        assert args.task_timeout == 1.5
-        assert args.fail_fast is False
         assert args.checkpoint == ".repro/checkpoints"
         assert args.resume == "run-1"
         assert args.chaos == "kill:0.1,seed:3"
@@ -120,37 +114,6 @@ class TestResilience:
             ["list", "--checkpoint", str(tmp_path / "ck")]
         )
         assert args.checkpoint == str(tmp_path / "ck")
-
-    def test_env_knobs_reach_sweeps_without_flags(self, capsys, monkeypatch):
-        monkeypatch.setenv(engine.RETRIES_ENV_VAR, "2")
-        monkeypatch.setenv(engine.TASK_TIMEOUT_ENV_VAR, "9.0")
-        seen = {}
-
-        def _capture(_args):
-            seen["policy"] = engine.resolve_policy(None)
-
-        monkeypatch.setitem(cli._COMMANDS, "vias", _capture)
-        assert main(["vias"]) == 0
-        assert seen["policy"].max_retries == 2
-        assert seen["policy"].timeout_s == 9.0
-
-    def test_cli_flags_outrank_env_knobs_fieldwise(self, capsys, monkeypatch):
-        monkeypatch.setenv(engine.RETRIES_ENV_VAR, "2")
-        monkeypatch.setenv(engine.TASK_TIMEOUT_ENV_VAR, "9.0")
-        seen = {}
-
-        def _capture(_args):
-            seen["policy"] = engine.resolve_policy(None)
-
-        monkeypatch.setitem(cli._COMMANDS, "vias", _capture)
-        assert main(["vias", "--task-timeout", "2.5"]) == 0
-        assert seen["policy"].timeout_s == 2.5     # flag wins its field
-        assert seen["policy"].max_retries == 2     # env keeps the other
-
-    def test_bad_env_knob_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv(engine.RETRIES_ENV_VAR, "many")
-        assert main(["vias", "--task-timeout", "2.5"]) == 2
-        assert "error:" in capsys.readouterr().out
 
     def test_repro_error_exits_2(self, capsys):
         assert main(["list", "--jobs", "0"]) == 2
@@ -165,11 +128,18 @@ class TestResilience:
         assert "error:" in capsys.readouterr().out
 
     def test_executor_flag_rejects_unknown_backend(self):
-        # The backend follows --jobs; the removed backend flags are
-        # rejected by the parser.
+        # The backend follows --jobs, and tasks run once and fail fast:
+        # the removed backend and task-policy flags, and the removed gc
+        # command, are rejected by the parser.
         for argv in (["vias", "--executor", "socket"],
                      ["vias", "--executor", "local"],
-                     ["vias", "--respawns", "2"]):
+                     ["vias", "--respawns", "2"],
+                     ["fig6", "--retries", "2"],
+                     ["fig6", "--task-timeout", "1.5"],
+                     ["fig6", "--fail-fast"],
+                     ["fig6", "--no-fail-fast"],
+                     ["fig6", "--drain-timeout", "5"],
+                     ["gc", "--keep-last", "1"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 
@@ -182,6 +152,20 @@ class TestResilience:
             ]) == 0
             manifest = json.loads(manifest_path.read_text())
             assert manifest["executor"] == backend
+
+    def test_manifest_header_matches_the_sweeps(self, tmp_path, capsys):
+        # One benchmark forms one chunk, so the pool is capped to a
+        # single worker and the sweep runs inline; the header must say
+        # what the sweep ran, not what was asked for.
+        manifest_path = tmp_path / "one.json"
+        assert main([
+            "fig6", "--benchmarks", "gzip", "--window", "2000",
+            "--jobs", "2", "--metrics", str(manifest_path),
+        ]) == 0
+        manifest = json.loads(manifest_path.read_text())
+        [sweep] = manifest["sweeps"]
+        assert (sweep["jobs"], sweep["executor"]) == (1, "inline")
+        assert (manifest["jobs"], manifest["executor"]) == (1, "inline")
 
     def test_keyboard_interrupt_exits_130(self, capsys, monkeypatch):
         def _interrupt(_args):
@@ -233,42 +217,6 @@ class TestResilience:
         assert sweep["tasks"] == 4
         assert sweep["resumed_tasks"] == 4
         assert manifest2["metrics"] == manifest1["metrics"]
-
-
-class TestGcCommand:
-    def test_gc_removes_stale_runs(self, tmp_path, capsys):
-        root = tmp_path / "ck"
-        fresh = root / "run-fresh"
-        fresh.mkdir(parents=True)
-        (fresh / "sweep.jsonl").write_text("x" * 10)
-        stale = root / "run-stale"
-        stale.mkdir()
-        (stale / "sweep.jsonl").write_text("y" * 10)
-        stamp = time.time() - 30 * 86400
-        os.utime(stale / "sweep.jsonl", (stamp, stamp))
-        os.utime(stale, (stamp, stamp))
-        assert main(
-            ["gc", "--dir", str(root), "--max-age-days", "7"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "removed run-stale" in out
-        assert not stale.exists()
-        assert fresh.exists()
-
-    def test_gc_dry_run_deletes_nothing(self, tmp_path, capsys):
-        root = tmp_path / "ck"
-        run = root / "run-a"
-        run.mkdir(parents=True)
-        (run / "sweep.jsonl").write_text("x")
-        assert main(
-            ["gc", "--dir", str(root), "--keep-last", "0", "--dry-run"]
-        ) == 0
-        assert "would remove run-a" in capsys.readouterr().out
-        assert run.exists()
-
-    def test_gc_without_policy_exits_2(self, tmp_path, capsys):
-        assert main(["gc", "--dir", str(tmp_path)]) == 2
-        assert "error:" in capsys.readouterr().out
 
 
 def test_format_table_alignment():

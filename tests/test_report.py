@@ -38,3 +38,14 @@ def test_generate_report(tmp_path):
     cpu_s = sum(t["cpu_s"] for t in sweeps)
     assert abs(sum(loaded["span_self_s"].values()) - cpu_s) \
         <= 5e-4 * len(sweeps) + 1e-9
+
+    # The artifact cache table lists every memo category the run
+    # counted, the schedule and branch streams included.
+    cache = text.split("Artifact cache", 1)[1].split("\n\n", 1)[0]
+    artifacts = {line.split()[0] for line in cache.splitlines()[2:]
+                 if line.strip()}
+    assert {"schedule", "branch", "trace"} <= artifacts
+    assert artifacts == {
+        name.split(".")[1] for name in loaded["metrics"]["counters"]
+        if name.startswith("memo.") and name.endswith((".hits", ".misses"))
+    }

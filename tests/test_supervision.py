@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -23,13 +24,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import build_parser
-from repro.common.errors import ConfigError, SweepDrainedError
+from repro.common.errors import (
+    ConfigError,
+    SweepAbortedError,
+    SweepDrainedError,
+)
 from repro.experiments import chaos as chaos_mod
 from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments import engine
 from repro.experiments.chaos import ChaosPolicy
-from repro.experiments.engine import TaskPolicy, run_sweep
-from repro.experiments.executors import _TaskOutcome, make_executor
+from repro.experiments.engine import _TaskOutcome, run_sweep
 from repro.experiments.report import render_partial_report
 from repro.obs import events
 
@@ -38,13 +42,11 @@ from repro.obs import events
 def _clean_engine():
     engine.clear_timings()
     engine.clear_drain()
-    engine.set_default_policy(None)
     chaos_mod.set_chaos(None)
     checkpoint_mod.set_checkpoint_dir(None)
     yield
     engine.clear_timings()
     engine.clear_drain()
-    engine.set_default_policy(None)
     chaos_mod.set_chaos(None)
     checkpoint_mod.set_checkpoint_dir(None)
 
@@ -227,17 +229,17 @@ class TestPoolKill:
         # killing shutdown must still end a worker busy on a long task.
         marker = tmp_path / "pid"
         prior = signal.signal(signal.SIGTERM, lambda _signum, _frame: None)
-        ex = make_executor("local", fn=_report_pid_then_sleep,
-                           policy=TaskPolicy(), chaos=None, jobs=1)
+        pool = ProcessPoolExecutor(max_workers=1)
         try:
-            ex.submit_chunk(0, [(0, 0, str(marker))])
+            pool.submit(_report_pid_then_sleep, str(marker))
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline and not (
                     marker.exists() and marker.read_text()):
                 time.sleep(0.02)
             pid = int(marker.read_text())
         finally:
-            ex.shutdown(kill=True)
+            engine._kill_pool_workers(pool)
+            pool.shutdown(wait=False, cancel_futures=True)
             signal.signal(signal.SIGTERM, prior)
         deadline = time.monotonic() + 3.0
         while _running(pid) and time.monotonic() < deadline:
@@ -327,19 +329,21 @@ class TestAtMostOnceInterleavings:
         # any order (a chunk error racing a result, a duplicate
         # delivery); whatever the order, each task key is decided
         # exactly once — by its first event — and later arrivals are
-        # only counted.
+        # only counted.  A failure decides its key and aborts the sweep.
         tasks = list(range(5))
         timing = engine.SweepTiming(label="prop", jobs=1, run_id="prop")
-        state = engine._SweepState(
-            tasks, "prop", TaskPolicy(fail_fast=False), timing, None
-        )
+        state = engine._SweepState(tasks, "prop", timing, None)
+        aborts = 0
         for index, op in ops:
-            state.absorb(_TaskOutcome(
-                index=index, ok=op == "ok",
-                result=index * 2 if op == "ok" else None,
-                attempts=1, error_kind="" if op == "ok" else "error",
-                error="" if op == "ok" else "boom",
-            ))
+            try:
+                state.absorb(_TaskOutcome(
+                    index=index, ok=op == "ok",
+                    result=index * 2 if op == "ok" else None,
+                    error="" if op == "ok" else "boom",
+                ))
+            except SweepAbortedError as exc:
+                assert exc.failures[0].task_index == index
+                aborts += 1
         first: dict = {}
         for index, op in ops:
             first.setdefault(index, op)
@@ -350,7 +354,7 @@ class TestAtMostOnceInterleavings:
             else:
                 assert state.results[index] == index * 2
         assert timing.failures == sum(op == "failed" for op in first.values())
-        assert len(state.failures) == timing.failures
+        assert aborts == timing.failures
         assert timing.duplicate_results == len(ops) - len(first)
 
 

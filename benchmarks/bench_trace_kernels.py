@@ -1,6 +1,6 @@
 """Columnar trace pipeline speedups, recorded to ``BENCH_trace.json``.
 
-Three measurements, each against the per-instruction reference path
+Four measurements, each against the per-instruction reference path
 that the vectorized kernels replaced (and which remains in-tree as the
 bit-identity oracle), both sides timed in the same run:
 
@@ -9,11 +9,15 @@ bit-identity oracle), both sides timed in the same run:
 * **leading_kernel** — the compiled issue/retire scan
   (``LeadingCoreTiming.run``, C) vs the per-row ``_advance`` oracle
   (``_run_reference``, Python), same trace and memoized schedule;
+* **branch_predictor** — one profile's pretraining plus the resolution
+  of its trace's branches through the compiled
+  ``BranchPredictor.update_window`` vs the per-branch ``update`` oracle
+  (``_update_window_reference``);
 * **fig6 end-to-end** — ``fig6_performance`` on the columnar pipeline vs
   the legacy pipeline (object generation, per-address preload, per-event
-  cache accesses, per-row oracle scheduling), restored via
-  monkeypatching for the duration of the run, over the six profiles of
-  ``BENCH_SUBSET``.
+  cache accesses, per-branch predictor updates, the NumPy trace
+  schedule, per-row oracle scheduling), restored via monkeypatching for
+  the duration of the run, over the six profiles of ``BENCH_SUBSET``.
 
 Every comparison also asserts bit-identical results — the speedup only
 counts because nothing changed.
@@ -42,11 +46,13 @@ from conftest import BENCH_SUBSET, BENCH_WINDOW, print_table
 
 from repro.common import memo
 from repro.common.config import ChipModel, SystemConfig
+from repro.core import leading
 from repro.core.branch import BranchPredictor
 from repro.core.leading import LeadingCoreTiming, build_trace_schedule
 from repro.core.memory import MemoryHierarchy
 from repro.core.rmt import RmtSimulator
 from repro.experiments.perf import fig6_performance
+from repro.isa.opcodes import OP_BRANCH
 from repro.isa.soa import TraceArrays
 from repro.isa.trace import TraceGenerator
 from repro.workloads.profiles import get_profile
@@ -58,7 +64,7 @@ _ALLOWED_RATIO_DROP = 0.20
 # (legacy, per-task) fig6 pairs; the guard takes the median of their
 # ratios.  A profile's per-task side is the mean of a few rounds.
 _FIG6_PAIRS = 5
-_PER_TASK_ROUNDS = 3
+_PER_TASK_ROUNDS = 6
 
 
 def _oracle_run(cls):
@@ -76,12 +82,14 @@ def _oracle_run(cls):
 def _legacy_pipeline():
     """Swap the vectorized and compiled hot paths for their
     per-instruction references (generation, cache preload, cache
-    accesses and scheduling), i.e. the pre-columnar pipeline, for the
-    duration of the block."""
+    accesses, predictor updates, the trace schedule and scheduling),
+    i.e. the pre-columnar pipeline, for the duration of the block."""
     saved = (
         TraceGenerator._generate_chunk,
         MemoryHierarchy.preload_profile,
         MemoryHierarchy.access_window,
+        BranchPredictor.update_window,
+        leading.build_trace_schedule,
         LeadingCoreTiming.run,
         RmtSimulator.run,
     )
@@ -100,6 +108,8 @@ def _legacy_pipeline():
     TraceGenerator._generate_chunk = reference_chunk
     MemoryHierarchy.preload_profile = reference_preload
     MemoryHierarchy.access_window = MemoryHierarchy._access_window_reference
+    BranchPredictor.update_window = BranchPredictor._update_window_reference
+    leading.build_trace_schedule = leading._build_trace_schedule_reference
     LeadingCoreTiming.run = _oracle_run(LeadingCoreTiming)
     RmtSimulator.run = _oracle_run(RmtSimulator)
     try:
@@ -109,6 +119,8 @@ def _legacy_pipeline():
             TraceGenerator._generate_chunk,
             MemoryHierarchy.preload_profile,
             MemoryHierarchy.access_window,
+            BranchPredictor.update_window,
+            leading.build_trace_schedule,
             LeadingCoreTiming.run,
             RmtSimulator.run,
         ) = saved
@@ -177,6 +189,43 @@ def test_trace_kernel_speedups(benchmark):
     assert kernel_result == oracle_result
     leading_kernel_speedup = oracle_s / kernel_s
 
+    # -- compiled predictor updates vs the per-branch oracle -------------
+    # Pretraining plus the kernel trace's branches, as a profile's first
+    # simulation resolves them; the oracle side shadows update_window
+    # with the per-branch loop on its own predictor.
+    branch_profile = profile.name
+    branches = kernel_trace.op == OP_BRANCH
+    branch_columns = (
+        kernel_trace.pc[branches], kernel_trace.taken[branches],
+        kernel_trace.target[branches],
+    )
+
+    def _timed_predictor(force_oracle):
+        predictor = BranchPredictor()
+        if force_oracle:
+            predictor.update_window = predictor._update_window_reference
+        start = time.perf_counter()
+        TraceGenerator(profile, seed=42).pretrain_predictor(predictor)
+        flags = predictor.update_window(*branch_columns)
+        return time.perf_counter() - start, flags, predictor
+
+    compiled_s = branch_oracle_s = float("inf")
+    for _ in range(3):
+        elapsed, compiled_flags, compiled = _timed_predictor(False)
+        compiled_s = min(compiled_s, elapsed)
+        elapsed, oracle_flags, oracle = _timed_predictor(True)
+        branch_oracle_s = min(branch_oracle_s, elapsed)
+    assert compiled_flags.tolist() == oracle_flags.tolist()
+    for table in ("_bimodal", "_pht", "_chooser", "_btb_tags",
+                  "_btb_targets", "_btb_fill"):
+        assert getattr(compiled, table).tolist() == (
+            getattr(oracle, table).tolist()
+        )
+    assert (compiled._history, compiled.lookups, compiled.mispredicts) == (
+        oracle._history, oracle.lookups, oracle.mispredicts
+    )
+    branch_speedup = branch_oracle_s / compiled_s
+
     # -- fig6 end-to-end ------------------------------------------------
     # Fresh-cache (legacy, per-task) pairs, interleaved profile by
     # profile with the side that goes first alternating, so a spell of
@@ -230,6 +279,8 @@ def test_trace_kernel_speedups(benchmark):
              f"{generation_speedup:.1f}x"],
             ["leading kernel", round(oracle_s, 3),
              round(kernel_s, 3), f"{leading_kernel_speedup:.1f}x"],
+            ["branch predictor", round(branch_oracle_s, 4),
+             round(compiled_s, 4), f"{branch_speedup:.1f}x"],
             ["fig6 end-to-end", round(fig6_legacy_s, 3),
              round(fig6_columnar_s, 3), f"{fig6_speedup:.1f}x"],
         ],
@@ -271,6 +322,13 @@ def test_trace_kernel_speedups(benchmark):
             "oracle_s": round(oracle_s, 4),
             "kernel_s": round(kernel_s, 4),
             "speedup": round(leading_kernel_speedup, 2),
+        },
+        "branch_predictor": {
+            "profile": branch_profile,
+            "branches": compiled.lookups,
+            "oracle_s": round(branch_oracle_s, 4),
+            "compiled_s": round(compiled_s, 5),
+            "speedup": round(branch_speedup, 1),
         },
     }, indent=2) + "\n")
 

@@ -263,14 +263,47 @@ class NucaCache:
         """Warm a :attr:`fresh` L2 with :meth:`preload_plan`'s runs.
 
         Equivalent to :meth:`access` on every line of every run in
-        order, then ``stats.reset()``, without contention modelling
-        (whose sliding bank window this does not track).  Only the runs
-        are stored; :meth:`_own` builds each set's row on first touch.
+        order, then ``stats.reset()``.  Only the runs are stored;
+        :meth:`_own` builds each set's row on first touch.  Of the
+        contention window those accesses leave only the banks of the
+        last installed lines, which are set here.
         """
         if runs is None:
             raise ConfigError("preload runs overlap")
         self._runs = np.array(runs, dtype=np.int64).reshape(-1, 2)
         self._owned[:] = 0
+        if self._window:
+            banks = self._last_install_banks(self._window)
+            self._recent[:] = -1
+            self._recent[self._window - len(banks):] = banks
+
+    def _last_install_banks(self, count: int) -> list[int]:
+        """The banks of the installed runs' last ``count`` lines (all of
+        them when fewer), oldest first.
+
+        Every install misses: under distributed sets a line goes to its
+        set's bank, under distributed ways the set's k-th install to slot
+        ``k % total_ways`` (as in :meth:`_warm_row`).
+        """
+        runs = self._runs.tolist()
+        newest = []  # (run index, line), newest first
+        for index in reversed(range(len(runs))):
+            first, n = runs[index]
+            take = min(n, count - len(newest))
+            newest += [(index, first + n - 1 - k) for k in range(take)]
+        banks = []
+        for index, line in reversed(newest):
+            s = line % self._num_sets
+            if self._distributed_sets:
+                banks.append(s % self._num_banks)
+                continue
+            first = runs[index][0]
+            _, received = warm_lines(
+                [*runs[:index], (first, line - first + 1)], s,
+                self._num_sets, self._total_ways,
+            )
+            banks.append(self._data_banks[(received - 1) % self._total_ways])
+        return banks
 
     def row(self, set_index: int) -> list[tuple[int, int]]:
         """Set ``set_index``'s ``(line, bank)`` pairs in LRU order (oldest

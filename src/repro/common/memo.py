@@ -15,9 +15,9 @@ share and rebuilds the ones that are not:
   stream instead of starting over (chunked generation makes prefixes
   stable).
 * **pretrained branch predictors** — pretraining replays thousands of
-  outcomes through pure-Python tables; the cache trains once and hands
-  out :meth:`~repro.core.branch.BranchPredictor.clone` copies, because
-  predictors mutate during simulation.
+  outcomes through the predictor's tables; the cache trains once and
+  hands out :meth:`~repro.core.branch.BranchPredictor.clone` copies,
+  because predictors mutate during simulation.
 * **thermal models** — :class:`~repro.thermal.hotspot.ChipThermalModel`
   factorises its grid solver at construction.  Factorisation depends
   only on geometry (stack, die size, block rectangles), never on power,

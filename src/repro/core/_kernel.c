@@ -1,7 +1,7 @@
 /*
  * Compiled per-row timing kernels of repro.core.
  *
- * Three routines, each the per-row (or per-event) recurrence of a Python
+ * Five routines, each the per-row (or per-event) recurrence of a Python
  * oracle:
  *
  *   leading_scan     the leading core's issue/retire recurrence over
@@ -14,7 +14,13 @@
  *   memory_probe     a window's merged fetch/load/store event stream
  *                    through the L1I/L1D and NUCA L2 tag arrays (oracle:
  *                    MemoryHierarchy.fetch_latency, load_latency and
- *                    store_commit over the caches' Python access methods).
+ *                    store_commit over the caches' Python access methods);
+ *   branch_update    a window of branch outcomes through the combined
+ *                    predictor's counter tables and BTB (oracle:
+ *                    BranchPredictor.update);
+ *   trace_schedule   a trace's positional gate and last-writer rows
+ *                    (oracle: repro.core.leading's
+ *                    _build_trace_schedule_reference).
  *
  * Python owns every buffer.  Each routine reads one int64 descriptor (column
  * addresses, geometry and scalar carries; the slot layout is the enum below,
@@ -83,12 +89,38 @@ enum { EVENT_FETCH, EVENT_LOAD, EVENT_STORE };
 /* the L2 tag lookup of distributed ways precedes the data bank access */
 #define TAG_CYCLES 2
 
+/* branch_update descriptor slots */
+enum {
+    B_BIMODAL, B_PHT, B_CHOOSER,            /* int8 2-bit counters */
+    B_BTB_TAGS, B_BTB_TARGETS, B_BTB_FILL,  /* uint32 [sets, ways], int8 */
+    B_BIMODAL_ENTRIES, B_PHT_ENTRIES, B_HISTORY_MASK,
+    B_BTB_SETS, B_BTB_WAYS,
+    B_HISTORY,                              /* global history, carried */
+    B_SLOTS
+};
+/* 2-bit counters: 0, 1 predict not taken; 2, 3 taken */
+#define TAKEN_THRESHOLD 2
+
+/* trace_schedule descriptor slots */
+enum {
+    T_OP, T_DST, T_SRC1, T_SRC2,            /* int8, int16 trace columns */
+    T_CG, T_IG, T_W1, T_W2,                 /* int64 schedule columns */
+    T_OP_CLASS,                             /* int8 per op code: MEMORY|FP */
+    T_WRITERS,                              /* int64 per register */
+    T_MEM_RING, T_INT_RING, T_FP_RING,      /* int64, min(size, rows) each */
+    T_ROB, T_LSQ, T_INT_IQ, T_FP_IQ,
+    T_SLOTS
+};
+enum { CLASS_MEMORY = 1, CLASS_FP = 2 };
+
 #define PTR(type, slot) ((type *)(intptr_t)d[slot])
 
 int64_t leading_slots(void) { return L_SLOTS; }
 int64_t checker_slots(void) { return C_SLOTS; }
 int64_t memory_slots(void) { return M_SLOTS; }
 int64_t memory_counts(void) { return N_BANKS; }
+int64_t branch_slots(void) { return B_SLOTS; }
+int64_t schedule_slots(void) { return T_SLOTS; }
 
 /*
  * Schedule rows [d[L_NEXT], hi).  With gating bound, stop at the first row
@@ -537,5 +569,149 @@ void memory_probe(int64_t *d, const int64_t *kinds, const int64_t *addresses,
                          ? d_hit + l2_access(d, &l2, address, counts)
                          : 0;
         }
+    }
+}
+
+/* One 2-bit saturating counter step. */
+static int8_t saturate(int8_t counter, int up)
+{
+    if (up)
+        return counter < 3 ? counter + 1 : 3;
+    return counter > 0 ? counter - 1 : 0;
+}
+
+/*
+ * Resolve branches [0, n) in order.  out[k] says whether branch k was
+ * mispredicted: a wrong direction, or a taken branch whose target the BTB
+ * did not hold.  The chooser (when the components disagree on correctness),
+ * both direction counters, the global history and, for a taken branch, its
+ * BTB row (entry moved or added at the MRU end, the oldest evicted from a
+ * full row) then train on the outcome.  BTB rows are fill[s] entries from
+ * s * ways on, oldest first.  Returns the number of mispredicts.
+ */
+int64_t branch_update(int64_t *d, const int64_t *pcs, const uint8_t *takens,
+                      const int64_t *targets, uint8_t *out, int64_t n)
+{
+    int8_t *bimodal = PTR(int8_t, B_BIMODAL);
+    int8_t *pht = PTR(int8_t, B_PHT);
+    int8_t *chooser = PTR(int8_t, B_CHOOSER);
+    uint32_t *tags = PTR(uint32_t, B_BTB_TAGS);
+    uint32_t *btb_targets = PTR(uint32_t, B_BTB_TARGETS);
+    int8_t *fill = PTR(int8_t, B_BTB_FILL);
+    const int64_t bimodal_entries = d[B_BIMODAL_ENTRIES];
+    const int64_t pht_entries = d[B_PHT_ENTRIES], mask = d[B_HISTORY_MASK];
+    const int64_t sets = d[B_BTB_SETS], ways = d[B_BTB_WAYS];
+    int64_t history = d[B_HISTORY], mispredicts = 0;
+
+    for (int64_t k = 0; k < n; k++) {
+        const int64_t pc = pcs[k], target = targets[k];
+        const int taken = takens[k] != 0;
+        const int64_t bi = floor_mod(pc >> 2, bimodal_entries);
+        const int64_t ph = floor_mod((pc >> 2) ^ history, pht_entries);
+        const int bimodal_taken = bimodal[bi] >= TAKEN_THRESHOLD;
+        const int pht_taken = pht[ph] >= TAKEN_THRESHOLD;
+        const int predicted =
+            chooser[bi] >= TAKEN_THRESHOLD ? pht_taken : bimodal_taken;
+        const int64_t s = floor_mod(pc >> 2, sets);
+        uint32_t *row = tags + s * ways, *row_targets = btb_targets + s * ways;
+        int64_t filled = fill[s], hit = -1;
+        if (predicted || taken) {
+            for (int64_t w = 0; w < filled; w++) {
+                if (row[w] == (uint32_t)pc) {
+                    hit = w;
+                    break;
+                }
+            }
+        }
+        const int wrong = predicted != taken
+            || (taken && (hit < 0 || row_targets[hit] != (uint32_t)target));
+        out[k] = (uint8_t)wrong;
+        mispredicts += wrong;
+
+        if ((pht_taken == taken) != (bimodal_taken == taken))
+            chooser[bi] = saturate(chooser[bi], pht_taken == taken);
+        bimodal[bi] = saturate(bimodal[bi], taken);
+        pht[ph] = saturate(pht[ph], taken);
+        history = ((history << 1) | taken) & mask;
+
+        if (taken) {
+            if (hit >= 0) {
+                memmove(row + hit, row + hit + 1,
+                        (size_t)(filled - 1 - hit) * sizeof *row);
+                memmove(row_targets + hit, row_targets + hit + 1,
+                        (size_t)(filled - 1 - hit) * sizeof *row_targets);
+                filled -= 1;
+            } else if (filled == ways) {
+                memmove(row, row + 1, (size_t)(ways - 1) * sizeof *row);
+                memmove(row_targets, row_targets + 1,
+                        (size_t)(ways - 1) * sizeof *row_targets);
+                filled -= 1;
+            }
+            row[filled] = (uint32_t)pc;
+            row_targets[filled] = (uint32_t)target;
+            fill[s] = (int8_t)(filled + 1);
+        }
+    }
+    d[B_HISTORY] = history;
+    return mispredicts;
+}
+
+/* The last `size` rows of one class, oldest at `slot` once `count`
+ * reaches `size`.  The buffer holds min(size, rows) entries, enough
+ * because slot < size and slot <= count < rows. */
+typedef struct {
+    int64_t *rows;
+    int64_t size, count, slot;
+} ring_t;
+
+/* The row `size` rows of the class back from row i (-1 while the class has
+ * fewer), then row i joins the ring. */
+static int64_t ring_gate(ring_t *r, int64_t i)
+{
+    const int64_t gate = r->count >= r->size ? r->rows[r->slot] : -1;
+    r->rows[r->slot] = i;
+    r->count += 1;
+    if (++r->slot == r->size)
+        r->slot = 0;
+    return gate;
+}
+
+/*
+ * Rows [0, n) of a trace's schedule in one pass.  cg[i]: the later of row
+ * i - rob and the lsq-th previous memory row, or -1; ig[i]: the iq-th
+ * previous row of i's issue-queue class (fp or int), or -1; w1[i]/w2[i]:
+ * the last row before i that wrote its source register, or -1.  Negative
+ * registers name none; the others index writers, which the caller sizes
+ * past the largest and fills with -1.
+ */
+void trace_schedule(int64_t *d, int64_t n)
+{
+    const int8_t *op = PTR(const int8_t, T_OP);
+    const int16_t *dst = PTR(const int16_t, T_DST);
+    const int16_t *src1 = PTR(const int16_t, T_SRC1);
+    const int16_t *src2 = PTR(const int16_t, T_SRC2);
+    int64_t *cg = PTR(int64_t, T_CG), *ig = PTR(int64_t, T_IG);
+    int64_t *w1 = PTR(int64_t, T_W1), *w2 = PTR(int64_t, T_W2);
+    const int8_t *op_class = PTR(const int8_t, T_OP_CLASS);
+    int64_t *writers = PTR(int64_t, T_WRITERS);
+    ring_t memory = {PTR(int64_t, T_MEM_RING), d[T_LSQ], 0, 0};
+    ring_t int_queue = {PTR(int64_t, T_INT_RING), d[T_INT_IQ], 0, 0};
+    ring_t fp_queue = {PTR(int64_t, T_FP_RING), d[T_FP_IQ], 0, 0};
+    const int64_t rob = d[T_ROB];
+
+    for (int64_t i = 0; i < n; i++) {
+        const int8_t cls = op_class[op[i]];
+        int64_t gate = i - rob;
+        if (cls & CLASS_MEMORY) {
+            const int64_t lsq_gate = ring_gate(&memory, i);
+            if (lsq_gate > gate)
+                gate = lsq_gate;
+        }
+        cg[i] = gate < -1 ? -1 : gate;
+        ig[i] = ring_gate(cls & CLASS_FP ? &fp_queue : &int_queue, i);
+        w1[i] = src1[i] >= 0 ? writers[src1[i]] : -1;
+        w2[i] = src2[i] >= 0 ? writers[src2[i]] : -1;
+        if (dst[i] >= 0)
+            writers[dst[i]] = i;
     }
 }

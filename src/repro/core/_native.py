@@ -15,8 +15,10 @@ Each routine reads one int64 descriptor that Python owns: the addresses
 of the columns and tables it reads and writes, the geometry and the
 scalar carries.  A run binds its arrays once (:class:`LeadingScan`,
 :class:`CheckerScan`, and :class:`MemoryProbe` for a hierarchy's tag
-arrays); a call passes only the descriptor and row bounds (the probe:
-its event columns), so a call costs about as much as an empty ``ctypes``
+arrays, :class:`BranchUpdate` for a predictor's tables); a call passes
+only the descriptor and row bounds (the probe and the predictor: their
+event columns), so a call costs about as much as an empty ``ctypes``
+call.  :func:`trace_schedule` binds a trace and its outputs for one
 call.  The descriptor holds raw addresses, so every array is validated
 (dtype, C order, length, and the codes the routine indexes by) before
 its address is stored, and the bound object keeps each array referenced.
@@ -37,9 +39,13 @@ import numpy as np
 
 from repro.common.config import NucaPolicy
 from repro.common.errors import SimulationError
+from repro.isa.opcodes import OP_BY_CODE, OP_FALU, OP_FMUL, OP_LOAD, OP_STORE
 from repro.obs.log import get_logger
 
-__all__ = ["CheckerScan", "LeadingScan", "MemoryProbe", "compiler", "load"]
+__all__ = [
+    "BranchUpdate", "CheckerScan", "LeadingScan", "MemoryProbe", "compiler",
+    "load", "trace_schedule",
+]
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 # Plain IEEE double arithmetic: the checker scan must round exactly like
@@ -83,10 +89,33 @@ M_L1I, M_L1D, M_L2 = 0, K_SLOTS, 2 * K_SLOTS
 # memory_probe counts: L1I hits/misses, L1D hits/misses, L2 hits, misses,
 # conflicts and hit latency total/min/max, then one per bank.
 N_BANKS = 10
+(
+    B_BIMODAL, B_PHT, B_CHOOSER,
+    B_BTB_TAGS, B_BTB_TARGETS, B_BTB_FILL,
+    B_BIMODAL_ENTRIES, B_PHT_ENTRIES, B_HISTORY_MASK,
+    B_BTB_SETS, B_BTB_WAYS,
+    B_HISTORY,
+    B_SLOTS,
+) = range(13)
+(
+    T_OP, T_DST, T_SRC1, T_SRC2,
+    T_CG, T_IG, T_W1, T_W2,
+    T_OP_CLASS, T_WRITERS,
+    T_MEM_RING, T_INT_RING, T_FP_RING,
+    T_ROB, T_LSQ, T_INT_IQ, T_FP_IQ,
+    T_SLOTS,
+) = range(18)
 _EVENT_KINDS = 3
+# trace_schedule's op classes (bits), per op code.
+_CLASS_MEMORY, _CLASS_FP = 1, 2
+_OP_CLASS = np.zeros(len(OP_BY_CODE), dtype=np.int8)
+_OP_CLASS[[OP_LOAD, OP_STORE]] = _CLASS_MEMORY
+_OP_CLASS[[OP_FALU, OP_FMUL]] = _CLASS_FP
 # Installed runs' lines stay far from int64 overflow in the probe's
 # arithmetic.
 _LINE_LIMIT = 1 << 60
+# The global history shifts left once per branch inside an int64.
+_HISTORY_BITS_LIMIT = 62
 
 # leading_scan results below zero.
 _RING_FULL = -1
@@ -138,7 +167,7 @@ def _build() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     layout = ("leading_slots", "checker_slots", "memory_slots",
-              "memory_counts")
+              "memory_counts", "branch_slots", "schedule_slots")
     for name in layout:
         getattr(lib, name).argtypes = []
         getattr(lib, name).restype = i64
@@ -148,8 +177,12 @@ def _build() -> ctypes.CDLL:
     lib.checker_consume.restype = None
     lib.memory_probe.argtypes = [ptr, ptr, ptr, ptr, i64]
     lib.memory_probe.restype = None
+    lib.branch_update.argtypes = [ptr, ptr, ptr, ptr, ptr, i64]
+    lib.branch_update.restype = i64
+    lib.trace_schedule.argtypes = [ptr, i64]
+    lib.trace_schedule.restype = None
     if tuple(getattr(lib, name)() for name in layout) != (
-        L_SLOTS, C_SLOTS, M_SLOTS, N_BANKS
+        L_SLOTS, C_SLOTS, M_SLOTS, N_BANKS, B_SLOTS, T_SLOTS
     ):
         raise OSError(f"{path} does not match this module's descriptors")
     return lib
@@ -199,7 +232,7 @@ def _table(array: np.ndarray, dtype, shape: tuple[int, ...]) -> int:
     of exactly ``shape``."""
     if getattr(array, "shape", None) != shape:
         raise SimulationError(
-            f"cache table must have shape {shape}, got "
+            f"kernel table must have shape {shape}, got "
             f"{getattr(array, 'shape', type(array))}"
         )
     return _address(array, dtype, shape[0])
@@ -492,3 +525,99 @@ class MemoryProbe:
         self._l1i.add_counts(*counts[0:2])
         self._l1d.add_counts(*counts[2:4])
         self._l2.add_counts(*counts[4:N_BANKS], counts[N_BANKS:])
+
+
+class BranchUpdate:
+    """The descriptor of one branch predictor's compiled update.
+
+    Binds the counter tables and BTB columns the predictor allocates once.
+    Each call validates the window's columns and the BTB fill counts
+    (the predictor has checked that pcs and targets fit the uint32 BTB),
+    carries the global history in and out through the descriptor, and
+    returns the new history and the call's mispredicts.
+    """
+
+    def __init__(self, lib, predictor):
+        self._update = lib.branch_update
+        cfg = predictor.config
+        # BranchPredictor rejects fewer than one set and ways beyond [1, 127].
+        sets, ways = cfg.btb_sets, cfg.btb_ways
+        if not 0 <= cfg.history_bits <= _HISTORY_BITS_LIMIT:
+            raise SimulationError(
+                f"history_bits must lie in [0, {_HISTORY_BITS_LIMIT}]"
+            )
+        self.desc = d = np.zeros(B_SLOTS, dtype=np.int64)
+        self._addr = d.ctypes.data
+        tables = (
+            (B_BIMODAL, predictor._bimodal, np.int8, (cfg.bimodal_entries,)),
+            (B_PHT, predictor._pht, np.int8, (cfg.level2_entries,)),
+            (B_CHOOSER, predictor._chooser, np.int8, (cfg.bimodal_entries,)),
+            (B_BTB_TAGS, predictor._btb_tags, np.uint32, (sets, ways)),
+            (B_BTB_TARGETS, predictor._btb_targets, np.uint32, (sets, ways)),
+            (B_BTB_FILL, predictor._btb_fill, np.int8, (sets,)),
+        )
+        for slot, table, dtype, shape in tables:
+            d[slot] = _table(table, dtype, shape)
+        self._mask = (1 << cfg.history_bits) - 1
+        d[B_BIMODAL_ENTRIES] = cfg.bimodal_entries
+        d[B_PHT_ENTRIES] = cfg.level2_entries
+        d[B_HISTORY_MASK] = self._mask
+        d[B_BTB_SETS] = sets
+        d[B_BTB_WAYS] = ways
+        self._fill, self._ways = predictor._btb_fill, ways
+        self._keep = tuple(table for _, table, _, _ in tables)
+
+    def __call__(self, history: int, pcs: np.ndarray, takens: np.ndarray,
+                 targets: np.ndarray, out: np.ndarray) -> tuple[int, int]:
+        """Resolve the window, writing each branch's mispredict flag to the
+        bool ``out``; returns the history after it and the mispredicts."""
+        n = len(pcs)
+        columns = (
+            _address(pcs, np.int64, n),
+            _address(takens, np.bool_, n),
+            _address(targets, np.int64, n),
+            _address(out, np.bool_, n),
+        )
+        _check_codes(self._fill, self._ways + 1, "BTB fill count")
+        if not 0 <= history <= self._mask:
+            raise SimulationError("global history beyond its history_bits")
+        d = self.desc
+        d[B_HISTORY] = history
+        mispredicts = self._update(self._addr, *columns, n)
+        return int(d[B_HISTORY]), mispredicts
+
+
+def trace_schedule(lib, arrays, config) -> tuple[np.ndarray, ...]:
+    """``arrays``'s int64 ``cg``, ``ig``, ``w1`` and ``w2`` schedule columns
+    under ``config``'s queue sizes, in one compiled pass over its int8 op
+    and int16 register columns."""
+    sizes = (config.rob_size, config.lsq_size, config.int_issue_queue_size,
+             config.fp_issue_queue_size)
+    if min(sizes) < 1:
+        raise SimulationError(f"queue sizes must be positive, got {sizes}")
+    n = len(arrays)
+    op, dst, src1, src2 = (
+        np.ascontiguousarray(column) for column in
+        (arrays.op, arrays.dst, arrays.src1, arrays.src2)
+    )
+    _check_codes(op, len(_OP_CLASS), "op")
+    # The last-writer table spans every register the trace names.
+    top = max(int(column.max()) for column in (dst, src1, src2)) if n else 0
+    writers = np.full(max(top, 0) + 1, -1, dtype=np.int64)
+    out = tuple(np.empty(n, dtype=np.int64) for _ in range(4))
+    rings = tuple(np.empty(min(size, n), dtype=np.int64) for size in sizes[1:])
+    d = np.zeros(T_SLOTS, dtype=np.int64)
+    for slot, column, dtype in (
+        (T_OP, op, np.int8), (T_DST, dst, np.int16),
+        (T_SRC1, src1, np.int16), (T_SRC2, src2, np.int16),
+        (T_CG, out[0], np.int64), (T_IG, out[1], np.int64),
+        (T_W1, out[2], np.int64), (T_W2, out[3], np.int64),
+    ):
+        d[slot] = _address(column, dtype, n)
+    d[T_OP_CLASS] = _address(_OP_CLASS, np.int8, len(_OP_CLASS))
+    d[T_WRITERS] = _address(writers, np.int64, len(writers))
+    for slot, ring in zip((T_MEM_RING, T_INT_RING, T_FP_RING), rings):
+        d[slot] = _address(ring, np.int64, len(ring))
+    d[T_ROB:T_FP_IQ + 1] = sizes
+    lib.trace_schedule(d.ctypes.data, n)
+    return out

@@ -6,12 +6,21 @@ receives perfect branch outcomes through the branch outcome queue (BOQ).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.common.config import BranchPredictorConfig
+from repro.common.errors import ConfigError, SimulationError
 from repro.common.stats import StatGroup
 
 __all__ = ["BranchPredictor", "BranchStream", "BranchStreamView"]
 
 _TAKEN_THRESHOLD = 2  # 2-bit counters: 0,1 predict not-taken; 2,3 taken
+#: Branch pcs and targets lie in ``[0, ADDRESS_LIMIT)``: the BTB stores
+#: them as uint32.
+ADDRESS_LIMIT = 1 << 32
+# The predictor's state arrays, which :meth:`BranchPredictor.clone` copies.
+_TABLES = ("_bimodal", "_pht", "_chooser",
+           "_btb_tags", "_btb_targets", "_btb_fill")
 
 
 class BranchPredictor:
@@ -21,21 +30,40 @@ class BranchPredictor:
     component has been more accurate.  A branch-target buffer provides
     targets for predicted-taken branches; a BTB miss on a taken branch is
     counted as a misprediction (the front end cannot redirect).
+
+    State lives in NumPy arrays allocated here: int8 2-bit counters
+    (``_bimodal``, ``_pht``, ``_chooser``), and the BTB as uint32
+    ``_btb_tags``/``_btb_targets`` of shape ``[btb_sets, btb_ways]``, set
+    ``s``'s row being its first ``_btb_fill[s]`` (int8) entries in LRU
+    order, oldest first; the global history is the int ``_history``.
+    :meth:`update_window` (the compiled ``branch_update`` in
+    ``_kernel.c``) and the per-branch :meth:`update`, its oracle, read and
+    write the same arrays.
     """
 
     def __init__(self, config: BranchPredictorConfig | None = None, name: str = "bpred"):
         self.config = config or BranchPredictorConfig()
         cfg = self.config
-        self._bimodal = [1] * cfg.bimodal_entries
-        self._pht = [1] * cfg.level2_entries
-        self._chooser = [1] * cfg.bimodal_entries  # start slightly favouring bimodal
+        if cfg.btb_sets < 1 or not 1 <= cfg.btb_ways <= np.iinfo(np.int8).max:
+            raise ConfigError(
+                "the BTB needs btb_sets >= 1 and 1 to 127 btb_ways, got "
+                f"{cfg.btb_sets}x{cfg.btb_ways}"
+            )
+        self._bimodal = np.ones(cfg.bimodal_entries, dtype=np.int8)
+        self._pht = np.ones(cfg.level2_entries, dtype=np.int8)
+        # Start slightly favouring bimodal.
+        self._chooser = np.ones(cfg.bimodal_entries, dtype=np.int8)
         self._history = 0
         self._history_mask = (1 << cfg.history_bits) - 1
-        # BTB: tag store, sets x ways.  Stored sparsely (set index ->
-        # resident ways) — a trace touches a few hundred of the 16K sets,
-        # so the dict keeps :meth:`clone` proportional to the footprint
-        # instead of the geometry.
-        self._btb: dict[int, list[tuple[int, int]]] = {}
+        btb = (cfg.btb_sets, cfg.btb_ways)
+        self._btb_tags = np.zeros(btb, dtype=np.uint32)
+        self._btb_targets = np.zeros(btb, dtype=np.uint32)
+        self._btb_fill = np.zeros(cfg.btb_sets, dtype=np.int8)
+        # Flat views: the per-branch path reads and writes Python ints.
+        self._b, self._p, self._c, self._t, self._g, self._f = (
+            memoryview(getattr(self, name).reshape(-1)) for name in _TABLES
+        )
+        self._native = None  # a _native.BranchUpdate once the kernel loads
         self.stats = StatGroup(name)
         self._lookups = self.stats.counter("lookups")
         self._mispredicts = self.stats.counter("mispredicts")
@@ -50,6 +78,12 @@ class BranchPredictor:
     def _btb_set(self, pc: int) -> int:
         return (pc >> 2) % self.config.btb_sets
 
+    def _btb_way(self, s: int, pc: int) -> int:
+        """The way of BTB set ``s`` holding ``pc``, or -1."""
+        start = s * self.config.btb_ways
+        tags = self._t[start:start + self._f[s]].tolist()
+        return tags.index(pc) if pc in tags else -1
+
     # ------------------------------------------------------------------
     def predict(self, pc: int) -> tuple[bool, int | None]:
         """Predict (direction, target) for the branch at ``pc``.
@@ -57,26 +91,31 @@ class BranchPredictor:
         ``target`` is None on a BTB miss.  Does not update any state; call
         :meth:`update` with the actual outcome afterwards.
         """
-        bimodal_taken = self._bimodal[self._bimodal_index(pc)] >= _TAKEN_THRESHOLD
-        pht_taken = self._pht[self._pht_index(pc)] >= _TAKEN_THRESHOLD
-        use_pht = self._chooser[self._bimodal_index(pc)] >= _TAKEN_THRESHOLD
+        bi = self._bimodal_index(pc)
+        bimodal_taken = self._b[bi] >= _TAKEN_THRESHOLD
+        pht_taken = self._p[self._pht_index(pc)] >= _TAKEN_THRESHOLD
+        use_pht = self._c[bi] >= _TAKEN_THRESHOLD
         taken = pht_taken if use_pht else bimodal_taken
         target = None
         if taken:
-            ways = self._btb.get(self._btb_set(pc))
-            if ways:
-                for tag, tgt in ways:
-                    if tag == pc:
-                        target = tgt
-                        break
+            s = self._btb_set(pc)
+            way = self._btb_way(s, pc)
+            if way >= 0:
+                target = self._g[s * self.config.btb_ways + way]
         return taken, target
 
     def update(self, pc: int, taken: bool, target: int) -> bool:
         """Record the real outcome; returns True if it was mispredicted.
 
         A misprediction is a wrong direction, or a taken branch whose
-        target was absent from the BTB.
+        target was absent from the BTB.  ``pc`` and ``target`` must lie in
+        ``[0, ADDRESS_LIMIT)``.
         """
+        if not (0 <= pc < ADDRESS_LIMIT and 0 <= target < ADDRESS_LIMIT):
+            raise SimulationError(
+                f"branch pc {pc} and target {target} must lie in "
+                f"[0, {ADDRESS_LIMIT})"
+            )
         self._lookups.increment()
         predicted_taken, predicted_target = self.predict(pc)
         mispredicted = predicted_taken != taken or (
@@ -87,41 +126,84 @@ class BranchPredictor:
 
         bi = self._bimodal_index(pc)
         ph = self._pht_index(pc)
-        bimodal_correct = (self._bimodal[bi] >= _TAKEN_THRESHOLD) == taken
-        pht_correct = (self._pht[ph] >= _TAKEN_THRESHOLD) == taken
+        bimodal, pht = self._b, self._p
+        bimodal_correct = (bimodal[bi] >= _TAKEN_THRESHOLD) == taken
+        pht_correct = (pht[ph] >= _TAKEN_THRESHOLD) == taken
         if pht_correct != bimodal_correct:
-            self._chooser[bi] = _saturate(self._chooser[bi], pht_correct)
-        self._bimodal[bi] = _saturate(self._bimodal[bi], taken)
-        self._pht[ph] = _saturate(self._pht[ph], taken)
+            self._c[bi] = _saturate(self._c[bi], pht_correct)
+        bimodal[bi] = _saturate(bimodal[bi], taken)
+        pht[ph] = _saturate(pht[ph], taken)
         self._history = ((self._history << 1) | int(taken)) & self._history_mask
 
         if taken:
-            index = self._btb_set(pc)
-            ways = self._btb.get(index)
-            if ways is None:
-                ways = self._btb[index] = []
-            for i, (tag, _) in enumerate(ways):
-                if tag == pc:
-                    del ways[i]
-                    break
-            ways.append((pc, target))
-            if len(ways) > self.config.btb_ways:
-                del ways[0]
+            # Move or add the entry at the MRU end; a full row drops its
+            # oldest entry.
+            s = self._btb_set(pc)
+            start = s * self.config.btb_ways
+            fill = self._f[s]
+            way = self._btb_way(s, pc)
+            if way >= 0 or fill == self.config.btb_ways:
+                drop, end = start + max(way, 0), start + fill
+                for column in (self._t, self._g):
+                    column[drop:end - 1] = column[drop + 1:end]
+                fill -= 1
+            self._t[start + fill] = pc
+            self._g[start + fill] = target
+            self._f[s] = fill + 1
         return mispredicted
 
-    def update_window(self, pcs, takens, targets) -> list[bool]:
-        """Resolve a window of branches in trace order.
+    def update_window(self, pcs, takens, targets) -> np.ndarray:
+        """Resolve a window of branches in trace order; returns their
+        mispredict flags as a bool array.
 
-        Batch form of :meth:`update` for the columnar pipeline: the bound
-        method is hoisted once per window instead of looked up per branch.
-        State evolution and misprediction flags are identical to calling
-        :meth:`update` row by row.
+        Batch form of :meth:`update`: one call of the compiled
+        ``branch_update`` on this predictor's own tables, after which the
+        window's lookups and mispredicts are added to the counters.  The
+        columns are converted to int64 pcs and targets and bool outcomes;
+        every pc and target must lie in ``[0, ADDRESS_LIMIT)``, checked
+        before any branch is resolved.  Without the kernel this runs
+        :meth:`update` per branch; state and flags end identical.
         """
+        pcs = np.ascontiguousarray(pcs, dtype=np.int64)
+        takens = np.ascontiguousarray(takens, dtype=bool)
+        targets = np.ascontiguousarray(targets, dtype=np.int64)
+        if not len(pcs) == len(takens) == len(targets):
+            raise SimulationError(
+                "a branch window needs one outcome and target per pc"
+            )
+        for column, what in ((pcs, "pc"), (targets, "target")):
+            if len(column) and (
+                column.min() < 0 or column.max() >= ADDRESS_LIMIT
+            ):
+                raise SimulationError(
+                    f"branch {what}s must lie in [0, {ADDRESS_LIMIT})"
+                )
+        if self._native is None:
+            from repro.core import _native
+
+            lib = _native.load()
+            if lib is None:
+                return self._update_window_reference(pcs, takens, targets)
+            self._native = _native.BranchUpdate(lib, self)
+        flags = np.empty(len(pcs), dtype=bool)
+        self._history, mispredicts = self._native(
+            self._history, pcs, takens, targets, flags
+        )
+        self._lookups.increment(len(pcs))
+        self._mispredicts.increment(mispredicts)
+        return flags
+
+    def _update_window_reference(self, pcs, takens, targets) -> np.ndarray:
+        """The per-branch oracle of :meth:`update_window`."""
         update = self.update
-        return [
-            update(pc, taken, target)
-            for pc, taken, target in zip(pcs, takens, targets)
-        ]
+        return np.array(
+            [
+                update(pc, taken, target) for pc, taken, target in zip(
+                    pcs.tolist(), takens.tolist(), targets.tolist()
+                )
+            ],
+            dtype=bool,
+        )
 
     def clone(self) -> "BranchPredictor":
         """An independent copy with identical tables, history, and stats.
@@ -132,11 +214,9 @@ class BranchPredictor:
         the other.
         """
         other = BranchPredictor(self.config, name=self.stats.name)
-        other._bimodal = list(self._bimodal)
-        other._pht = list(self._pht)
-        other._chooser = list(self._chooser)
+        for name in _TABLES:
+            np.copyto(getattr(other, name), getattr(self, name))
         other._history = self._history
-        other._btb = {s: list(ways) for s, ways in self._btb.items()}
         other._lookups.value = self._lookups.value
         other._mispredicts.value = self._mispredicts.value
         return other
@@ -168,11 +248,11 @@ class BranchStream:
     function of the prefix length.  The stream owns one real
     :class:`BranchPredictor` (typically a pretrained clone), replays each
     branch through it exactly once on first demand, and records the
-    flags; :meth:`view` hands out cheap cursors that consume the memoized
-    prefix instead of cloning and re-updating 16K-entry tables per
-    simulation.  Bit-identical to the clone-per-sim pattern by
-    construction: the flags come from the same :meth:`BranchPredictor.update`
-    calls a clone would make.
+    flags (a read-only bool array); :meth:`view` hands out cheap cursors
+    that consume the memoized prefix instead of cloning and re-updating
+    16K-entry tables per simulation.  Bit-identical to the clone-per-sim
+    pattern by construction: the flags come from the same
+    :meth:`BranchPredictor.update_window` calls a clone would make.
     """
 
     __slots__ = ("predictor", "flags", "cum_mispredicts",
@@ -180,9 +260,9 @@ class BranchStream:
 
     def __init__(self, predictor: BranchPredictor):
         self.predictor = predictor
-        self.flags: list[bool] = []
+        self.flags = np.zeros(0, dtype=bool)
         # cum_mispredicts[i] = mispredicts among the first i flags.
-        self.cum_mispredicts: list[int] = [0]
+        self.cum_mispredicts = np.zeros(1, dtype=np.int64)
         self.base_lookups = predictor.lookups
         self.base_mispredicts = predictor.mispredicts
 
@@ -193,12 +273,12 @@ class BranchStream:
     def extend(self, pcs, takens, targets) -> None:
         """Resolve further branches (those past the memoized prefix)."""
         new = self.predictor.update_window(pcs, takens, targets)
-        self.flags.extend(new)
+        self.flags = np.concatenate([self.flags, new])
+        self.flags.flags.writeable = False
         cum = self.cum_mispredicts
-        total = cum[-1]
-        for flag in new:
-            total += flag
-            cum.append(total)
+        self.cum_mispredicts = np.concatenate(
+            [cum, cum[-1] + np.cumsum(new, dtype=np.int64)]
+        )
 
 
 class BranchStreamView:
@@ -226,8 +306,11 @@ class BranchStreamView:
         """The underlying predictor's configuration."""
         return self._stream.predictor.config
 
-    def update_window(self, pcs, takens, targets) -> list[bool]:
-        """The next window's mispredict flags, memoized stream-wide.
+    def update_window(self, pcs, takens, targets) -> memoryview:
+        """The next window's mispredict flags, memoized stream-wide: a
+        read-only memoryview slice of the stream's bool flags, so NumPy
+        reads it in place while iteration (and builtin ``sum``) yields
+        Python bools.
 
         Every view must present the stream's branches in order (windows
         may be sliced differently between views); only the not-yet-seen
@@ -241,7 +324,7 @@ class BranchStreamView:
             skip = resolved - cursor  # head of this window already known
             stream.extend(pcs[skip:], takens[skip:], targets[skip:])
         self._cursor = cursor + count
-        return stream.flags[cursor:self._cursor]
+        return memoryview(stream.flags)[cursor:self._cursor]
 
     @property
     def lookups(self) -> int:
@@ -251,9 +334,8 @@ class BranchStreamView:
     @property
     def mispredicts(self) -> int:
         """Mispredictions, as the equivalent clone would count them."""
-        return (
-            self._stream.base_mispredicts
-            + self._stream.cum_mispredicts[self._cursor]
+        return self._stream.base_mispredicts + int(
+            self._stream.cum_mispredicts[self._cursor]
         )
 
     @property

@@ -22,8 +22,10 @@ One production path: :meth:`LeadingCoreTiming.run` takes a whole columnar
 trace.  :meth:`~LeadingCoreTiming.prepare_window` first resolves a window's
 fetch-line breaks, memory latencies (one compiled cache-probe call,
 :meth:`~repro.core.memory.MemoryHierarchy.access_window`) and mispredict
-flags — legal because the cache and predictor access order is a pure
-function of the trace order, independent of the cycle timing — and the
+flags (one compiled predictor call,
+:meth:`~repro.core.branch.BranchPredictor.update_window`) — legal because
+the cache and predictor access order is a pure function of the trace
+order, independent of the cycle timing — and the
 compiled issue/retire scan (``leading_scan`` in ``_kernel.c``, built on
 first use by :mod:`repro.core._native`) then closes every cycle from the
 positional indices of a :class:`TraceSchedule`.  The per-row state machine
@@ -143,7 +145,7 @@ class TraceSchedule:
 
     Everything the compiled issue/retire scan needs that is a pure
     function of the *trace order* (never of any cycle time), computed
-    once per (trace, core geometry) with vectorized NumPy passes, as
+    once per (trace, core geometry) by :func:`build_trace_schedule`, as
     int64 arrays with one entry per row:
 
     * ``cg`` — combined ROB/LSQ commit-gate row: the absolute row whose
@@ -180,7 +182,24 @@ def build_trace_schedule(
     Depends only on the op/register columns and the queue geometry
     (``rob_size``, ``lsq_size``, issue-queue sizes) — cacheable per
     (trace, geometry) and shared across every simulation of that pair.
+    One compiled pass (``trace_schedule`` in ``_kernel.c``) over the int8
+    op and int16 register columns derives all four columns, keeping a
+    last-writer row per register and a ring of recent rows per queue;
+    without the kernel this runs :func:`_build_trace_schedule_reference`.
     """
+    lib = _kernel_library()
+    if lib is None:
+        return _build_trace_schedule_reference(arrays, config)
+    from repro.core._native import trace_schedule
+
+    return TraceSchedule(*trace_schedule(lib, arrays, config))
+
+
+def _build_trace_schedule_reference(
+    arrays: TraceArrays, config: LeadingCoreConfig
+) -> TraceSchedule:
+    """The oracle of :func:`build_trace_schedule`: vectorized NumPy
+    passes, the last writers by a keyed sort and two binary searches."""
     ops = arrays.op
     n = len(ops)
     idx = np.arange(n, dtype=np.int64)
@@ -222,7 +241,7 @@ def build_trace_schedule(
         src = src.astype(np.int64)
         readers = np.flatnonzero(src >= 0)
         w = np.full(n, -1, dtype=np.int64)
-        if readers.size:
+        if readers.size and wkeys.size:
             regs = src[readers]
             pos = np.searchsorted(wkeys, regs * stride + readers) - 1
             safe = np.maximum(pos, 0)
@@ -566,12 +585,11 @@ class LeadingCoreTiming:
         mispredicted = np.full(n, -1, dtype=np.int8)
         branch_rows = np.nonzero(ops == OP_BRANCH)[0]
         if branch_rows.size:
-            flags = self.predictor.update_window(
-                pc[branch_rows].tolist(),
-                arrays.taken[start:end][branch_rows].tolist(),
-                arrays.target[start:end][branch_rows].tolist(),
+            mispredicted[branch_rows] = self.predictor.update_window(
+                pc[branch_rows],
+                arrays.taken[start:end][branch_rows],
+                arrays.target[start:end][branch_rows],
             )
-            mispredicted[branch_rows] = np.asarray(flags, dtype=np.int8)
 
         op_counts = np.bincount(ops, minlength=len(OP_BY_CODE)).tolist()
         for code, count in enumerate(op_counts):

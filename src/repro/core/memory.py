@@ -130,17 +130,17 @@ class MemoryHierarchy:
         The regions are contiguous line runs installed into empty caches,
         so the warm state has a closed form: every cache stores its runs
         and builds each set's row on first touch (in the compiled probe,
-        or the Python access methods).  Nothing per resident line is
-        built or kept.  The per-address reference runs instead when the
-        closed form does not apply (a cache not fresh, L2 contention
-        modelling, L1D and L2 line sizes differing, or overlapping
+        or the Python access methods); under L2 contention modelling the
+        bank window is set to the banks of the last installed lines.
+        Nothing per resident line is built or kept.  The per-address
+        reference runs instead when the closed form does not apply (a
+        cache not fresh, L1D and L2 line sizes differing, or overlapping
         regions); that is decided before anything is installed.
         """
         line = self.l1d.geometry.line_bytes
         plan = None
         if (
-            not self.l2.config.model_contention
-            and self.l2.config.line_bytes == line
+            self.l2.config.line_bytes == line
             and self.l1i.fresh
             and self.l1d.fresh
             and self.l2.fresh

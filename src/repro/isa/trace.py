@@ -121,8 +121,9 @@ class TraceGenerator:
         bias so that direction tables and the BTB reflect steady state
         before the measured window begins.  Uses a dedicated RNG stream, so
         it does not perturb trace generation.  Thresholds and outcomes are
-        computed in one vectorized pass; the per-site ``update`` order is
-        unchanged (row-major over rounds x sites).
+        computed in one vectorized pass and resolved in one
+        ``update_window`` call, in the per-site order of the update loop
+        (row-major over rounds x sites).
         """
         rng = RngFactory(self.seed).child(
             f"trace:{self.profile.name}"
@@ -130,12 +131,11 @@ class TraceGenerator:
         draws = rng.random((rounds, len(self._branch_pcs)))
         thresholds = np.where(self._branch_hard, 0.5, self._branch_bias)
         outcomes = draws < thresholds[None, :]
-        pcs = [int(pc) for pc in self._branch_pcs]
-        targets = [int(t) for t in self._branch_targets]
-        update = predictor.update
-        for row in outcomes.tolist():
-            for pc, taken, target in zip(pcs, row, targets):
-                update(pc, taken, target)
+        predictor.update_window(
+            np.tile(self._branch_pcs, rounds),
+            outcomes.reshape(-1),
+            np.tile(self._branch_targets, rounds),
+        )
 
     def generate_arrays(self, count: int) -> TraceArrays:
         """Generate the next ``count`` instructions as columnar arrays.

@@ -38,7 +38,7 @@ from repro.common.config import (
 )
 from repro.common.errors import ConfigError, SimulationError
 from repro.core import _native, leading
-from repro.core.branch import BranchPredictor
+from repro.core.branch import BranchPredictor, BranchStream
 from repro.core.checker import InOrderCheckerTiming
 from repro.core.leading import (
     LeadingCoreTiming,
@@ -591,14 +591,31 @@ def test_kernel_rejects_columns_it_cannot_read():
     )
 
 
+def _front_end(profile, trace, config):
+    """A pretrained predictor, a stream view's flags over ``trace``'s
+    branches and ``trace``'s schedule under ``config``."""
+    predictor = BranchPredictor()
+    TraceGenerator(profile, seed=1).pretrain_predictor(predictor)
+    branches = trace.op == OP_BRANCH
+    view = BranchStream(predictor.clone()).view()
+    flags = view.update_window(
+        trace.pc[branches], trace.taken[branches], trace.target[branches]
+    )
+    return predictor, view, flags, build_trace_schedule(trace, config)
+
+
 def test_fallback_runs_the_oracles(monkeypatch):
     """With the kernel unavailable, ``run`` on both classes,
-    ``consume_window`` and ``MemoryHierarchy.access_window`` equal their
-    oracles (the cache probe is never bound), the fig6 goldens hold, and
-    the process logs exactly one warning."""
+    ``consume_window``, ``MemoryHierarchy.access_window``, pretraining,
+    branch-stream resolution and ``build_trace_schedule`` equal their
+    oracles (the cache probe and the predictor's update are never bound),
+    the fig6 goldens hold, and the process logs exactly one warning."""
     def no_kernel():
         raise OSError("no compiler")
 
+    # The compiled front end, before the loader fails.
+    front_end_cfg = SystemConfig.for_chip(ChipModel.THREE_D_CHECKER).leading
+    expected = _front_end(get_profile("gzip"), _GZIP, front_end_cfg)
     monkeypatch.setattr(_native, "_lib", None)
     monkeypatch.setattr(_native, "_failed", False)
     monkeypatch.setattr(_native, "_build", no_kernel)
@@ -641,6 +658,26 @@ def test_fallback_runs_the_oracles(monkeypatch):
         assert got.tolist() == reference._access_window_reference(
             kinds, addresses
         ).tolist()
+
+        predictor, view, flags, schedule = _front_end(
+            get_profile("gzip"), _GZIP, front_end_cfg
+        )
+        assert predictor._native is None
+        assert view._stream.predictor._native is None
+        for table in ("_bimodal", "_pht", "_chooser", "_btb_tags",
+                      "_btb_targets", "_btb_fill"):
+            assert np.array_equal(
+                getattr(predictor, table), getattr(expected[0], table)
+            )
+        assert predictor._history == expected[0]._history
+        assert np.array_equal(flags, expected[2])
+        assert (view.lookups, view.mispredicts) == (
+            expected[1].lookups, expected[1].mispredicts
+        )
+        for column in ("cg", "ig", "w1", "w2"):
+            assert np.array_equal(
+                getattr(schedule, column), getattr(expected[3], column)
+            )
 
         assert _fig6_rows(jobs=1) == _GOLDEN_FIG6
     finally:
@@ -762,10 +799,18 @@ def test_branch_stream_view_equals_clone():
         pcs = [r[0] for r in window]
         takens = [r[1] for r in window]
         targets = [r[2] for r in window]
+        before = clone.mispredicts
         expected = clone.update_window(pcs, takens, targets)
         # Interleave the two views: each keeps its own cursor.
-        assert view_a.update_window(pcs, takens, targets) == expected
-        assert view_b.update_window(pcs, takens, targets) == expected
+        flags_a = view_a.update_window(pcs, takens, targets)
+        flags_b = view_b.update_window(pcs, takens, targets)
+        assert np.array_equal(flags_a, expected)
+        assert np.array_equal(flags_b, expected)
+        # Read-only bool flags: builtin sum counts them in Python ints.
+        assert flags_a.format == "?" and flags_a.readonly
+        mispredicts = sum(flags_a)
+        assert type(mispredicts) is int
+        assert mispredicts == clone.mispredicts - before
         assert view_a.lookups == clone.lookups
         assert view_a.mispredicts == clone.mispredicts
         assert view_b.misprediction_rate == clone.misprediction_rate

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.common import memo
@@ -72,18 +73,19 @@ class TestPredictorCache:
         cache = memo.get_cache()
         first = cache.pretrained_predictor(GZIP, 42)
         snapshot = (
-            list(first._bimodal), list(first._pht), first._history,
-            first.lookups,
+            first._bimodal.copy(), first._pht.copy(),
+            first._btb_tags.copy(), first._history, first.lookups,
         )
         # Mutate the first clone heavily; the master must be unaffected.
         for _ in range(200):
             first.update(0x4000_0000, taken=True, target=0x4000_1000)
         second = cache.pretrained_predictor(GZIP, 42)
-        assert (
-            list(second._bimodal), list(second._pht), second._history,
-            second.lookups,
-        ) == snapshot
-        assert first.lookups == snapshot[3] + 200
+        assert np.array_equal(second._bimodal, snapshot[0])
+        assert np.array_equal(second._pht, snapshot[1])
+        assert np.array_equal(second._btb_tags, snapshot[2])
+        assert (second._history, second.lookups) == snapshot[3:]
+        assert not np.array_equal(first._btb_tags, snapshot[2])
+        assert first.lookups == snapshot[4] + 200
         assert cache.stats["predictor"].hits == 1
         assert cache.stats["predictor"].misses == 1
 
@@ -93,9 +95,9 @@ class TestPredictorCache:
 
         fresh = BranchPredictor()
         TraceGenerator(GZIP, seed=42).pretrain_predictor(fresh)
-        assert cached._bimodal == fresh._bimodal
-        assert cached._pht == fresh._pht
-        assert cached._chooser == fresh._chooser
+        for table in ("_bimodal", "_pht", "_chooser", "_btb_tags",
+                      "_btb_targets", "_btb_fill"):
+            assert np.array_equal(getattr(cached, table), getattr(fresh, table))
         assert cached._history == fresh._history
 
 

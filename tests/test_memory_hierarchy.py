@@ -5,7 +5,12 @@ import tracemalloc
 import pytest
 
 from repro.common import memo
-from repro.common.config import ChipModel, LeadingCoreConfig, NucaConfig
+from repro.common.config import (
+    ChipModel,
+    LeadingCoreConfig,
+    NucaConfig,
+    NucaPolicy,
+)
 from repro.core.memory import MemoryHierarchy
 from repro.workloads.profiles import get_profile
 
@@ -87,28 +92,43 @@ class TestPreload:
         assert big.load_latency(xl_addr) < 300     # resident in 15 MB
         assert small.load_latency(xl_addr) > 300   # evicted from 6 MB
 
-    @pytest.mark.parametrize("case", ["second-preload", "contention"])
-    def test_declined_closed_form_falls_back_whole(self, case):
-        # Warm caches and a modelled bank window (one entry per access)
-        # both rule the closed form out; the per-address reference must
-        # then run for every level, on top of whatever is resident.
-        nuca = NucaConfig(num_banks=6, model_contention=case == "contention")
-
-        def build():
-            return MemoryHierarchy(LeadingCoreConfig(), nuca, ChipModel.TWO_D_A)
-
-        first, second = get_profile("gzip"), get_profile("swim")
-        memory, reference = build(), build()
-        if case == "second-preload":
-            memory.preload_profile(first)
-            reference._preload_profile_reference(first)
-        memory.preload_profile(second)
-        reference._preload_profile_reference(second)
+    @staticmethod
+    def _preload_both(nuca, profiles):
+        """``profiles`` preloaded in turn by ``preload_profile`` and by
+        the per-address reference, on two fresh hierarchies."""
+        memory, reference = (
+            MemoryHierarchy(LeadingCoreConfig(), nuca, ChipModel.TWO_D_A)
+            for _ in range(2)
+        )
+        for profile in profiles:
+            memory.preload_profile(profile)
+            reference._preload_profile_reference(profile)
         for level in ("l1i", "l1d", "l2"):
             assert rows(getattr(memory, level)) == rows(
                 getattr(reference, level)
             )
         assert memory.l2._recent.tolist() == reference.l2._recent.tolist()
+        return memory
+
+    @pytest.mark.parametrize("case", ["second-preload"])
+    def test_declined_closed_form_falls_back_whole(self, case):
+        # Warm caches rule the closed form out; the per-address reference
+        # must then run for every level, on top of whatever is resident.
+        self._preload_both(
+            NucaConfig(num_banks=6),
+            [get_profile("gzip"), get_profile("swim")],
+        )
+
+    @pytest.mark.parametrize("policy", list(NucaPolicy), ids=lambda p: p.value)
+    def test_contended_preload_is_closed_form(self, policy):
+        # A modelled bank window keeps only the banks of the last
+        # installed lines, which the closed form sets directly.
+        memory = self._preload_both(
+            NucaConfig(num_banks=6, policy=policy, model_contention=True),
+            [get_profile("swim")],
+        )
+        assert len(memory.l2._runs) and not memory.l2._owned.any()
+        assert min(memory.l2._recent) >= 0
 
     def test_cold_preload_keeps_nothing_per_resident_line(self):
         # mcf leaves ~246k lines resident in a 15 MB L2.  The warm state

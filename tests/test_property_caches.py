@@ -149,6 +149,8 @@ def test_nuca_closed_form_matches_per_address_install(data):
         num_banks=banks,
         bank_size_bytes=64 * data.draw(st.integers(8, 128)),
         policy=policy,
+        model_contention=data.draw(st.booleans()),
+        contention_window=data.draw(st.integers(1, 8)),
     )
     reference = NucaCache(config)
     capacity = reference.num_sets * reference.total_ways
@@ -158,6 +160,7 @@ def test_nuca_closed_form_matches_per_address_install(data):
     warm = NucaCache(config)
     warm.install(warm.preload_plan(runs))
     assert rows(warm) == rows(reference)
+    assert warm._recent.tolist() == reference._recent.tolist()
     assert own_every_row(warm) == rows(reference)
 
     fast = NucaCache(config)
@@ -170,6 +173,11 @@ def test_nuca_closed_form_matches_per_address_install(data):
     assert (fast.hits, fast.misses) == (reference.hits, reference.misses)
     assert fast.bank_access_counts() == reference.bank_access_counts()
     assert fast.average_hit_latency == reference.average_hit_latency
+    assert (
+        fast.stats["bank_conflicts"].value
+        == reference.stats["bank_conflicts"].value
+    )
+    assert fast._recent.tolist() == reference._recent.tolist()
     assert own_every_row(fast) == rows(reference)
 
 

@@ -1,24 +1,13 @@
-"""Overhead budget and chaos smoke test of the fault-tolerant engine.
+"""Happy-path overhead budget of the fault-tolerant engine.
 
-Two guarantees ride on this file:
-
-* the engine's bookkeeping (outcome objects, at-most-once commits,
-  checkpoint probes) costs the undisturbed happy path no more than 3%
-  over a bare pre-resilience sweep loop — measured against an inline
-  reimplementation of the old engine's serial path, on tasks of a fixed
-  busy-wait length so the comparison is stable across hosts;
-* a real CLI invocation survives aggressive worker kills end to end on
-  the process pool: ``python -m repro fig6 --chaos worker-kill:0.9``
-  exits 0, rebuilds the pool at least once, and writes a run manifest
-  with zero task failures.
+The engine's bookkeeping (outcome objects, at-most-once commits,
+checkpoint probes) must cost the undisturbed happy path no more than 3%
+over a bare pre-resilience sweep loop — measured against an inline
+reimplementation of the old engine's serial path, on tasks of a fixed
+busy-wait length so the comparison is stable across hosts.
 """
 
-import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 from conftest import print_table
@@ -97,36 +86,3 @@ def _timed(fn):
     fn()
     return time.perf_counter() - start
 
-
-@pytest.mark.slow
-def test_cli_survives_chaos(tmp_path):
-    """The acceptance smoke target: a CLI sweep whose workers keep dying
-    recovers, exits 0, and its manifest metrics carry the full sweep."""
-    repo = Path(__file__).resolve().parent.parent
-    manifest_path = tmp_path / "manifest.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(repo / "src")
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "repro", "fig6",
-            "--benchmarks", "gzip,mcf", "--window", "1500", "--jobs", "2",
-            "--chaos", "worker-kill:0.9,seed:1",
-            "--metrics", str(manifest_path),
-        ],
-        cwd=repo,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    manifest = json.loads(manifest_path.read_text())
-    sweep = manifest["sweeps"][0]
-    print_table(
-        "CLI chaos smoke (fig6 under worker kills)",
-        ["tasks", "failures", "pool rebuilds"],
-        [[sweep["tasks"], sweep["failures"], sweep["pool_rebuilds"]]],
-    )
-    assert sweep["tasks"] == 8
-    assert sweep["failures"] == 0
-    assert sweep["pool_rebuilds"] >= 1   # the kills really fired

@@ -22,9 +22,12 @@ import sys
 import threading
 
 from repro.common.config import ChipModel
-from repro.common.errors import ReproError, SweepDrainedError
+from repro.common.errors import (
+    ReproError,
+    SweepAbortedError,
+    SweepDrainedError,
+)
 from repro.common.tables import print_table
-from repro.experiments import chaos as chaos_mod
 from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments import engine
 from repro.experiments import (
@@ -387,10 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resume an interrupted checkpointed run: "
                             "re-executes only tasks missing from its "
                             "checkpoint")
-        p.add_argument("--chaos", default=None, metavar="SPEC",
-                       help="inject faults into sweep execution, e.g. "
-                            "'worker-kill:0.1,short-write:0.2,seed:7' "
-                            "(or set REPRO_CHAOS)")
         p.add_argument("--metrics", nargs="?", const="run_manifest.json",
                        default=None, metavar="PATH",
                        help="write a run manifest (metrics + sweep "
@@ -409,9 +408,9 @@ def main(argv: list[str] | None = None) -> int:
 
     Library errors (:class:`ReproError`) become a one-line ``error:``
     message and exit code 2; Ctrl-C exits 130 after the event sink is
-    flushed — any enabled sweep checkpoint is already on disk because
-    tasks are persisted as they complete, so the run can be continued
-    with ``--resume``.
+    flushed.  Any enabled sweep checkpoint is already on disk because
+    tasks are persisted as they complete, so an interrupted run, or one
+    aborted by a dead worker, can be continued with ``--resume``.
     """
     args = build_parser().parse_args(argv)
     log.configure(verbosity=args.verbose - args.quiet)
@@ -438,8 +437,6 @@ def main(argv: list[str] | None = None) -> int:
         if checkpoint_dir:
             checkpoint_mod.set_checkpoint_dir(checkpoint_dir)
             _say(f"checkpointing sweeps under {checkpoint_dir}/{run_id}")
-        if args.chaos:
-            chaos_mod.set_chaos(chaos_mod.ChaosPolicy.parse(args.chaos))
         _COMMANDS[args.command](args)
         if args.metrics:
             metrics = engine.run_metrics(run_id)
@@ -487,6 +484,11 @@ def main(argv: list[str] | None = None) -> int:
     except ReproError as exc:
         events.emit("run_error", run_id=run_id, error=str(exc))
         logger.error(f"error: {exc}")
+        if checkpoint_dir and isinstance(exc, SweepAbortedError):
+            # What committed is on disk: the resume re-runs the rest.
+            logger.error(
+                f"resume with: repro {args.command} --resume {run_id}"
+            )
         return 2
     except KeyboardInterrupt:
         events.emit("run_interrupted", run_id=run_id)
@@ -504,7 +506,6 @@ def main(argv: list[str] | None = None) -> int:
         engine.clear_drain()
         engine.set_default_jobs(None)
         checkpoint_mod.set_checkpoint_dir(None)
-        chaos_mod.set_chaos(None)
         if args.trace_out:
             events.set_sink(None)
 

@@ -50,7 +50,6 @@ from repro.experiments.pipeline_depth import (
     slack_comparison,
     table5_pipeline_power,
 )
-from repro.experiments.chaos import ChaosPolicy
 from repro.experiments.engine import (
     SweepTiming,
     format_timing_summary,
@@ -130,7 +129,6 @@ __all__ = [
     "Table5Row",
     "slack_comparison",
     "table5_pipeline_power",
-    "ChaosPolicy",
     "resolve_executor",
     "DEFAULT_WINDOW",
     "SimTask",

@@ -14,41 +14,35 @@ instead of running nested loops inline.  The engine provides:
   working); more run it on a ``local`` process pool;
 * fail-fast: each task runs once, and the first task error aborts the
   sweep with :class:`SweepAbortedError` carrying the worker traceback
-  (the simulations are deterministic, so a rerun would fail again);
-* pool recovery: a pool that breaks (``BrokenProcessPool``) is rebuilt
-  and its lost chunks resubmitted whole, up to :data:`MAX_POOL_REBUILDS`
-  times; after that the rest of the sweep runs inline (``degraded``).
-  Results commit **at most once** per task key (a duplicate delivery is
-  counted and dropped);
+  (the simulations are deterministic, so a rerun would fail again).  A
+  dead worker is one more lost chunk: the pool breaks
+  (``BrokenProcessPool``), what the other workers already finished
+  commits, and the sweep aborts at the lost chunk's first uncommitted
+  task.  Results commit **at most once** per task key (a duplicate
+  delivery is counted and dropped);
 * graceful drains (:func:`request_drain`, the CLI's SIGTERM): chunks
   already running finish and commit, the rest are withdrawn, and the
   sweep raises :class:`SweepDrainedError` so the caller can exit with a
   resume hint;
 * sweep checkpointing (:mod:`repro.experiments.checkpoint`): completed
-  task results append to a JSONL file keyed by run id and task key, so an
-  interrupted sweep resumes via ``--resume <run_id>`` and re-executes
-  only the tasks that never finished;
-* a chaos hook (:mod:`repro.experiments.chaos`, ``REPRO_CHAOS``) that
-  kills pool workers and tears checkpoint lines, so the recovery paths
-  are themselves testable — mirroring how :mod:`repro.core.faults`
-  injects faults into the simulated cores;
-* per-task wall-clock, metric-delta, and failure accounting recorded as a
+  task results append to a JSONL file keyed by run id and task key, so
+  an interrupted, aborted or drained sweep resumes via ``--resume
+  <run_id>`` and re-executes only the chunks that never finished — the
+  one recovery path;
+* per-task wall-clock and metric-delta accounting recorded as a
   :class:`SweepTiming` per sweep (stamped with the active run id) that
   ``experiments/report.py`` and the benchmark harness render.
 
 Determinism: results are returned in task-submission order regardless of
-completion, rebuild, or resume history.  Tasks are pure — a chunk re-run
-after a pool break is bit-identical to a clean first run — so merged
-sweep metrics are equal across any worker count, pool break, or resume
-boundary.  Chaos kills fire *before* a task's body and only on first
-attempts, which keeps even a chaos-disturbed sweep bit-identical to an
-undisturbed serial one.
+completion or resume history.  Tasks are pure — a chunk re-run on resume
+is bit-identical to a clean first run — so merged sweep metrics are
+equal across any worker count or resume boundary.
 
-Recovery accounting (failures, pool rebuilds, resumes) deliberately stays
+Resume accounting (resumed tasks, dropped duplicates) deliberately stays
 **out** of the merged metric snapshots and in dedicated
 :class:`SweepTiming` fields: the ``metrics`` section of a run manifest
-must stay bit-identical between a faulted-and-recovered run and a clean
-one, which it could not if recovery events were counted there.
+must stay bit-identical between a resumed run and a clean one, which it
+could not if resumes were counted there.
 """
 
 from __future__ import annotations
@@ -69,9 +63,7 @@ from repro.common.errors import (
     SweepDrainedError,
     TaskError,
 )
-from repro.experiments import chaos as chaos_mod
 from repro.experiments import checkpoint as checkpoint_mod
-from repro.experiments.chaos import ChaosPolicy
 from repro.obs import events
 from repro.obs.metrics import MetricsSnapshot, get_registry, merge_snapshots
 
@@ -106,9 +98,6 @@ _MAX_AUTO_JOBS = 16
 # Guard against division by a degenerate (sub-resolution) wall clock.
 _EPS_WALL_S = 1e-9
 
-#: Pool breaks a sweep survives; one more and the rest runs inline.
-MAX_POOL_REBUILDS = 3
-
 #: How long a drain waits for running chunks before abandoning them.
 DRAIN_TIMEOUT_S = 30.0
 
@@ -116,7 +105,7 @@ DRAIN_TIMEOUT_S = 30.0
 # ---------------------------------------------------------------------
 @dataclass
 class SweepTiming:
-    """Wall-clock and failure accounting of one sweep through the engine."""
+    """Wall-clock and resume accounting of one sweep through the engine."""
 
     label: str
     jobs: int
@@ -124,11 +113,8 @@ class SweepTiming:
     wall_s: float = 0.0
     run_id: str = ""
     metrics: MetricsSnapshot | None = None
-    failures: int = 0        # tasks that raised (the first aborts the sweep)
     retries: int = 0         # always 0: tasks run once
-    pool_rebuilds: int = 0   # BrokenProcessPool recoveries
     resumed_tasks: int = 0   # tasks restored from a checkpoint
-    degraded: bool = False   # finished inline after the pool broke for good
     empty: bool = False      # sweep had no tasks (not recorded)
     executor: str = ""       # "inline" or "local", from the worker count
     duplicate_results: int = 0  # late/duplicate commits dropped per task key
@@ -193,10 +179,7 @@ def timing_summary(
             "cpu_s": round(t.cpu_s, 3),
             "wall_s": round(t.wall_s, 3),
             "speedup": round(t.speedup, 2),
-            "failures": t.failures,
-            "pool_rebuilds": t.pool_rebuilds,
             "resumed_tasks": t.resumed_tasks,
-            "degraded": t.degraded,
             "executor": t.executor,
             "duplicate_results": t.duplicate_results,
         }
@@ -281,11 +264,8 @@ def resolve_executor(jobs: int | None = None) -> str:
 
 
 # ---------------------------------------------------------------------
-# Task execution, on either side of the process boundary.
-#
-# A sweep entry is the tuple ``(index, base_attempt, item)``.
-# ``base_attempt`` is nonzero only after a chaos kill was attributed to
-# the task, so its rerun is injection-free.
+# Task execution, on either side of the process boundary.  A sweep
+# entry is the tuple ``(index, item)``.
 
 
 @dataclass
@@ -302,18 +282,12 @@ class _TaskOutcome:
     worker: int = 0          # pid of the process that ran the task
 
 
-def _run_task(fn: Callable, item, index: int, base_attempt: int,
-              chaos: ChaosPolicy | None, in_worker: bool) -> _TaskOutcome:
+def _run_task(fn: Callable, item, index: int) -> _TaskOutcome:
     """Run one task once; a task error is returned, never raised.
 
-    A chaos kill fires before the task body and only inside pool workers
-    (killing the controller is never useful), which is what lets an
-    inline or degraded run complete under any chaos policy.  A failed
-    task calls ``end_task`` only to unwind the span stack; its metric
-    delta is discarded.
+    A failed task calls ``end_task`` only to unwind the span stack; its
+    metric delta is discarded.
     """
-    if in_worker and chaos is not None and chaos.kills(index, base_attempt):
-        os._exit(17)
     outcome = _TaskOutcome(index=index, worker=os.getpid())
     registry = get_registry()
     mark = registry.begin_task()
@@ -334,14 +308,11 @@ def _run_task(fn: Callable, item, index: int, base_attempt: int,
     return outcome
 
 
-def _run_chunk(fn: Callable, entries: Sequence[tuple[int, int, object]],
-               chaos: ChaosPolicy | None) -> list[_TaskOutcome]:
+def _run_chunk(fn: Callable,
+               entries: Sequence[tuple[int, object]]) -> list[_TaskOutcome]:
     """Run one chunk of entries in order inside a pool worker (the unit
     of placement)."""
-    return [
-        _run_task(fn, item, index, base, chaos, in_worker=True)
-        for index, base, item in entries
-    ]
+    return [_run_task(fn, item, index) for index, item in entries]
 
 
 #: How often a pool worker checks that its parent is still alive.
@@ -369,8 +340,8 @@ def _exit_with_parent() -> None:
 
 def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
     """Best-effort SIGKILL of pool workers on abnormal exits, so an
-    abort, a drain timeout, or a pool break is not held hostage by a
-    long or hung task.  SIGKILL rather than SIGTERM: workers forked by
+    abort (a pool break included) or a drain timeout is not held hostage
+    by a long or hung task.  SIGKILL rather than SIGTERM: workers forked by
     the CLI inherit its drain handler and would ignore SIGTERM.  Reaches
     into executor internals, hence the broad guard."""
     try:
@@ -415,18 +386,29 @@ class _SweepState:
         """Whether the task at ``index`` already has a committed outcome."""
         return checkpoint_mod.task_key(self.tasks[index], index) in self.committed
 
-    def restore(self, entry: tuple[int, int, object]) -> bool:
-        """Fill one slot from the checkpoint; True when restored."""
+    def restore_chunk(self, chunk) -> bool:
+        """Fill a whole chunk's slots from the checkpoint; True when
+        restored.
+
+        Chunk-granular (see :mod:`repro.experiments.checkpoint`): unless
+        every task of the chunk decodes, none of them commits and the
+        chunk re-runs whole, so a re-run never delivers a duplicate.
+        """
         if self.ckpt is None:
             return False
-        index, _base, item = entry
-        key = checkpoint_mod.task_key(item, index)
-        stored = self.ckpt.restore(key)
-        if stored is None:
-            return False
-        self.results[index], self.walls[index], self.snapshots[index] = stored
-        self.committed.add(key)
-        self.timing.resumed_tasks += 1
+        restored = []
+        for index, item in chunk:
+            key = checkpoint_mod.task_key(item, index)
+            stored = self.ckpt.restore(key)
+            if stored is None:
+                return False
+            restored.append((index, key, stored))
+        for index, key, stored in restored:
+            self.results[index], self.walls[index], self.snapshots[index] = (
+                stored
+            )
+            self.committed.add(key)
+        self.timing.resumed_tasks += len(restored)
         return True
 
     def absorb(self, outcome: _TaskOutcome) -> None:
@@ -474,7 +456,6 @@ class _SweepState:
                 worker=outcome.worker,
             )
             return
-        self.timing.failures += 1
         message = f"sweep {self.label!r} task {i} failed: {outcome.error}"
         error = TaskError(
             message,
@@ -496,10 +477,17 @@ class _SweepState:
             failures=[error],
         ) from error
 
-    def fail_chunk(self, chunk, exc: Exception) -> None:
-        """An infrastructure failure lost a whole chunk (e.g. its result
-        would not unpickle): its first uncommitted task fails the sweep."""
-        for index, _base, _item in chunk:
+    def fail_chunk(self, chunk, exc: Exception, running: dict) -> None:
+        """An infrastructure failure lost a whole chunk (its worker died,
+        or its result would not unpickle).  Every future in ``running``
+        that already holds its chunk's outcomes commits them (the others
+        die with the pool); then the lost chunk's first uncommitted task
+        fails the sweep."""
+        for future in running:
+            if future.done() and future.exception() is None:
+                for outcome in future.result():
+                    self.absorb(outcome)
+        for index, _item in chunk:
             if not self.is_committed(index):
                 self.absorb(_TaskOutcome(
                     index=index,
@@ -509,7 +497,7 @@ class _SweepState:
     def uncommitted(self, chunks) -> int:
         """How many tasks of ``chunks`` have no committed outcome."""
         return sum(
-            1 for chunk in chunks for index, _base, _item in chunk
+            1 for chunk in chunks for index, _item in chunk
             if not self.is_committed(index)
         )
 
@@ -545,22 +533,6 @@ def _chunked(entries: list, chunksize: int) -> list[list]:
     ]
 
 
-def _bump_killed_entries(chunk, chaos: ChaosPolicy | None):
-    """After a pool crash, consume the first attempt of every entry the
-    chaos policy would have killed, so its rerun is injection-free.  Both
-    sides of the process boundary compute the same pure decision, which
-    is what lets the controller attribute a crash it only observed as a
-    ``BrokenProcessPool``.  Real (non-chaos) crashes resubmit unchanged.
-    """
-    if chaos is None:
-        return list(chunk)
-    return [
-        (index, base + 1, item)
-        if chaos.kills(index, base) else (index, base, item)
-        for index, base, item in chunk
-    ]
-
-
 # ---------------------------------------------------------------------
 # Drain requests (SIGTERM): a process-wide flag the sweep loops poll.
 
@@ -589,7 +561,7 @@ def clear_drain() -> None:
     _DRAIN["reason"] = ""
 
 
-def _run_inline(fn, chunks: list, chaos, state: _SweepState) -> None:
+def _run_inline(fn, chunks: list, state: _SweepState) -> None:
     """Run chunks in-process, in order, committing each task as it ends.
 
     The first task error aborts mid-chunk.  A drain is noticed between
@@ -601,36 +573,27 @@ def _run_inline(fn, chunks: list, chaos, state: _SweepState) -> None:
             stranded = state.uncommitted(chunks[position:])
             state.emit_draining(0, stranded)
             raise state.drained(stranded)
-        for index, base, item in chunk:
-            state.absorb(_run_task(fn, item, index, base, chaos,
-                                   in_worker=False))
+        for index, item in chunk:
+            state.absorb(_run_task(fn, item, index))
 
 
-def _run_pool(fn, chunks: list, jobs: int, chaos,
-              state: _SweepState) -> list:
-    """Run chunks on a ``jobs``-worker process pool; return the chunks it
-    could not finish.
+def _run_pool(fn, chunks: list, jobs: int, state: _SweepState) -> None:
+    """Run chunks on a ``jobs``-worker process pool.
 
     Waits for the first finished chunk (1 s at a time, 0.25 s while
-    draining) and commits its outcomes in order.  When the pool breaks —
-    ``BrokenProcessPool`` from ``submit`` or from a future — the other
-    futures are collected first (what they finished commits), the chaos
-    kills are attributed so the rerun is injection-free, and the lost
-    chunks are resubmitted whole onto a rebuilt pool.  A chunk re-run
-    from a cold cache re-produces bit-identical metric deltas, and the
-    at-most-once commit drops whichever copy arrives second.  After
-    :data:`MAX_POOL_REBUILDS` rebuilds the lost chunks are returned for
-    the inline loop instead (``[]`` when the pool finished everything).
+    draining) and commits its outcomes in order.  A chunk whose outcomes
+    are lost — its worker died (``BrokenProcessPool`` from ``submit`` or
+    from its future) or its result would not unpickle — aborts the sweep
+    through :meth:`_SweepState.fail_chunk`, after what the other workers
+    already finished has committed; ``--resume`` re-runs the rest.
 
     On a drain, chunks not yet picked up by a worker are withdrawn, the
     running ones finish and commit for up to :data:`DRAIN_TIMEOUT_S`,
     and :class:`SweepDrainedError` is raised.
     """
-    timing = state.timing
-    pending = list(chunks)   # chunks waiting for (re)submission
+    pending = list(chunks)   # chunks not yet submitted
     running: dict = {}       # future -> chunk
     pool = None
-    rebuilds = 0
     draining = False
     drain_deadline = 0.0
     stranded = 0
@@ -651,70 +614,29 @@ def _run_pool(fn, chunks: list, jobs: int, chaos,
                 # Running chunks outlived the drain timeout: abandon them
                 # (the resume re-runs their uncommitted tasks).
                 break
-            lost: list = []
-            if pending and pool is None:
+            if pending:
                 pool = ProcessPoolExecutor(
                     max_workers=jobs, initializer=_exit_with_parent
                 )
-            for position, chunk in enumerate(pending):
-                try:
-                    running[pool.submit(_run_chunk, fn, chunk, chaos)] = chunk
-                except BrokenProcessPool:
-                    lost = pending[position:]
-                    break
-            pending = []
-            if not lost:
-                done, _ = futures_wait(
-                    running, timeout=0.25 if draining else 1.0,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    chunk = running.pop(future)
+                for chunk in pending:
                     try:
-                        outcomes = future.result()
-                    except BrokenProcessPool:
-                        lost.append(chunk)
-                        continue
-                    except Exception as exc:
-                        state.fail_chunk(chunk, exc)
-                        continue
-                    for outcome in outcomes:
-                        state.absorb(outcome)
-            if not lost:
-                continue
-            # The pool is dead: every other future is doomed or already
-            # holds a result, so collect them before rebuilding.
-            for future, chunk in running.items():
+                        running[pool.submit(_run_chunk, fn, chunk)] = chunk
+                    except BrokenProcessPool as exc:
+                        state.fail_chunk(chunk, exc, running)
+                pending = []
+            done, _ = futures_wait(
+                running, timeout=0.25 if draining else 1.0,
+                return_when=FIRST_COMPLETED,
+            )
+            for future in done:
+                chunk = running.pop(future)
                 try:
-                    outcomes = future.result(timeout=10.0)
-                except Exception:
-                    lost.append(chunk)
+                    outcomes = future.result()
+                except Exception as exc:
+                    state.fail_chunk(chunk, exc, running)
                     continue
                 for outcome in outcomes:
                     state.absorb(outcome)
-            running.clear()
-            _kill_pool_workers(pool)
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = None
-            rebuilds += 1
-            timing.pool_rebuilds += 1
-            events.emit(
-                "pool_rebuilt",
-                run_id=timing.run_id,
-                label=state.label,
-                rebuilds=rebuilds,
-                unfinished_tasks=sum(len(c) for c in lost),
-            )
-            lost = sorted(
-                (_bump_killed_entries(c, chaos) for c in lost),
-                key=lambda c: c[0][0],
-            )
-            if draining:
-                stranded += state.uncommitted(lost)
-            elif rebuilds > MAX_POOL_REBUILDS:
-                return lost
-            else:
-                pending = lost
         if draining:
             raise state.drained(stranded + state.uncommitted(running.values()))
     except BaseException:
@@ -724,7 +646,6 @@ def _run_pool(fn, chunks: list, jobs: int, chaos,
         raise
     if pool is not None:
         pool.shutdown(wait=False, cancel_futures=True)
-    return []
 
 
 # ---------------------------------------------------------------------
@@ -735,7 +656,6 @@ def run_sweep(
     chunksize: int | None = None,
     label: str = "sweep",
     record: bool = True,
-    chaos: ChaosPolicy | None = None,
 ) -> tuple[list[R], SweepTiming]:
     """Map ``fn`` over ``items``, preserving order.
 
@@ -747,15 +667,14 @@ def run_sweep(
     worker placement; drivers pass the inner-loop length so one worker
     runs all of a benchmark's chip models and reuses its memoized trace.
 
-    The first task error raises :class:`SweepAbortedError`.  ``chaos``
-    (default: :func:`chaos.set_chaos`, else the ``REPRO_CHAOS``
-    environment variable) injects faults for testing.
+    The first task error, or a worker that dies, raises
+    :class:`SweepAbortedError`; with checkpointing on, rerunning the same
+    sweep under the same run id restores what committed.
 
     An empty task list returns immediately with ``timing.empty`` set and
     records nothing, so reports never show zero-task sweeps.
     """
     tasks: Sequence[T] = list(items)
-    chaos = chaos if chaos is not None else chaos_mod.current_chaos()
     run_id = events.current_run_id()
     timing = SweepTiming(label=label, jobs=1, run_id=run_id)
     if not tasks:
@@ -765,19 +684,10 @@ def run_sweep(
     jobs = min(resolve_jobs(jobs), max(1, len(tasks)))
     if chunksize is None:
         chunksize = max(1, -(-len(tasks) // (jobs * 4)))
-    entries = [(i, 0, item) for i, item in enumerate(tasks)]
-    chunks = _chunked(entries, chunksize)
-    ckpt = checkpoint_mod.open_sweep(label, run_id, chaos=chaos)
+    chunks = _chunked(list(enumerate(tasks)), chunksize)
+    ckpt = checkpoint_mod.open_sweep(label, run_id)
     state = _SweepState(tasks, label, timing, ckpt)
-    # Chunk-granular restore: a chunk re-runs whole unless every one of
-    # its tasks is checkpointed (see repro.experiments.checkpoint).
-    pending_chunks = []
-    for chunk in chunks:
-        probe = timing.resumed_tasks
-        if all(state.restore(entry) for entry in chunk):
-            continue
-        timing.resumed_tasks = probe
-        pending_chunks.append(chunk)
+    pending_chunks = [c for c in chunks if not state.restore_chunk(c)]
     jobs = min(jobs, max(1, len(pending_chunks)))
     timing.jobs = jobs
     backend = resolve_executor(jobs)
@@ -794,23 +704,13 @@ def run_sweep(
     start = time.perf_counter()
     try:
         if backend == "local":
-            pending_chunks = _run_pool(fn, pending_chunks, jobs, chaos, state)
-            if pending_chunks:
-                timing.degraded = True
-                events.emit(
-                    "sweep_degraded",
-                    run_id=run_id,
-                    label=label,
-                    backend=backend,
-                    fallback="inline",
-                    rebuilds=timing.pool_rebuilds,
-                    remaining_tasks=sum(len(c) for c in pending_chunks),
-                )
-        _run_inline(fn, pending_chunks, chaos, state)
+            _run_pool(fn, pending_chunks, jobs, state)
+        else:
+            _run_inline(fn, pending_chunks, state)
         if ckpt is not None:
             # The sweep ran to completion: publish the crash-consistent
             # "this checkpoint is the full record" marker.
-            ckpt.finalize(len(tasks), failures=timing.failures)
+            ckpt.finalize(len(tasks))
     except KeyboardInterrupt:
         events.emit(
             "sweep_interrupted",
@@ -849,8 +749,6 @@ def run_sweep(
             tasks=timing.tasks,
             jobs=jobs,
             wall_s=round(timing.wall_s, 3),
-            failures=timing.failures,
-            pool_rebuilds=timing.pool_rebuilds,
             resumed_tasks=timing.resumed_tasks,
             executor=backend,
         )
@@ -863,10 +761,9 @@ def parallel_map(
     jobs: int | None = None,
     chunksize: int | None = None,
     label: str = "sweep",
-    chaos: ChaosPolicy | None = None,
 ) -> list[R]:
     """:func:`run_sweep` without the timing handle (it is still recorded)."""
     results, _ = run_sweep(
-        fn, items, jobs=jobs, chunksize=chunksize, label=label, chaos=chaos,
+        fn, items, jobs=jobs, chunksize=chunksize, label=label,
     )
     return results

@@ -129,24 +129,16 @@ def _render_markdown(data: dict) -> str:
                 for t in data["sweep_timings"]
             ],
         ))
-        disturbed = [
+        resumed = [
             t for t in data["sweep_timings"]
-            if t.get("failures") or t.get("pool_rebuilds")
-            or t.get("resumed_tasks") or t.get("degraded")
-            or t.get("duplicate_results")
+            if t["resumed_tasks"] or t["duplicate_results"]
         ]
-        if disturbed:
+        if resumed:
             sections.append(format_table(
-                "Sweep resilience (pool rebuilds, resumes)",
-                ["sweep", "failures", "pool rebuilds", "resumed",
-                 "dup results dropped", "degraded"],
-                [
-                    [t["label"], t.get("failures", 0),
-                     t.get("pool_rebuilds", 0), t.get("resumed_tasks", 0),
-                     t.get("duplicate_results", 0),
-                     "yes" if t.get("degraded") else "no"]
-                    for t in disturbed
-                ],
+                "Sweep resilience (resumes)",
+                ["sweep", "resumed", "dup results dropped"],
+                [[t["label"], t["resumed_tasks"], t["duplicate_results"]]
+                 for t in resumed],
             ))
     metrics = data.get("metrics") or {}
     counters = metrics.get("counters") or {}

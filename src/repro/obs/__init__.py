@@ -11,8 +11,7 @@ Four small modules, one switch:
   table (plus the task time no span covers) that the report and the
   ``--metrics`` manifest carry;
 * :mod:`repro.obs.events` — run ids, an optional JSONL event sink
-  (flushed per line; ``REPRO_OBS_FSYNC`` adds fsync), and the per-run
-  manifest written next to results;
+  (flushed per line), and the per-run manifest written next to results;
 * :mod:`repro.obs.log` — the single ``repro`` stdlib-logging hierarchy
   all user-facing text flows through.
 

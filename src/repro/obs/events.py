@@ -15,9 +15,7 @@ writes.  It is off unless :func:`set_sink` is given a path (the CLI's
 Flush policy: every :meth:`EventSink.emit` flushes its line so a
 concurrent reader (``tail -f``) and crash post-mortems see all complete
 recent events; a process killed mid-``write`` can still leave one torn
-trailing line, which readers must skip.  Set ``REPRO_OBS_FSYNC=1`` to
-additionally ``os.fsync`` per line — durable through power loss, at a
-per-event syscall cost.
+trailing line, which readers must skip.
 
 The *run manifest* is the auditable summary written next to results:
 run id, git SHA, command, seed/window/jobs, a configuration hash, and
@@ -39,7 +37,6 @@ import time
 from pathlib import Path
 
 __all__ = [
-    "FSYNC_ENV_VAR",
     "begin_run",
     "current_run_id",
     "EventSink",
@@ -51,8 +48,6 @@ __all__ = [
     "build_manifest",
     "write_manifest",
 ]
-
-FSYNC_ENV_VAR = "REPRO_OBS_FSYNC"
 
 _RUN_SEQ = itertools.count(1)
 _CURRENT_RUN_ID: str | None = None
@@ -89,24 +84,20 @@ class EventSink:
     """Append-only JSONL event log, flushed per line.
 
     Each event is written and flushed as one line so external readers
-    see it promptly; with ``REPRO_OBS_FSYNC`` truthy it is also fsynced,
-    trading a syscall per event for durability through power loss.
+    see it promptly and a killed process loses at most the line it was
+    writing.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("a", encoding="utf-8")
-        self._fsync = os.environ.get(FSYNC_ENV_VAR, "").strip().lower() in (
-            "1", "true", "yes", "on")
 
     def emit(self, kind: str, **fields) -> None:
         """Append one event line (non-serialisable values become strings)."""
         record = {"event": kind, "ts": round(time.time(), 6), **fields}
         self._fh.write(json.dumps(record, default=str) + "\n")
         self._fh.flush()
-        if self._fsync:
-            os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         """Flush and close the underlying file."""

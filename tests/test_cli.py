@@ -103,11 +103,9 @@ class TestResilience:
     def test_parser_accepts_resilience_flags(self):
         args = build_parser().parse_args([
             "fig6", "--checkpoint", "--resume", "run-1",
-            "--chaos", "kill:0.1,seed:3",
         ])
         assert args.checkpoint == ".repro/checkpoints"
         assert args.resume == "run-1"
-        assert args.chaos == "kill:0.1,seed:3"
 
     def test_checkpoint_accepts_explicit_dir(self, tmp_path):
         args = build_parser().parse_args(
@@ -119,18 +117,15 @@ class TestResilience:
         assert main(["list", "--jobs", "0"]) == 2
         assert "error:" in capsys.readouterr().out
 
-    def test_bad_chaos_spec_exits_2(self, capsys):
-        assert main(["list", "--chaos", "explode:1"]) == 2
-        assert "error:" in capsys.readouterr().out
-
     def test_empty_window_exits_2(self, capsys):
         assert main(["fig6", "--window", "0"]) == 2
         assert "error:" in capsys.readouterr().out
 
     def test_executor_flag_rejects_unknown_backend(self):
-        # The backend follows --jobs, and tasks run once and fail fast:
-        # the removed backend and task-policy flags, and the removed gc
-        # command, are rejected by the parser.
+        # The backend follows --jobs, tasks run once and fail fast, and
+        # a dead worker aborts the sweep: the removed backend, task-policy
+        # and fault-injection flags, and the removed gc command, are
+        # rejected by the parser.
         for argv in (["vias", "--executor", "socket"],
                      ["vias", "--executor", "local"],
                      ["vias", "--respawns", "2"],
@@ -139,6 +134,7 @@ class TestResilience:
                      ["fig6", "--fail-fast"],
                      ["fig6", "--no-fail-fast"],
                      ["fig6", "--drain-timeout", "5"],
+                     ["fig6", "--chaos", "worker-kill:0.1"],
                      ["gc", "--keep-last", "1"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)

@@ -1,9 +1,9 @@
 """Failure paths of the sweep engine.
 
-Covers fail-fast aborts on both loops, broken-pool recovery and serial
-degradation, checkpoint resume, and the chaos hook — including the
-acceptance criterion that a chaos-disturbed parallel fig6 sweep is
-bit-identical to an undisturbed serial one.
+Covers fail-fast aborts on both loops, a dead pool worker aborting the
+sweep after one pool break, and checkpoint resume — including the
+acceptance criterion that a fig6 sweep resumed after an interruption is
+bit-identical to an uninterrupted one.
 """
 
 import dataclasses
@@ -14,13 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
 from repro.common import memo
-from repro.common.errors import ConfigError, SweepAbortedError, TaskError
-from repro.experiments import chaos as chaos_mod
+from repro.common.errors import SweepAbortedError, TaskError
 from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments import engine
-from repro.experiments.chaos import ChaosPolicy
 from repro.experiments.engine import run_sweep
 from repro.experiments.perf import fig6_performance
 from repro.experiments.runner import SimulationWindow
@@ -34,11 +31,9 @@ TINY = SimulationWindow(warmup=2000, measured=6000)
 @pytest.fixture(autouse=True)
 def _clean_engine():
     engine.clear_timings()
-    chaos_mod.set_chaos(None)
     checkpoint_mod.set_checkpoint_dir(None)
     yield
     engine.clear_timings()
-    chaos_mod.set_chaos(None)
     checkpoint_mod.set_checkpoint_dir(None)
 
 
@@ -69,59 +64,12 @@ def _fail_unless_marker(item):
 
 
 def _crash_in_worker(x):
-    # Dies hard in any pool worker; completes in the main process, so a
-    # degraded-to-serial sweep can finish.
-    if multiprocessing.current_process().name != "MainProcess":
+    # Dies hard in a pool worker on item 4, the way a segfaulting
+    # simulation would; every other item completes.  The guard keeps a
+    # stray in-process call from killing the test session.
+    if x == 4 and multiprocessing.current_process().name != "MainProcess":
         os._exit(13)
     return x * 3
-
-
-class TestChaosPolicy:
-    def test_parse_rejects_garbage(self, capsys):
-        with pytest.raises(ConfigError):
-            ChaosPolicy.parse("explode:0.5")
-        with pytest.raises(ConfigError, match="malformed"):
-            ChaosPolicy.parse("worker-kill")
-        with pytest.raises(ConfigError, match="malformed"):
-            ChaosPolicy.parse("worker-kill:lots")
-        with pytest.raises(ConfigError):
-            ChaosPolicy(kill_p=1.5)
-        # The socket backend's transport and supervision kinds and the
-        # task failure and delay kinds (with their aliases) are unknown
-        # now, not silently ignored.
-        for kind in ("heartbeat-drop", "hb-drop", "result-dup", "dup",
-                     "result-delay", "frame-delay", "worker-hang", "hang",
-                     "respawn-fail", "respawn", "task-fail", "fail",
-                     "task-delay", "delay"):
-            with pytest.raises(ConfigError, match="unknown chaos kind"):
-                ChaosPolicy.parse(f"{kind}:0.3")
-        capsys.readouterr()
-        assert main(["fig6", "--chaos", "heartbeat-drop:0.3"]) == 2
-        out = capsys.readouterr().out
-        assert [line for line in out.splitlines() if line.strip()] == [
-            "error: unknown chaos kind 'heartbeat-drop' in "
-            "'heartbeat-drop:0.3'"
-        ]
-
-    def test_only_first_attempts_are_disturbed(self):
-        policy = ChaosPolicy(kill_p=1.0)
-        assert policy.kills(0, 0)
-        assert not policy.kills(0, 1)
-
-    def test_env_var_and_override(self, monkeypatch):
-        monkeypatch.setenv(chaos_mod.CHAOS_ENV_VAR, "worker-kill:0.25")
-        assert chaos_mod.current_chaos().kill_p == 0.25
-        chaos_mod.set_chaos(ChaosPolicy(kill_p=0.75))
-        assert chaos_mod.current_chaos().kill_p == 0.75
-        chaos_mod.set_chaos(None)
-        monkeypatch.delenv(chaos_mod.CHAOS_ENV_VAR)
-        assert chaos_mod.current_chaos() is None
-
-    def test_serial_inject_skips_kills(self):
-        # In-process execution must never kill the interpreter.
-        outcome = engine._run_task(_double, 4, 0, 0, ChaosPolicy(kill_p=1.0),
-                                   in_worker=False)
-        assert outcome.ok and outcome.result == 8
 
 
 # ---------------------------------------------------------------------
@@ -140,26 +88,40 @@ class TestFailFast:
         assert isinstance(error.__cause__, TaskError)
 
 
-class TestPoolRecovery:
-    def test_chaos_kill_rebuilds_pool(self):
-        results, timing = run_sweep(
-            _double, [1, 2, 3, 4], jobs=2, chunksize=1,
-            chaos=ChaosPolicy(kill_p=1.0),
-        )
-        assert results == [2, 4, 6, 8]
-        assert timing.pool_rebuilds >= 1
-        assert not timing.degraded
-        assert timing.failures == 0
+class TestWorkerLoss:
+    def test_dead_worker_aborts_after_one_pool_break_and_resume_completes(
+            self, tmp_path, monkeypatch):
+        checkpoint_mod.set_checkpoint_dir(tmp_path / "ck")
+        run_id = events.begin_run("worker-loss")
+        pools = []
+        real_pool = engine.ProcessPoolExecutor
 
-    def test_repeated_crashes_degrade_to_serial(self):
-        # The pool survives MAX_POOL_REBUILDS breaks; the next one hands
-        # the unfinished chunks to the inline loop.
-        results, timing = run_sweep(
-            _crash_in_worker, [1, 2, 3], jobs=2, chunksize=1,
-        )
-        assert results == [3, 6, 9]
-        assert timing.pool_rebuilds == engine.MAX_POOL_REBUILDS + 1
-        assert timing.degraded
+        def counting_pool(**kwargs):
+            pools.append(real_pool(**kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", counting_pool)
+        items = [1, 2, 3, 4]
+        with pytest.raises(SweepAbortedError) as excinfo:
+            run_sweep(_crash_in_worker, items, jobs=2, chunksize=1,
+                      label="lost")
+        assert len(pools) == 1            # no rebuild, no inline rerun
+        failure = excinfo.value.failures[0]
+        assert "BrokenProcessPool" in str(failure)
+        # The named task belongs to a lost chunk: it never committed.
+        ckpt_file = tmp_path / "ck" / run_id / "lost.jsonl"
+        committed = {json.loads(line)["index"]
+                     for line in ckpt_file.read_text().splitlines()}
+        assert failure.task_index not in committed
+        assert 3 not in committed
+        # The rerun restores what committed (x * 3) and runs the rest.
+        results, timing = run_sweep(_double, items, jobs=2, chunksize=1,
+                                    label="lost")
+        assert results == [
+            x * 3 if i in committed else x * 2 for i, x in enumerate(items)
+        ]
+        assert timing.resumed_tasks == len(committed)
+        assert timing.duplicate_results == 0
 
 
 # ---------------------------------------------------------------------
@@ -196,6 +158,7 @@ class TestCheckpointResume:
                                     chunksize=2, label="ck")
         assert results == [0, 3, 6, 9, 12, 15]
         assert timing.resumed_tasks == 2
+        assert timing.duplicate_results == 0
         assert not (tmp_path / "calls-0").exists()   # restored, not re-run
         assert not (tmp_path / "calls-1").exists()
         for i in (2, 3, 4, 5):                        # re-executed
@@ -283,45 +246,6 @@ class TestCheckpointResume:
 
 
 # ---------------------------------------------------------------------
-class TestChaosDeterminism:
-    def test_fig6_chaos_parallel_matches_undisturbed_serial(self):
-        """The acceptance criterion: ~10% worker kills leave results and
-        merged metrics bit-identical to an undisturbed jobs=1 run."""
-        benchmarks = [get_profile(n) for n in ("gzip", "mcf")]
-        n_tasks = len(benchmarks) * 4
-        seed = next(
-            s for s in range(500)
-            if any(ChaosPolicy(kill_p=0.1, seed=s).kills(i, 0)
-                   for i in range(n_tasks))
-        )
-        chaos = ChaosPolicy(kill_p=0.1, seed=seed)
-
-        memo.clear_cache()
-        clean_run = events.begin_run("fig6-serial-clean")
-        clean = fig6_performance(window=TINY, benchmarks=benchmarks, jobs=1)
-        clean_metrics = engine.run_metrics(clean_run)
-
-        memo.clear_cache()
-        chaos_mod.set_chaos(chaos)
-        noisy_run = events.begin_run("fig6-parallel-chaos")
-        noisy = fig6_performance(window=TINY, benchmarks=benchmarks, jobs=2)
-        noisy_metrics = engine.run_metrics(noisy_run)
-        timing = engine.timings(noisy_run)[-1]
-
-        assert timing.pool_rebuilds >= 1       # a kill actually fired
-        assert timing.failures == 0
-        assert [dataclasses.asdict(r) for r in noisy] == [
-            dataclasses.asdict(r) for r in clean
-        ]
-        assert noisy_metrics.counters == clean_metrics.counters
-        assert noisy_metrics.histograms == clean_metrics.histograms
-        assert noisy_metrics.gauges == clean_metrics.gauges
-        assert span_structure(noisy_metrics.spans) == span_structure(
-            clean_metrics.spans
-        )
-
-
-# ---------------------------------------------------------------------
 class TestEmptyAndEvents:
     def test_empty_sweep_not_recorded_and_no_event(self, tmp_path):
         sink = tmp_path / "events.jsonl"
@@ -356,14 +280,8 @@ class TestEmptyAndEvents:
         assert engine.timings() == []
 
     def test_timing_summary_carries_resilience_columns(self):
-        run_sweep(
-            _double, [1, 2, 3, 4], jobs=2, chunksize=1, label="killed",
-            chaos=ChaosPolicy(kill_p=1.0),
-        )
+        run_sweep(_double, [1, 2, 3, 4], jobs=2, chunksize=1, label="pool")
         row = engine.timing_summary()[-1]
-        assert row["failures"] == 0
-        assert row["pool_rebuilds"] >= 1
         assert row["resumed_tasks"] == 0
         assert row["duplicate_results"] == 0
-        assert row["degraded"] is False
         assert row["executor"] == "local"

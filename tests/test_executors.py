@@ -2,12 +2,10 @@
 
 Covers backend selection from the worker count, equivalence of both
 loops to the serial path, the worker pid on ``task_done``, a pool that
-breaks under ``submit``, fig6 under worker-kill chaos on both loops, the
-at-most-once result commit (a hypothesis interleaving property), and
-truncated-checkpoint recovery.
+breaks under ``submit``, the at-most-once result commit (a hypothesis
+interleaving property), and truncated-checkpoint recovery.
 """
 
-import dataclasses
 import json
 import os
 import time
@@ -18,32 +16,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common import memo
-from repro.experiments import chaos as chaos_mod
+from repro.common.errors import SweepAbortedError
 from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments import engine
-from repro.experiments.chaos import ChaosPolicy
 from repro.experiments.engine import resolve_executor, run_sweep
-from repro.experiments.perf import fig6_performance
-from repro.experiments.runner import SimulationWindow
 from repro.obs import events, metrics
 from repro.obs.metrics import MetricsSnapshot, merge_snapshots
-from repro.obs.tracing import span_structure
-from repro.workloads.profiles import get_profile
-
-TINY = SimulationWindow(warmup=2000, measured=6000)
 
 
 @pytest.fixture(autouse=True)
 def _clean_engine():
     engine.clear_timings()
     engine.set_default_jobs(None)
-    chaos_mod.set_chaos(None)
     checkpoint_mod.set_checkpoint_dir(None)
     yield
     engine.clear_timings()
     engine.set_default_jobs(None)
-    chaos_mod.set_chaos(None)
     checkpoint_mod.set_checkpoint_dir(None)
 
 
@@ -149,12 +137,12 @@ def _exit_worker(item):
 
 
 class TestBrokenPoolSubmit:
-    def test_submit_to_a_broken_pool_joins_one_pool_broken(self,
-                                                           monkeypatch):
+    def test_submit_to_a_broken_pool_aborts_with_nothing_committed(
+            self, monkeypatch):
         """Once a worker has died, ``ProcessPoolExecutor.submit`` raises
-        ``BrokenProcessPool`` synchronously; the pool loop must count the
-        chunks it refuses as one break (one rebuild) and hand them back
-        unfinished instead of raising out of the sweep."""
+        ``BrokenProcessPool`` synchronously; the pool loop treats the
+        refused chunk as lost and aborts the sweep at its first task,
+        with no result committed."""
         broken = ProcessPoolExecutor(max_workers=1)
         try:
             broken.submit(_exit_worker, 0)
@@ -163,73 +151,22 @@ class TestBrokenPoolSubmit:
                 time.sleep(0.05)
             assert broken._broken
             # The loop builds its pool through this name: hand it the
-            # broken one, and give up after its first break.
+            # broken one.
             monkeypatch.setattr(engine, "ProcessPoolExecutor",
                                 lambda **_kwargs: broken)
-            monkeypatch.setattr(engine, "MAX_POOL_REBUILDS", 0)
-            chunks = [[(i, 0, i + 1)] for i in range(3)]
+            chunks = [[(i, i + 1)] for i in range(3)]
             timing = engine.SweepTiming(label="broken", jobs=2)
             state = engine._SweepState([1, 2, 3], "broken", timing, None)
-            lost = engine._run_pool(_double, chunks, 2, None, state)
+            with pytest.raises(SweepAbortedError) as excinfo:
+                engine._run_pool(_double, chunks, 2, state)
         finally:
             broken.shutdown(wait=False, cancel_futures=True)
-        assert lost == chunks
-        assert timing.pool_rebuilds == 1
-        assert not state.committed
+        failure = excinfo.value.failures[0]
+        assert failure.task_index == 0
+        assert "BrokenProcessPool" in str(failure)
+        # Only the aborting task's key is decided, and no result landed.
+        assert state.committed == {checkpoint_mod.task_key(1, 0)}
         assert state.results == [None, None, None]
-
-
-# ---------------------------------------------------------------------
-class TestFig6AcrossBackends:
-    """fig6 on every backend under worker-kill chaos is bit-identical to
-    a clean serial run."""
-
-    _clean: dict = {}
-
-    @classmethod
-    def _clean_run(cls):
-        if not cls._clean:
-            benchmarks = [get_profile(n) for n in ("gzip", "mcf")]
-            memo.clear_cache()
-            run = events.begin_run("fig6-exec-clean")
-            rows = fig6_performance(window=TINY, benchmarks=benchmarks,
-                                    jobs=1)
-            cls._clean["rows"] = [dataclasses.asdict(r) for r in rows]
-            cls._clean["metrics"] = engine.run_metrics(run)
-        return cls._clean["rows"], cls._clean["metrics"]
-
-    @pytest.mark.parametrize("backend", ["inline", "local"])
-    def test_transport_chaos_is_bit_identical_to_serial(self, backend):
-        # Chaos crosses the process boundary only as worker kills: the
-        # pool attributes each crash and reruns the chunk clean, while
-        # inline skips kills outright.
-        benchmarks = [get_profile(n) for n in ("gzip", "mcf")]
-        n_tasks = len(benchmarks) * 4
-        seed = next(
-            s for s in range(500)
-            if any(ChaosPolicy(kill_p=0.15, seed=s).kills(i, 0)
-                   for i in range(n_tasks))
-        )
-        chaos = ChaosPolicy(kill_p=0.15, seed=seed)
-        clean_rows, clean_metrics = self._clean_run()
-
-        memo.clear_cache()
-        chaos_mod.set_chaos(chaos)
-        run = events.begin_run(f"fig6-exec-{backend}")
-        noisy = fig6_performance(window=TINY, benchmarks=benchmarks,
-                                 jobs=_JOBS[backend])
-        noisy_metrics = engine.run_metrics(run)
-        timing = engine.timings(run)[-1]
-
-        assert timing.executor == backend
-        assert timing.failures == 0
-        assert [dataclasses.asdict(r) for r in noisy] == clean_rows
-        assert noisy_metrics.counters == clean_metrics.counters
-        assert noisy_metrics.histograms == clean_metrics.histograms
-        assert noisy_metrics.gauges == clean_metrics.gauges
-        assert span_structure(noisy_metrics.spans) == span_structure(
-            clean_metrics.spans
-        )
 
 
 # ---------------------------------------------------------------------

@@ -398,14 +398,6 @@ class TestEventSinkFlush:
         assert [r["event"] for r in records] == ["probe"]
         events.set_sink(None)
 
-    def test_fsync_env_knob(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(events.FSYNC_ENV_VAR, "1")
-        path = tmp_path / "ev.jsonl"
-        events.set_sink(path)
-        events.emit("durable", run_id="r1")
-        assert '"durable"' in path.read_text()
-        events.set_sink(None)
-
 
 class TestCliManifest:
     def _run(self, tmp_path, jobs):

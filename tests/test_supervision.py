@@ -1,13 +1,11 @@
 """Sweep supervision: crash-consistent checkpoints, drains, pool kills.
 
-Covers the ``short-write`` chaos kind, the checkpoint durability policy
-(``REPRO_CKPT_FSYNC``), the atomic finalize marker, short-write chaos
-and resume convergence, graceful drains (``SIGTERM``), the partial
-report (including checkpoints that carry quarantine lines from older
-versions), a hypothesis interleaving property over the at-most-once
-commit, the pool kill that ends workers ignoring SIGTERM, and two
-real-subprocess recovery tests (``kill -9`` mid-checkpoint-write,
-SIGTERM drain with ``--resume``).
+Covers the checkpoint's fixed fsync interval, the atomic finalize
+marker, graceful drains (``SIGTERM``), the partial report, a hypothesis
+interleaving property over the at-most-once commit, the pool kill that
+ends workers ignoring SIGTERM, and three real-subprocess recovery tests
+(``kill -9`` mid-checkpoint-write, a killed pool worker, and a SIGTERM
+drain, each completed with ``--resume``).
 """
 
 import json
@@ -29,25 +27,20 @@ from repro.common.errors import (
     SweepAbortedError,
     SweepDrainedError,
 )
-from repro.experiments import chaos as chaos_mod
 from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments import engine
-from repro.experiments.chaos import ChaosPolicy
 from repro.experiments.engine import _TaskOutcome, run_sweep
 from repro.experiments.report import render_partial_report
-from repro.obs import events
 
 
 @pytest.fixture(autouse=True)
 def _clean_engine():
     engine.clear_timings()
     engine.clear_drain()
-    chaos_mod.set_chaos(None)
     checkpoint_mod.set_checkpoint_dir(None)
     yield
     engine.clear_timings()
     engine.clear_drain()
-    chaos_mod.set_chaos(None)
     checkpoint_mod.set_checkpoint_dir(None)
 
 
@@ -69,70 +62,22 @@ def _drain_then_double(x):
 
 
 # ---------------------------------------------------------------------
-class TestSupervisionChaosParse:
-    def test_parse_new_kinds(self):
-        policy = ChaosPolicy.parse("worker-kill:0.1,short-write:0.2,seed:7")
-        assert policy.kill_p == 0.1
-        assert policy.short_write_p == 0.2
-        assert policy.seed == 7
-        assert ChaosPolicy.parse("short:0.4").short_write_p == 0.4
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ChaosPolicy(short_write_p=2.0)
-        with pytest.raises(ConfigError):
-            ChaosPolicy(short_write_p=-0.1)
-
-    def test_decisions_are_deterministic(self):
-        a = ChaosPolicy(short_write_p=0.5, seed=3)
-        b = ChaosPolicy(short_write_p=0.5, seed=3)
-        decisions = [a.short_writes(i) for i in range(20)]
-        assert decisions == [b.short_writes(i) for i in range(20)]
-        assert any(decisions) and not all(decisions)
-
-
-# ---------------------------------------------------------------------
 class TestFsyncPolicy:
-    def test_parse(self, monkeypatch):
-        monkeypatch.delenv(checkpoint_mod.FSYNC_ENV_VAR, raising=False)
-        assert checkpoint_mod.fsync_interval() == 2.0
-        for raw in ("off", "no", "never", "false"):
-            monkeypatch.setenv(checkpoint_mod.FSYNC_ENV_VAR, raw)
-            assert checkpoint_mod.fsync_interval() is None
-        for raw in ("line", "always", "on", "true"):
-            monkeypatch.setenv(checkpoint_mod.FSYNC_ENV_VAR, raw)
-            assert checkpoint_mod.fsync_interval() == 0.0
-        monkeypatch.setenv(checkpoint_mod.FSYNC_ENV_VAR, "0.25")
-        assert checkpoint_mod.fsync_interval() == 0.25
-        monkeypatch.setenv(checkpoint_mod.FSYNC_ENV_VAR, "bogus")
-        with pytest.raises(ConfigError):
-            checkpoint_mod.fsync_interval()
-        monkeypatch.setenv(checkpoint_mod.FSYNC_ENV_VAR, "-3")
-        with pytest.raises(ConfigError):
-            checkpoint_mod.fsync_interval()
-
-    def test_line_policy_fsyncs_every_append(self, tmp_path, monkeypatch):
+    def test_appends_fsync_at_most_every_interval_and_finalize_fsyncs(
+            self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(checkpoint_mod.os, "fsync",
                             lambda fd: calls.append(fd))
-        monkeypatch.setenv(checkpoint_mod.FSYNC_ENV_VAR, "line")
         ckpt = checkpoint_mod.SweepCheckpoint(tmp_path / "s.jsonl")
-        ckpt.append("k1", 0, "t1", 0.1, 1, None)
-        ckpt.append("k2", 1, "t2", 0.1, 2, None)
-        assert len(calls) >= 2
+        for i in range(5):
+            ckpt.append(f"k{i}", i, f"t{i}", 0.1, i, None)
+        assert calls == []        # all five inside the first interval
+        ckpt._last_fsync -= checkpoint_mod.FSYNC_INTERVAL_S
+        ckpt.append("k5", 5, "t5", 0.1, 5, None)
+        assert len(calls) == 1    # the interval ran out: one fsync
+        ckpt.finalize(6)
+        assert len(calls) > 1     # the JSONL, the marker and its directory
         ckpt.close()
-
-    def test_off_policy_never_fsyncs(self, tmp_path, monkeypatch):
-        calls = []
-        monkeypatch.setattr(checkpoint_mod.os, "fsync",
-                            lambda fd: calls.append(fd))
-        monkeypatch.setenv(checkpoint_mod.FSYNC_ENV_VAR, "off")
-        ckpt = checkpoint_mod.SweepCheckpoint(tmp_path / "s.jsonl")
-        ckpt.append("k1", 0, "t1", 0.1, 1, None)
-        ckpt.finalize(1)
-        ckpt.close()
-        assert calls == []
-        # The data still flushed and the marker still landed.
         assert (tmp_path / "s.jsonl.done").exists()
 
 
@@ -143,7 +88,7 @@ class TestFinalizeMarker:
         ckpt.append("k1", 0, "t1", 0.1, "r1", None)
         ckpt.append("k2", 1, "t2", 0.2, "r2", None)
         assert not ckpt.finalized
-        ckpt.finalize(2, failures=0)
+        ckpt.finalize(2)
         ckpt.close()
         assert ckpt.finalized
         assert (tmp_path / "sweep.jsonl.done").exists()
@@ -162,32 +107,6 @@ class TestFinalizeMarker:
         run_sweep(_double, [1, 2, 3], jobs=1, label="done")
         files = list(tmp_path.glob("*/done.jsonl.done"))
         assert len(files) == 1
-
-
-# ---------------------------------------------------------------------
-class TestShortWriteChaos:
-    def test_short_write_tears_one_record_and_resume_converges(
-            self, tmp_path):
-        checkpoint_mod.set_checkpoint_dir(tmp_path)
-        chaos = ChaosPolicy(short_write_p=1.0)
-        clean, _ = run_sweep(_double, [1, 2, 3], jobs=1, record=False)
-        got, _timing = run_sweep(_double, [1, 2, 3], jobs=1, label="torn",
-                                 chaos=chaos)
-        assert got == clean  # in-memory results unaffected by the tear
-        path = next(tmp_path.glob("*/torn.jsonl"))
-        reread = checkpoint_mod.SweepCheckpoint(path, chaos=chaos)
-        # Exactly one record was torn (the fault is one-shot) and the
-        # survivors restored; a file already carrying a torn line never
-        # re-arms, so the resume converges.
-        assert reread.truncated_lines == 1
-        assert len(reread.records) == 2
-        assert not reread._short_write_armed
-        reread.close()
-        got2, timing2 = run_sweep(_double, [1, 2, 3], jobs=1, label="torn",
-                                  chaos=chaos)
-        assert got2 == clean
-        assert timing2.resumed_tasks == 2
-        assert checkpoint_mod.scan_sweep(path)["tasks_committed"] == 3
 
 
 # ---------------------------------------------------------------------
@@ -248,27 +167,15 @@ class TestPoolKill:
 
 
 # ---------------------------------------------------------------------
-def _quarantine_line(key: str, index: int) -> str:
-    """A payload-free quarantine record as older versions wrote it."""
-    return json.dumps({
-        "key": key, "index": index, "task": "mcf", "quarantined": True,
-        "error": "task quarantined after repeatedly killing its worker",
-    }) + "\n"
-
-
 class TestPartialReport:
     def test_renders_partial_marker_and_skips_quarantine_lines(
             self, tmp_path):
-        # Checkpoints from older versions may hold quarantine lines: the
-        # partial report still renders and does not count them.
         root = tmp_path / "ckpt"
         run_dir = root / "run-abc"
         run_dir.mkdir(parents=True)
         ckpt = checkpoint_mod.SweepCheckpoint(run_dir / "fig6.jsonl")
         ckpt.append("00000:aa", 0, "gzip", 0.5, 1.0, None)
         ckpt.close()
-        with (run_dir / "fig6.jsonl").open("a") as fh:
-            fh.write(_quarantine_line("00001:bb", 1))
         out = tmp_path / "out"
         data = render_partial_report("run-abc", out, checkpoint_root=root)
         assert data["partial"] is True
@@ -278,7 +185,6 @@ class TestPartialReport:
         assert "PARTIAL" in text
         assert "interrupted" in text
         assert "--resume run-abc" in text
-        assert "Quarantined" not in text
         # The resume hint is a command line the CLI accepts.
         hint = next(line for line in text.splitlines()
                     if "--resume" in line)
@@ -288,28 +194,6 @@ class TestPartialReport:
         assert (args.checkpoint, args.resume) == (str(root), "run-abc")
         payload = json.loads((out / "results_partial.json").read_text())
         assert payload["run_id"] == "run-abc"
-
-    def test_resume_reruns_a_quarantined_task(self, tmp_path):
-        checkpoint_mod.set_checkpoint_dir(tmp_path)
-        run_id = events.begin_run("quarantine-resume")
-        run_sweep(_double, [1, 2], jobs=1, chunksize=1, label="q")
-        path = tmp_path / run_id / "q.jsonl"
-        lines = path.read_text().splitlines(keepends=True)
-        key = json.loads(lines[1])["key"]
-        path.write_text(lines[0] + _quarantine_line(key, 1))
-        (tmp_path / run_id / "q.jsonl.done").unlink()
-        assert checkpoint_mod.scan_sweep(path)["tasks_committed"] == 1
-        sink = tmp_path / "events.jsonl"
-        events.set_sink(sink)
-        try:
-            got, timing = run_sweep(_double, [1, 2], jobs=1, chunksize=1,
-                                    label="q")
-        finally:
-            events.set_sink(None)
-        assert got == [2, 4]
-        assert timing.resumed_tasks == 1      # the quarantined task re-ran
-        assert '"checkpoint_truncated"' not in sink.read_text()
-        assert checkpoint_mod.scan_sweep(path)["tasks_committed"] == 2
 
     def test_requires_a_checkpoint_root(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -353,15 +237,17 @@ class TestAtMostOnceInterleavings:
                 assert state.results[index] is None
             else:
                 assert state.results[index] == index * 2
-        assert timing.failures == sum(op == "failed" for op in first.values())
-        assert aborts == timing.failures
+        assert aborts == sum(op == "failed" for op in first.values())
         assert timing.duplicate_results == len(ops) - len(first)
 
 
 # ---------------------------------------------------------------------
-# Real-subprocess recovery: a hard kill mid-checkpoint-write and a
-# SIGTERM drain, both completed with --resume and checked for
-# bit-identical results against a clean serial run.
+# Real-subprocess recovery: a hard kill mid-checkpoint-write, a killed
+# pool worker and a SIGTERM drain, each completed with --resume; the
+# first two are checked for bit-identical results against a clean serial
+# run.
+
+_BENCHMARKS = ("gzip", "mcf", "mesa", "art")
 
 def _cli_env(tmp_path) -> dict:
     env = dict(os.environ)
@@ -369,7 +255,6 @@ def _cli_env(tmp_path) -> dict:
         Path(__file__).resolve().parents[1] / "src"
     )
     env["PYTHONUNBUFFERED"] = "1"
-    env.pop("REPRO_CHAOS", None)
     return env
 
 
@@ -378,7 +263,7 @@ def _spawn_fig6(tmp_path, env, *extra):
     trace = tmp_path / "events.jsonl"
     cmd = [
         sys.executable, "-m", "repro", "fig6",
-        "--benchmarks", "gzip,mcf,mesa,art",
+        "--benchmarks", ",".join(_BENCHMARKS),
         "--window", "8000", "--jobs", "2",
         "--checkpoint", str(ckpt_dir),
         "--trace-out", str(trace),
@@ -391,13 +276,19 @@ def _spawn_fig6(tmp_path, env, *extra):
     return proc, ckpt_dir, trace
 
 
-def _wait_for_task_done(trace: Path, timeout_s: float = 60.0) -> None:
+def _wait_for_task_done(trace: Path, timeout_s: float = 60.0) -> int:
+    """Wait for the run's first ``task_done`` event; return the pid of
+    the worker that ran the task."""
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         if trace.exists():
             for line in trace.read_text().splitlines():
-                if '"task_done"' in line:
-                    return
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue  # a line still being written
+                if record.get("event") == "task_done":
+                    return int(record["worker"])
         time.sleep(0.05)
     raise AssertionError(f"no task_done event within {timeout_s}s")
 
@@ -435,12 +326,44 @@ def _manifest_counters(path: Path) -> dict:
             if not k.startswith(("engine.", "memo."))}
 
 
+def _table_rows(stdout: str) -> list[str]:
+    """The fig6 IPC table: its header and one row per benchmark."""
+    return [line for line in stdout.splitlines()
+            if line.startswith(("benchmark",) + _BENCHMARKS)]
+
+
+def _assert_resume_matches_clean(tmp_path, env, ckpt_dir, run_id,
+                                 window: str) -> None:
+    """``--resume`` completes the run, and its IPC table and simulation
+    counters equal a clean serial run's bit for bit."""
+    fig6 = [sys.executable, "-m", "repro", "fig6",
+            "--benchmarks", ",".join(_BENCHMARKS), "--window", window]
+    resumed = subprocess.run(
+        fig6 + ["--jobs", "2", "--checkpoint", str(ckpt_dir),
+                "--resume", run_id,
+                "--metrics", str(tmp_path / "resumed.json")],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert resumed.returncode == 0, resumed.stdout + resumed.stderr
+    clean = subprocess.run(
+        fig6 + ["--jobs", "1", "--metrics", str(tmp_path / "clean.json")],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert clean.returncode == 0, clean.stdout + clean.stderr
+    assert _manifest_counters(tmp_path / "resumed.json") \
+        == _manifest_counters(tmp_path / "clean.json")
+    table = _table_rows(resumed.stdout)
+    assert len(table) == 1 + len(_BENCHMARKS)
+    assert table == _table_rows(clean.stdout)
+
+
 @pytest.mark.slow
 class TestCrashRecoverySubprocess:
     def test_kill9_mid_checkpoint_write_then_resume_bit_identical(
             self, tmp_path):
         env = _cli_env(tmp_path)
-        env[checkpoint_mod.FSYNC_ENV_VAR] = "line"
         proc, ckpt_dir, trace = _spawn_fig6(tmp_path, env)
         try:
             _wait_for_task_done(trace)
@@ -468,40 +391,44 @@ class TestCrashRecoverySubprocess:
             reread = checkpoint_mod.SweepCheckpoint(path)
             reread.close()
         assert committed >= 1
-        # Resume completes the run; its metrics match a clean serial run
-        # bit for bit.
-        resumed = subprocess.run(
-            [sys.executable, "-m", "repro", "fig6",
-             "--benchmarks", "gzip,mcf,mesa,art", "--window", "8000",
-             "--jobs", "2",
-             "--checkpoint", str(ckpt_dir), "--resume", run_id,
-             "--metrics", str(tmp_path / "resumed.json")],
-            env=env, cwd=tmp_path, capture_output=True, text=True,
-            timeout=300,
+        _assert_resume_matches_clean(tmp_path, env, ckpt_dir, run_id, "8000")
+
+    def test_killed_worker_aborts_exit_2_then_resume_bit_identical(
+            self, tmp_path):
+        # The long window keeps the sweep running for about a second
+        # after its first chunk commits, so the kill lands mid-sweep.
+        env = _cli_env(tmp_path)
+        proc, ckpt_dir, trace = _spawn_fig6(
+            tmp_path, env, "--window", "200000"
         )
-        assert resumed.returncode == 0, resumed.stdout + resumed.stderr
-        clean = subprocess.run(
-            [sys.executable, "-m", "repro", "fig6",
-             "--benchmarks", "gzip,mcf,mesa,art", "--window", "8000",
-             "--jobs", "1",
-             "--metrics", str(tmp_path / "clean.json")],
-            env=env, cwd=tmp_path, capture_output=True, text=True,
-            timeout=300,
-        )
-        assert clean.returncode == 0, clean.stdout + clean.stderr
-        assert _manifest_counters(tmp_path / "resumed.json") \
-            == _manifest_counters(tmp_path / "clean.json")
-        # The IPC tables themselves must agree too.
-        table = [l for l in resumed.stdout.splitlines() if "gzip" in l]
-        assert table and table == [
-            l for l in clean.stdout.splitlines() if "gzip" in l
-        ]
+        try:
+            os.kill(_wait_for_task_done(trace), signal.SIGKILL)
+            stdout, stderr = proc.communicate(timeout=120)
+        except BaseException:
+            proc.kill()
+            proc.wait(timeout=30)
+            raise
+        output = stdout + stderr
+        # One lost chunk aborts the sweep: no rebuild, no inline rerun.
+        assert proc.returncode == 2, output
+        assert "error:" in output and "BrokenProcessPool" in output
+        run_dirs = [p for p in ckpt_dir.iterdir() if p.is_dir()]
+        assert len(run_dirs) == 1
+        run_id = run_dirs[0].name
+        assert f"resume with: repro fig6 --resume {run_id}" in output
+        events_text = trace.read_text()
+        assert '"run_error"' in events_text
+        assert '"task_failed"' in events_text
+        _assert_resume_matches_clean(tmp_path, env, ckpt_dir, run_id,
+                                     "200000")
 
     def test_sigterm_drains_exits_143_and_partial_report_renders(
             self, tmp_path):
+        # The long window keeps the sweep running for about a second
+        # after its first chunk commits, so the SIGTERM lands mid-sweep.
         env = _cli_env(tmp_path)
         proc, ckpt_dir, trace = _spawn_fig6(
-            tmp_path, env, "--window", "20000"
+            tmp_path, env, "--window", "200000"
         )
         try:
             _wait_for_task_done(trace)
@@ -534,7 +461,7 @@ class TestCrashRecoverySubprocess:
         # And --resume completes the interrupted run.
         resumed = subprocess.run(
             [sys.executable, "-m", "repro", "fig6",
-             "--benchmarks", "gzip,mcf,mesa,art", "--window", "20000",
+             "--benchmarks", ",".join(_BENCHMARKS), "--window", "200000",
              "--jobs", "2",
              "--checkpoint", str(ckpt_dir), "--resume", run_id],
             env=env, cwd=tmp_path, capture_output=True, text=True,

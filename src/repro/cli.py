@@ -17,16 +17,14 @@ remains the canonical way to regenerate everything with assertions.
 from __future__ import annotations
 
 import argparse
+import os
+import shlex
 import signal
 import sys
 import threading
 
 from repro.common.config import ChipModel
-from repro.common.errors import (
-    ReproError,
-    SweepAbortedError,
-    SweepDrainedError,
-)
+from repro.common.errors import ReproError, SweepAbortedError
 from repro.common.tables import print_table
 from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments import engine
@@ -403,35 +401,64 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM in the controller: the run stops as on Ctrl-C, exit 143."""
+
+
+def _raise_terminated(_signum, _frame) -> None:
+    """The CLI's SIGTERM handler (pool workers restore the default)."""
+    raise _Terminated
+
+
+def _resume_hints(argv: list[str], checkpoint_dir: str,
+                  run_id: str) -> list[str]:
+    """The commands that finish and inspect a stopped run: its own
+    arguments with the checkpoint directory made absolute and
+    ``--resume RUN_ID`` appended, and the partial report."""
+    root = os.path.abspath(checkpoint_dir)
+    kept, rest = [], list(argv)
+    while rest:
+        token = rest.pop(0)
+        if token in ("--checkpoint", "--resume"):
+            # --resume always takes a value, --checkpoint only optionally.
+            if rest and (token == "--resume" or not rest[0].startswith("-")):
+                rest.pop(0)
+        elif not token.startswith(("--checkpoint=", "--resume=")):
+            kept.append(token)
+    python = ["python", "-m", "repro"]
+    return [
+        "resume with: " + shlex.join(
+            python + kept + ["--checkpoint", root, "--resume", run_id]),
+        "partial report: " + shlex.join(
+            python + ["report", "--partial", run_id, "--checkpoint", root]),
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code.
 
     Library errors (:class:`ReproError`) become a one-line ``error:``
-    message and exit code 2; Ctrl-C exits 130 after the event sink is
-    flushed.  Any enabled sweep checkpoint is already on disk because
-    tasks are persisted as they complete, so an interrupted run, or one
-    aborted by a dead worker, can be continued with ``--resume``.
+    message and exit code 2; Ctrl-C exits 130 and SIGTERM 143, after the
+    event sink is flushed.  Any enabled sweep checkpoint is already on
+    disk because tasks are persisted as they complete, so a run that was
+    interrupted, or aborted by a task error or a dead worker, prints the
+    command line that continues it with ``--resume``.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     log.configure(verbosity=args.verbose - args.quiet)
     logger = log.get_logger("cli")
-    prior_sigterm = None
-    sigterm_installed = False
-    if threading.current_thread() is threading.main_thread():
-        # SIGTERM asks for a graceful drain: in-flight chunks finish and
-        # checkpoint, pending chunks are withdrawn, and the run exits 143
-        # with a --resume hint instead of dying mid-write.
-        def _on_sigterm(_signum, _frame):
-            engine.request_drain("SIGTERM")
-
-        prior_sigterm = signal.signal(signal.SIGTERM, _on_sigterm)
-        sigterm_installed = True
     if args.trace_out:
         events.set_sink(args.trace_out)
     run_id = events.begin_run(args.command, run_id=args.resume)
     checkpoint_dir = args.checkpoint or (
         ".repro/checkpoints" if args.resume else None
     )
+    hints = (_resume_hints(argv, checkpoint_dir, run_id)
+             if checkpoint_dir else [])
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if on_main_thread:
+        prior_sigterm = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         engine.set_default_jobs(args.jobs)
         if checkpoint_dir:
@@ -465,45 +492,24 @@ def main(argv: list[str] | None = None) -> int:
             )
             _say(f"wrote run manifest {args.metrics}")
         return 0
-    except SweepDrainedError as exc:
-        events.emit(
-            "run_drained", run_id=run_id,
-            completed_tasks=exc.completed, total_tasks=exc.total,
-            stranded_tasks=exc.stranded,
-        )
-        logger.error(f"drained: {exc}")
-        if checkpoint_dir:
-            logger.error(
-                f"resume with: repro {args.command} --resume {run_id}"
-            )
-            logger.error(
-                f"partial report: repro report --partial {run_id} "
-                f"--checkpoint {checkpoint_dir}"
-            )
-        return 143
     except ReproError as exc:
         events.emit("run_error", run_id=run_id, error=str(exc))
         logger.error(f"error: {exc}")
-        if checkpoint_dir and isinstance(exc, SweepAbortedError):
+        if isinstance(exc, SweepAbortedError):
             # What committed is on disk: the resume re-runs the rest.
-            logger.error(
-                f"resume with: repro {args.command} --resume {run_id}"
-            )
+            for line in hints:
+                logger.error(line)
         return 2
-    except KeyboardInterrupt:
-        events.emit("run_interrupted", run_id=run_id)
-        if checkpoint_dir:
-            logger.error(
-                f"interrupted; resume with: repro {args.command} "
-                f"--resume {run_id}"
-            )
-        else:
-            logger.error("interrupted")
-        return 130
+    except KeyboardInterrupt as exc:
+        code = 143 if isinstance(exc, _Terminated) else 130
+        events.emit("run_interrupted", run_id=run_id, exit_code=code)
+        logger.error("terminated" if code == 143 else "interrupted")
+        for line in hints:
+            logger.error(line)
+        return code
     finally:
-        if sigterm_installed:
+        if on_main_thread:
             signal.signal(signal.SIGTERM, prior_sigterm or signal.SIG_DFL)
-        engine.clear_drain()
         engine.set_default_jobs(None)
         checkpoint_mod.set_checkpoint_dir(None)
         if args.trace_out:

@@ -75,31 +75,3 @@ class SweepAbortedError(ReproError):
         super().__init__(message)
         self.label = label
         self.failures = list(failures)
-
-
-class SweepDrainedError(ReproError):
-    """A sweep stopped early because a drain was requested (SIGTERM).
-
-    Not a failure: every chunk already in flight was allowed to finish
-    and commit to the checkpoint, pending chunks were cancelled before
-    they started, and the run can be completed with ``--resume``.
-    ``completed``/``total`` count tasks; ``stranded`` counts tasks whose
-    chunks were cancelled unstarted.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        label: str = "",
-        run_id: str = "",
-        completed: int = 0,
-        total: int = 0,
-        stranded: int = 0,
-    ):
-        super().__init__(message)
-        self.label = label
-        self.run_id = run_id
-        self.completed = completed
-        self.total = total
-        self.stranded = stranded

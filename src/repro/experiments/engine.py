@@ -20,15 +20,14 @@ instead of running nested loops inline.  The engine provides:
   commits, and the sweep aborts at the lost chunk's first uncommitted
   task.  Results commit **at most once** per task key (a duplicate
   delivery is counted and dropped);
-* graceful drains (:func:`request_drain`, the CLI's SIGTERM): chunks
-  already running finish and commit, the rest are withdrawn, and the
-  sweep raises :class:`SweepDrainedError` so the caller can exit with a
-  resume hint;
+* interruption: a ``KeyboardInterrupt`` (Ctrl-C, or the CLI's SIGTERM,
+  which raises a subclass of it) unwinds either loop, SIGKILLs the pool
+  workers and leaves what committed in the checkpoint;
 * sweep checkpointing (:mod:`repro.experiments.checkpoint`): completed
   task results append to a JSONL file keyed by run id and task key, so
-  an interrupted, aborted or drained sweep resumes via ``--resume
-  <run_id>`` and re-executes only the chunks that never finished — the
-  one recovery path;
+  an interrupted or aborted sweep resumes via ``--resume <run_id>`` and
+  re-executes only the chunks that never finished — the one recovery
+  path;
 * per-task wall-clock and metric-delta accounting recorded as a
   :class:`SweepTiming` per sweep (stamped with the active run id) that
   ``experiments/report.py`` and the benchmark harness render.
@@ -48,6 +47,7 @@ could not if resumes were counted there.
 from __future__ import annotations
 
 import os
+import signal
 import threading
 import time
 import traceback as traceback_mod
@@ -57,12 +57,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from repro.common.errors import (
-    ConfigError,
-    SweepAbortedError,
-    SweepDrainedError,
-    TaskError,
-)
+from repro.common.errors import ConfigError, SweepAbortedError, TaskError
 from repro.experiments import checkpoint as checkpoint_mod
 from repro.obs import events
 from repro.obs.metrics import MetricsSnapshot, get_registry, merge_snapshots
@@ -76,9 +71,6 @@ __all__ = [
     "parallel_map",
     "run_sweep",
     "run_metrics",
-    "request_drain",
-    "drain_requested",
-    "clear_drain",
     "timings",
     "clear_timings",
     "timing_summary",
@@ -97,9 +89,6 @@ _MAX_AUTO_JOBS = 16
 
 # Guard against division by a degenerate (sub-resolution) wall clock.
 _EPS_WALL_S = 1e-9
-
-#: How long a drain waits for running chunks before abandoning them.
-DRAIN_TIMEOUT_S = 30.0
 
 
 # ---------------------------------------------------------------------
@@ -161,17 +150,10 @@ def clear_timings() -> None:
     _TIMINGS.clear()
 
 
-def timing_summary(
-    run_id: str | None = None, include_metrics: bool = False
-) -> list[dict]:
-    """The recorded timings as plain dicts (JSON-serialisable).
-
-    ``include_metrics`` adds each sweep's merged metric snapshot (for
-    run manifests); the default stays compact for the results report.
-    """
-    rows = []
-    for t in timings(run_id):
-        row = {
+def timing_summary(run_id: str | None = None) -> list[dict]:
+    """The recorded timings as plain dicts (JSON-serialisable)."""
+    return [
+        {
             "label": t.label,
             "run_id": t.run_id,
             "tasks": t.tasks,
@@ -183,10 +165,8 @@ def timing_summary(
             "executor": t.executor,
             "duplicate_results": t.duplicate_results,
         }
-        if include_metrics:
-            row["metrics"] = (t.metrics or MetricsSnapshot()).as_dict()
-        rows.append(row)
-    return rows
+        for t in timings(run_id)
+    ]
 
 
 def run_metrics(run_id: str | None = None) -> MetricsSnapshot:
@@ -320,14 +300,18 @@ _PARENT_POLL_S = 0.5
 
 
 def _exit_with_parent() -> None:
-    """Pool-worker initializer: end the worker once its parent is gone.
+    """Pool-worker initializer: SIGTERM ends the worker, and so does the
+    loss of its parent.
 
-    A controller killed with SIGKILL never shuts its pool down; the
-    workers are reparented and would wait on the call queue forever
-    (the drain handler they inherit makes them ignore SIGTERM too).  A
-    daemon thread watches the parent pid and exits the worker when it
-    changes.
+    A worker forked from the CLI inherits the controller's SIGTERM
+    handler, which would raise an interrupt inside the worker; with the
+    default action restored, a SIGTERMed worker dies like any other and
+    the sweep takes the dead-worker path.  A controller killed with
+    SIGKILL never shuts its pool down; the workers are reparented and
+    would wait on the call queue forever.  A daemon thread watches the
+    parent pid and exits the worker when it changes.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     parent = os.getppid()
 
     def _watch():
@@ -340,10 +324,10 @@ def _exit_with_parent() -> None:
 
 def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
     """Best-effort SIGKILL of pool workers on abnormal exits, so an
-    abort (a pool break included) or a drain timeout is not held hostage
-    by a long or hung task.  SIGKILL rather than SIGTERM: workers forked by
-    the CLI inherit its drain handler and would ignore SIGTERM.  Reaches
-    into executor internals, hence the broad guard."""
+    abort (a pool break included) or an interrupt is not held hostage by
+    a long or hung task.  SIGKILL rather than SIGTERM: it is the one
+    signal that task or library code in a worker cannot catch, block or
+    ignore.  Reaches into executor internals, hence the broad guard."""
     try:
         processes = list((pool._processes or {}).values())
     except Exception:
@@ -494,38 +478,6 @@ class _SweepState:
                     error=f"chunk execution failed: {type(exc).__name__}: {exc}",
                 ))
 
-    def uncommitted(self, chunks) -> int:
-        """How many tasks of ``chunks`` have no committed outcome."""
-        return sum(
-            1 for chunk in chunks for index, _item in chunk
-            if not self.is_committed(index)
-        )
-
-    def drained(self, stranded: int) -> SweepDrainedError:
-        """The error that ends a drained sweep."""
-        return SweepDrainedError(
-            f"sweep {self.label!r} drained after "
-            f"{_DRAIN['reason'] or 'drain request'}: "
-            f"{len(self.committed)}/{len(self.tasks)} task(s) "
-            f"committed, {stranded} stranded",
-            label=self.label,
-            run_id=self.timing.run_id,
-            completed=len(self.committed),
-            total=len(self.tasks),
-            stranded=stranded,
-        )
-
-    def emit_draining(self, inflight_chunks: int, stranded: int) -> None:
-        """Announce that a drain has begun."""
-        events.emit(
-            "sweep_draining",
-            run_id=self.timing.run_id,
-            label=self.label,
-            reason=_DRAIN["reason"],
-            inflight_chunks=inflight_chunks,
-            stranded_tasks=stranded,
-        )
-
 
 def _chunked(entries: list, chunksize: int) -> list[list]:
     return [
@@ -533,101 +485,38 @@ def _chunked(entries: list, chunksize: int) -> list[list]:
     ]
 
 
-# ---------------------------------------------------------------------
-# Drain requests (SIGTERM): a process-wide flag the sweep loops poll.
-
-_DRAIN = {"requested": False, "reason": ""}
-
-
-def request_drain(reason: str = "signal") -> None:
-    """Ask running (and subsequent) sweeps to drain and stop.
-
-    Safe to call from a signal handler: sets a flag the sweep loops
-    poll — no locks, no I/O.  Stays set until :func:`clear_drain`, so
-    a multi-sweep command stops after the sweep that noticed it.
-    """
-    _DRAIN["requested"] = True
-    _DRAIN["reason"] = reason
-
-
-def drain_requested() -> bool:
-    """Whether a drain has been requested and not yet cleared."""
-    return _DRAIN["requested"]
-
-
-def clear_drain() -> None:
-    """Reset the drain flag (the CLI does this between invocations)."""
-    _DRAIN["requested"] = False
-    _DRAIN["reason"] = ""
-
-
 def _run_inline(fn, chunks: list, state: _SweepState) -> None:
     """Run chunks in-process, in order, committing each task as it ends.
 
-    The first task error aborts mid-chunk.  A drain is noticed between
-    chunks: the remaining ones are withdrawn and the sweep raises
-    :class:`SweepDrainedError`.
+    The first task error aborts mid-chunk.
     """
-    for position, chunk in enumerate(chunks):
-        if _DRAIN["requested"]:
-            stranded = state.uncommitted(chunks[position:])
-            state.emit_draining(0, stranded)
-            raise state.drained(stranded)
+    for chunk in chunks:
         for index, item in chunk:
             state.absorb(_run_task(fn, item, index))
 
 
 def _run_pool(fn, chunks: list, jobs: int, state: _SweepState) -> None:
-    """Run chunks on a ``jobs``-worker process pool.
+    """Run chunks on one ``jobs``-worker process pool.
 
-    Waits for the first finished chunk (1 s at a time, 0.25 s while
-    draining) and commits its outcomes in order.  A chunk whose outcomes
-    are lost — its worker died (``BrokenProcessPool`` from ``submit`` or
-    from its future) or its result would not unpickle — aborts the sweep
-    through :meth:`_SweepState.fail_chunk`, after what the other workers
-    already finished has committed; ``--resume`` re-runs the rest.
-
-    On a drain, chunks not yet picked up by a worker are withdrawn, the
-    running ones finish and commit for up to :data:`DRAIN_TIMEOUT_S`,
-    and :class:`SweepDrainedError` is raised.
+    Submits every chunk, then blocks until the next one finishes and
+    commits its outcomes in order.  A chunk whose outcomes are lost —
+    its worker died (``BrokenProcessPool`` from ``submit`` or from its
+    future) or its result would not unpickle — aborts the sweep through
+    :meth:`_SweepState.fail_chunk`, after what the other workers already
+    finished has committed; ``--resume`` re-runs the rest.  Any
+    exception, an interrupt included, SIGKILLs the workers on its way
+    out.
     """
-    pending = list(chunks)   # chunks not yet submitted
+    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_exit_with_parent)
     running: dict = {}       # future -> chunk
-    pool = None
-    draining = False
-    drain_deadline = 0.0
-    stranded = 0
     try:
-        while pending or running:
-            if _DRAIN["requested"] and not draining:
-                draining = True
-                drain_deadline = time.monotonic() + DRAIN_TIMEOUT_S
-                withdrawn = pending + [
-                    running.pop(f) for f in list(running) if f.cancel()
-                ]
-                pending = []
-                stranded += state.uncommitted(withdrawn)
-                state.emit_draining(len(running), stranded)
-                if not running:
-                    break
-            elif draining and time.monotonic() >= drain_deadline:
-                # Running chunks outlived the drain timeout: abandon them
-                # (the resume re-runs their uncommitted tasks).
-                break
-            if pending:
-                pool = ProcessPoolExecutor(
-                    max_workers=jobs, initializer=_exit_with_parent
-                )
-                for chunk in pending:
-                    try:
-                        running[pool.submit(_run_chunk, fn, chunk)] = chunk
-                    except BrokenProcessPool as exc:
-                        state.fail_chunk(chunk, exc, running)
-                pending = []
-            done, _ = futures_wait(
-                running, timeout=0.25 if draining else 1.0,
-                return_when=FIRST_COMPLETED,
-            )
+        for chunk in chunks:
+            try:
+                running[pool.submit(_run_chunk, fn, chunk)] = chunk
+            except BrokenProcessPool as exc:
+                state.fail_chunk(chunk, exc, running)
+        while running:
+            done, _ = futures_wait(running, return_when=FIRST_COMPLETED)
             for future in done:
                 chunk = running.pop(future)
                 try:
@@ -637,14 +526,10 @@ def _run_pool(fn, chunks: list, jobs: int, state: _SweepState) -> None:
                     continue
                 for outcome in outcomes:
                     state.absorb(outcome)
-        if draining:
-            raise state.drained(stranded + state.uncommitted(running.values()))
     except BaseException:
-        if pool is not None:
-            _kill_pool_workers(pool)
-            pool.shutdown(wait=False, cancel_futures=True)
+        _kill_pool_workers(pool)
         raise
-    if pool is not None:
+    finally:
         pool.shutdown(wait=False, cancel_futures=True)
 
 
@@ -717,17 +602,6 @@ def run_sweep(
             run_id=run_id,
             label=label,
             completed_tasks=sum(s is not None for s in state.snapshots),
-            checkpointed=ckpt is not None,
-        )
-        raise
-    except SweepDrainedError as exc:
-        events.emit(
-            "sweep_drained",
-            run_id=run_id,
-            label=label,
-            reason=_DRAIN["reason"],
-            completed_tasks=exc.completed,
-            stranded_tasks=exc.stranded,
             checkpointed=ckpt is not None,
         )
         raise

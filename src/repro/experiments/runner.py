@@ -25,7 +25,7 @@ from repro.common.errors import ConfigError
 from repro.core.leading import LeadingCoreTiming, LeadingRunResult
 from repro.core.memory import MemoryHierarchy
 from repro.core.rmt import RmtSimulator, RmtTimingResult
-from repro.obs.metrics import MetricsSnapshot, get_registry
+from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
 from repro.workloads.profiles import WorkloadProfile, get_profile
 
@@ -36,7 +36,6 @@ __all__ = [
     "simulate_rmt",
     "SimTask",
     "run_sim_task",
-    "run_sim_task_with_metrics",
     "DEFAULT_WINDOW",
 ]
 
@@ -237,19 +236,3 @@ def run_sim_task(task: SimTask) -> LeadingRunResult | RmtTimingResult:
             checker_peak_ratio=task.checker_peak_ratio,
         )
     raise ValueError(f"unknown simulation kind {task.kind!r}")
-
-
-def run_sim_task_with_metrics(
-    task: SimTask,
-) -> tuple[LeadingRunResult | RmtTimingResult, MetricsSnapshot]:
-    """Run one task and capture the metrics delta it produced.
-
-    The engine uses this as its worker function so that each task's
-    contribution to the registry crosses the process boundary alongside
-    its result, letting ``run_sweep`` merge worker metrics into a total
-    that is identical however the tasks were partitioned.
-    """
-    registry = get_registry()
-    mark = registry.begin_task()
-    result = run_sim_task(task)
-    return result, registry.end_task(mark)

@@ -18,12 +18,12 @@ recent events; a process killed mid-``write`` can still leave one torn
 trailing line, which readers must skip.
 
 The *run manifest* is the auditable summary written next to results:
-run id, git SHA, command, seed/window/jobs, a configuration hash, and
-the run's merged metric snapshot plus per-sweep snapshots.  Everything
-in ``manifest["metrics"]`` comes from deterministic counters, so two
-manifests from the same sweep at different worker counts are
-bit-identical there — the cross-process audit the paper-reproduction
-workflow relies on.
+run id, git SHA, command, seed/window/jobs, a configuration hash, the
+run's merged metric snapshot, and one timing and resume-accounting row
+per sweep.  Everything in ``manifest["metrics"]`` comes from
+deterministic counters, so two manifests from the same sweep at
+different worker counts are bit-identical there — the cross-process
+audit the paper-reproduction workflow relies on.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "current_run_id",
     "EventSink",
     "set_sink",
-    "get_sink",
     "emit",
     "git_sha",
     "config_hash",
@@ -112,11 +111,6 @@ def set_sink(path: str | Path | None) -> None:
     _SINK = EventSink(path) if path is not None else None
 
 
-def get_sink() -> EventSink | None:
-    """The active sink, if any."""
-    return _SINK
-
-
 def emit(kind: str, **fields) -> None:
     """Emit an event to the active sink (no-op when none is set)."""
     if _SINK is not None:
@@ -162,7 +156,7 @@ def build_manifest(
     """Assemble a run-manifest dictionary (see module docstring).
 
     ``metrics`` is the run's merged :class:`MetricsSnapshot` as a dict
-    and ``sweeps`` the per-sweep timing/metric rows — both usually come
+    and ``sweeps`` the per-sweep timing rows — both usually come
     from :mod:`repro.experiments.engine` (``run_metrics`` /
     ``timing_summary``); they are parameters here so this module stays
     import-light.

@@ -22,10 +22,10 @@ experiment engine brackets every task with :meth:`begin_task` /
 :meth:`end_task`, which also gives the task its own span tree
 (:mod:`repro.obs.tracing`) and returns only the task's *delta*, so
 pre-existing process state never leaks into a sweep's metrics.  The
-engine discards the deltas of *failed* tasks and keeps its own
-failure/rebuild accounting in ``SweepTiming`` fields rather than in
-counters here — merged snapshots must stay bit-identical between a
-faulted-and-recovered sweep and an undisturbed one.
+engine discards the delta of a *failed* task and keeps its resume
+accounting (restored tasks, dropped duplicates) in ``SweepTiming``
+fields rather than in counters here — merged snapshots must stay
+bit-identical between a resumed sweep and an undisturbed one.
 
 Setting ``REPRO_OBS=off`` (or ``0``/``false``/``no``) in the environment
 makes every instrument a shared no-op object; worker processes inherit

@@ -1,6 +1,7 @@
 """The command-line interface."""
 
 import json
+import shlex
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.cli import build_parser, main
 from repro.common import memo
 from repro.common.tables import format_table
 from repro.experiments import engine
+from repro.obs import events
 
 
 class TestParser:
@@ -178,10 +180,22 @@ class TestResilience:
             raise KeyboardInterrupt
 
         monkeypatch.setitem(cli._COMMANDS, "vias", _interrupt)
+        ck = str(tmp_path / "ck")
         assert main(
-            ["vias", "--checkpoint", str(tmp_path / "ck")]
+            ["vias", "--window", "3000", "--seed", "7", "--checkpoint", ck]
         ) == 130
-        assert "--resume" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        run_id = events.current_run_id()
+        # The printed hint is the run's own command line, resumable as is.
+        hint = next(line for line in out.splitlines()
+                    if line.startswith("resume with: "))
+        argv = shlex.split(hint[len("resume with: "):])
+        assert argv[:3] == ["python", "-m", "repro"]
+        args = build_parser().parse_args(argv[3:])
+        assert (args.command, args.checkpoint, args.window, args.seed,
+                args.resume) == ("vias", ck, 3000, 7, run_id)
+        assert (f"partial report: python -m repro report --partial {run_id}"
+                f" --checkpoint {ck}") in out
 
     def test_checkpoint_resume_end_to_end(self, tmp_path, capsys):
         """A checkpointed fig6 run resumed under its run id re-executes

@@ -288,8 +288,7 @@ class TestEngineIntegration:
         assert [t.label for t in engine.timings(run2)] == ["two"]
         assert [t.label for t in engine.timings()] == ["one", "two"]
         assert engine.run_metrics(run2).counters["test.bumps"] == 2
-        summary = engine.timing_summary(run2, include_metrics=True)
-        assert summary[0]["metrics"]["counters"]["test.bumps"] == 2
+        assert engine.timings(run2)[0].metrics.counters["test.bumps"] == 2
         assert "metrics" not in engine.timing_summary(run2)[0]
 
     def test_default_jobs_outranks_env(self, monkeypatch):

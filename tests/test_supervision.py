@@ -1,15 +1,17 @@
-"""Sweep supervision: crash-consistent checkpoints, drains, pool kills.
+"""Sweep supervision: crash-consistent checkpoints, stops, pool kills.
 
 Covers the checkpoint's fixed fsync interval, the atomic finalize
-marker, graceful drains (``SIGTERM``), the partial report, a hypothesis
-interleaving property over the at-most-once commit, the pool kill that
-ends workers ignoring SIGTERM, and three real-subprocess recovery tests
-(``kill -9`` mid-checkpoint-write, a killed pool worker, and a SIGTERM
-drain, each completed with ``--resume``).
+marker, SIGTERM (an interrupt in the controller, a dead worker in a
+pool worker), the partial report, a hypothesis interleaving property
+over the at-most-once commit, the pool kill that ends workers ignoring
+SIGTERM, and three real-subprocess recovery tests (``kill -9``
+mid-checkpoint-write, a killed pool worker, and a SIGTERM, each
+completed with ``--resume`` and compared with a clean serial run).
 """
 
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -21,12 +23,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import cli
 from repro.cli import build_parser
-from repro.common.errors import (
-    ConfigError,
-    SweepAbortedError,
-    SweepDrainedError,
-)
+from repro.common.errors import ConfigError, SweepAbortedError
 from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments import engine
 from repro.experiments.engine import _TaskOutcome, run_sweep
@@ -36,11 +35,9 @@ from repro.experiments.report import render_partial_report
 @pytest.fixture(autouse=True)
 def _clean_engine():
     engine.clear_timings()
-    engine.clear_drain()
     checkpoint_mod.set_checkpoint_dir(None)
     yield
     engine.clear_timings()
-    engine.clear_drain()
     checkpoint_mod.set_checkpoint_dir(None)
 
 
@@ -56,9 +53,19 @@ def _report_pid_then_sleep(path):
     return path
 
 
-def _drain_then_double(x):
-    engine.request_drain("test")
+def _sigterm_self_at_two(x):
+    """Double ``x``, but first send SIGTERM to this process when x == 2."""
+    if x == 2:
+        os.kill(os.getpid(), signal.SIGTERM)
     return x * 2
+
+
+def _printed_command(output: str, label: str) -> list[str]:
+    """The command a stopped run printed after ``label``, split into an
+    argv."""
+    line = next(line for line in output.splitlines()
+                if line.startswith(label))
+    return shlex.split(line[len(label):])
 
 
 # ---------------------------------------------------------------------
@@ -110,42 +117,58 @@ class TestFinalizeMarker:
 
 
 # ---------------------------------------------------------------------
-class TestDrain:
-    def test_drain_strands_pending_chunks_and_raises(self, tmp_path):
-        checkpoint_mod.set_checkpoint_dir(tmp_path)
-        with pytest.raises(SweepDrainedError) as exc_info:
-            run_sweep(_drain_then_double, [1, 2, 3, 4], jobs=1, chunksize=1,
-                      label="drained")
-        exc = exc_info.value
-        assert exc.completed == 1
-        assert exc.stranded == 3
-        assert exc.total == 4
-        assert engine.drain_requested()
-        # The committed task is on disk; after clearing the drain the
-        # same run resumes and completes bit-identically.
-        engine.clear_drain()
-        path = next(tmp_path.glob("*/drained.jsonl"))
+class TestSigterm:
+    def test_sigterm_in_controller_exits_143_then_hint_resumes(
+            self, tmp_path, capsys, monkeypatch):
+        ckpt_dir = tmp_path / "ck"
+        results = []
+
+        def sweep(fn):
+            def command(_args):
+                got, _timing = run_sweep(fn, [1, 2, 3, 4], jobs=1,
+                                         chunksize=1, label="stopped")
+                results.append(got)
+            return command
+
+        monkeypatch.setitem(cli._COMMANDS, "vias", sweep(_sigterm_self_at_two))
+        assert cli.main(["vias", "--checkpoint", str(ckpt_dir)]) == 143
+        output = capsys.readouterr().out
+        assert "terminated" in output
+        resume = _printed_command(output, "resume with: ")
+        assert resume[:3] == ["python", "-m", "repro"]
+        # The first task committed before the second one's SIGTERM; the
+        # sweep was not finalized.
+        [path] = ckpt_dir.glob("*/stopped.jsonl")
         assert checkpoint_mod.scan_sweep(path)["tasks_committed"] == 1
         assert not checkpoint_mod.scan_sweep(path)["finalized"]
-        got, timing = run_sweep(_double, [1, 2, 3, 4], jobs=1, chunksize=1,
-                                label="drained")
-        assert got == [2, 4, 6, 8]
+        # Running the printed command restores that task and finishes.
+        monkeypatch.setitem(cli._COMMANDS, "vias", sweep(_double))
+        assert cli.main(resume[3:]) == 0
+        assert results == [[2, 4, 6, 8]]
+        [timing] = engine.timings(path.parent.name)
         assert timing.resumed_tasks == 1
         assert checkpoint_mod.scan_sweep(path)["finalized"]
 
-    def test_drain_flag_round_trip(self):
-        assert not engine.drain_requested()
-        engine.request_drain("unit")
-        assert engine.drain_requested()
-        engine.clear_drain()
-        assert not engine.drain_requested()
+    def test_sigterm_to_a_pool_worker_is_a_dead_worker(self):
+        # With the CLI's handler installed in the controller, a worker
+        # that gets SIGTERM dies (its initializer restored the default
+        # action), so the pool breaks and the sweep aborts.
+        prior = signal.signal(signal.SIGTERM, cli._raise_terminated)
+        try:
+            with pytest.raises(SweepAbortedError) as excinfo:
+                run_sweep(_sigterm_self_at_two, [1, 2, 3, 4], jobs=2,
+                          chunksize=1, label="worker-sigterm")
+        finally:
+            signal.signal(signal.SIGTERM, prior)
+        assert "BrokenProcessPool" in str(excinfo.value.failures[0])
 
 
 class TestPoolKill:
     def test_kill_ends_workers_that_ignore_sigterm(self, tmp_path):
-        # Mimic the CLI: its drain handler is installed before the pool
-        # forks, so every worker inherits it and shrugs off SIGTERM.  A
-        # killing shutdown must still end a worker busy on a long task.
+        # Task or library code may make a worker ignore SIGTERM (here a
+        # handler installed before the pool forks, and no initializer
+        # restores the default).  A killing shutdown must still end a
+        # worker busy on a long task.
         marker = tmp_path / "pid"
         prior = signal.signal(signal.SIGTERM, lambda _signum, _frame: None)
         pool = ProcessPoolExecutor(max_workers=1)
@@ -243,9 +266,9 @@ class TestAtMostOnceInterleavings:
 
 # ---------------------------------------------------------------------
 # Real-subprocess recovery: a hard kill mid-checkpoint-write, a killed
-# pool worker and a SIGTERM drain, each completed with --resume; the
-# first two are checked for bit-identical results against a clean serial
-# run.
+# pool worker and a SIGTERM, each completed with --resume and checked for
+# bit-identical results against a clean serial run.  The last two resume
+# by running the command line they printed.
 
 _BENCHMARKS = ("gzip", "mcf", "mesa", "art")
 
@@ -258,13 +281,15 @@ def _cli_env(tmp_path) -> dict:
     return env
 
 
+def _fig6_argv(window: str) -> list[str]:
+    return ["fig6", "--benchmarks", ",".join(_BENCHMARKS), "--window", window]
+
+
 def _spawn_fig6(tmp_path, env, *extra):
     ckpt_dir = tmp_path / "ckpt"
     trace = tmp_path / "events.jsonl"
     cmd = [
-        sys.executable, "-m", "repro", "fig6",
-        "--benchmarks", ",".join(_BENCHMARKS),
-        "--window", "8000", "--jobs", "2",
+        sys.executable, "-m", "repro", *_fig6_argv("8000"), "--jobs", "2",
         "--checkpoint", str(ckpt_dir),
         "--trace-out", str(trace),
         *extra,
@@ -332,22 +357,27 @@ def _table_rows(stdout: str) -> list[str]:
             if line.startswith(("benchmark",) + _BENCHMARKS)]
 
 
-def _assert_resume_matches_clean(tmp_path, env, ckpt_dir, run_id,
+def _runnable(output: str, label: str) -> list[str]:
+    """The command a stopped run printed after ``label``, run by this
+    interpreter."""
+    argv = _printed_command(output, label)
+    assert argv[:3] == ["python", "-m", "repro"]
+    return [sys.executable, *argv[1:]]
+
+
+def _assert_resume_matches_clean(tmp_path, env, resume: list[str],
                                  window: str) -> None:
-    """``--resume`` completes the run, and its IPC table and simulation
-    counters equal a clean serial run's bit for bit."""
-    fig6 = [sys.executable, "-m", "repro", "fig6",
-            "--benchmarks", ",".join(_BENCHMARKS), "--window", window]
+    """The ``resume`` command completes the run, and its IPC table and
+    simulation counters equal a clean serial run's bit for bit."""
     resumed = subprocess.run(
-        fig6 + ["--jobs", "2", "--checkpoint", str(ckpt_dir),
-                "--resume", run_id,
-                "--metrics", str(tmp_path / "resumed.json")],
+        resume + ["--metrics", str(tmp_path / "resumed.json")],
         env=env, cwd=tmp_path, capture_output=True, text=True,
         timeout=300,
     )
     assert resumed.returncode == 0, resumed.stdout + resumed.stderr
     clean = subprocess.run(
-        fig6 + ["--jobs", "1", "--metrics", str(tmp_path / "clean.json")],
+        [sys.executable, "-m", "repro", *_fig6_argv(window),
+         "--jobs", "1", "--metrics", str(tmp_path / "clean.json")],
         env=env, cwd=tmp_path, capture_output=True, text=True,
         timeout=300,
     )
@@ -391,7 +421,10 @@ class TestCrashRecoverySubprocess:
             reread = checkpoint_mod.SweepCheckpoint(path)
             reread.close()
         assert committed >= 1
-        _assert_resume_matches_clean(tmp_path, env, ckpt_dir, run_id, "8000")
+        resume = [sys.executable, "-m", "repro", *_fig6_argv("8000"),
+                  "--jobs", "2", "--checkpoint", str(ckpt_dir),
+                  "--resume", run_id]
+        _assert_resume_matches_clean(tmp_path, env, resume, "8000")
 
     def test_killed_worker_aborts_exit_2_then_resume_bit_identical(
             self, tmp_path):
@@ -415,14 +448,14 @@ class TestCrashRecoverySubprocess:
         run_dirs = [p for p in ckpt_dir.iterdir() if p.is_dir()]
         assert len(run_dirs) == 1
         run_id = run_dirs[0].name
-        assert f"resume with: repro fig6 --resume {run_id}" in output
+        resume = _runnable(output, "resume with: ")
+        assert resume[-2:] == ["--resume", run_id]
         events_text = trace.read_text()
         assert '"run_error"' in events_text
         assert '"task_failed"' in events_text
-        _assert_resume_matches_clean(tmp_path, env, ckpt_dir, run_id,
-                                     "200000")
+        _assert_resume_matches_clean(tmp_path, env, resume, "200000")
 
-    def test_sigterm_drains_exits_143_and_partial_report_renders(
+    def test_sigterm_interrupts_exit_143_then_resume_bit_identical(
             self, tmp_path):
         # The long window keeps the sweep running for about a second
         # after its first chunk commits, so the SIGTERM lands mid-sweep.
@@ -440,32 +473,23 @@ class TestCrashRecoverySubprocess:
             raise
         output = stdout + stderr
         assert proc.returncode == 143, output
-        assert "resume with" in output
         run_dirs = [p for p in ckpt_dir.iterdir() if p.is_dir()]
         assert len(run_dirs) == 1
         run_id = run_dirs[0].name
+        resume = _runnable(output, "resume with: ")
+        assert resume[-2:] == ["--resume", run_id]
         events_text = trace.read_text()
-        assert '"sweep_draining"' in events_text
-        assert '"run_drained"' in events_text
-        # The partial report renders from the drained checkpoint.
+        assert '"sweep_interrupted"' in events_text
+        assert '"run_interrupted"' in events_text
+        # The partial report renders from the stopped run's checkpoint,
+        # by the command the run printed.
         report = subprocess.run(
-            [sys.executable, "-m", "repro", "report",
-             "--partial", run_id, "--checkpoint", str(ckpt_dir),
-             "--out", str(tmp_path / "out")],
+            _runnable(output, "partial report: ")
+            + ["--out", str(tmp_path / "out")],
             env=env, cwd=tmp_path, capture_output=True, text=True,
             timeout=120,
         )
         assert report.returncode == 0, report.stdout + report.stderr
         partial_md = (tmp_path / "out" / "results_partial.md").read_text()
         assert "PARTIAL" in partial_md
-        # And --resume completes the interrupted run.
-        resumed = subprocess.run(
-            [sys.executable, "-m", "repro", "fig6",
-             "--benchmarks", ",".join(_BENCHMARKS), "--window", "200000",
-             "--jobs", "2",
-             "--checkpoint", str(ckpt_dir), "--resume", run_id],
-            env=env, cwd=tmp_path, capture_output=True, text=True,
-            timeout=300,
-        )
-        assert resumed.returncode == 0, resumed.stdout + resumed.stderr
-        assert "gzip" in resumed.stdout
+        _assert_resume_matches_clean(tmp_path, env, resume, "200000")

@@ -14,7 +14,8 @@ policies are modelled:
 
 Bank hop distances default to per-chip-model values whose averages reproduce
 the paper's reported mean L2 hit latencies (18 cycles for ``2d-a``,
-22 cycles for ``2d-2a``, ~18 for ``3d-2a``).
+22 cycles for ``2d-2a``, ~18 for ``3d-2a``), which are uncontended: a
+bank never queues an access behind another.
 """
 
 from __future__ import annotations
@@ -76,9 +77,7 @@ class NucaCache:
     installed ``_runs``, and the access paths build it (:meth:`_own`)
     before the first mutation.  A simulation touches a small fraction of
     the sets it preloads, so a warm 15 MB L2 costs one row per touched
-    set and nothing per resident line.  ``_recent`` holds the banks of
-    the last ``contention_window`` accesses, oldest first (``-1`` while
-    the window fills).
+    set and nothing per resident line.
     """
 
     def __init__(
@@ -106,7 +105,6 @@ class NucaCache:
         self._bank_accesses = [
             self.stats.counter(f"bank{i}_accesses") for i in range(config.num_banks)
         ]
-        self._conflicts = self.stats.counter("bank_conflicts")
         self._bank_cycles = [
             self._bank_latency(bank) for bank in range(config.num_banks)
         ]
@@ -139,19 +137,13 @@ class NucaCache:
         self._fill = np.zeros(self._num_sets, dtype=np.int64)
         self._owned = np.zeros(self._num_sets, dtype=np.uint8)
         self._runs = np.zeros((0, 2), dtype=np.int64)
-        self._recent = np.full(
-            config.contention_window if config.model_contention else 0, -1,
-            dtype=np.int64,
-        )
         # Per-access constants of the Python access path.
         self._distributed_sets = config.policy is NucaPolicy.DISTRIBUTED_SETS
         self._num_banks = config.num_banks
-        self._window = len(self._recent)
         self._l = flat_view(self._lines)
         self._s = flat_view(self._slots)
         self._f = flat_view(self._fill)
         self._o = flat_view(self._owned)
-        self._r = flat_view(self._recent)
 
     # ------------------------------------------------------------------
     @property
@@ -186,23 +178,11 @@ class NucaCache:
             hit, bank = self._access_distributed_ways(line, s)
             # Central tag lookup first (2 cycles), then the data bank.
             latency = 2 + self._bank_cycles[bank]
-        if not hit:
-            latency += self.memory_latency_cycles
-        if self._window:
-            # A bank busy with one of the last few accesses queues this one
-            # behind it (single-ported banks; the grid pipeline hides
-            # anything older than the window).
-            recent = self._r
-            queued = recent.tolist().count(bank)
-            if queued:
-                self._conflicts.value += 1
-                latency += queued * self.config.bank_access_cycles
-            recent[:-1] = recent[1:]
-            recent[-1] = bank
         if hit:
             self._hits.value += 1
             self._latency.add(latency)
         else:
+            latency += self.memory_latency_cycles
             self._misses.value += 1
         self._bank_accesses[bank].value += 1
         return AccessResult(hit, latency, bank)
@@ -264,46 +244,12 @@ class NucaCache:
 
         Equivalent to :meth:`access` on every line of every run in
         order, then ``stats.reset()``.  Only the runs are stored;
-        :meth:`_own` builds each set's row on first touch.  Of the
-        contention window those accesses leave only the banks of the
-        last installed lines, which are set here.
+        :meth:`_own` builds each set's row on first touch.
         """
         if runs is None:
             raise ConfigError("preload runs overlap")
         self._runs = np.array(runs, dtype=np.int64).reshape(-1, 2)
         self._owned[:] = 0
-        if self._window:
-            banks = self._last_install_banks(self._window)
-            self._recent[:] = -1
-            self._recent[self._window - len(banks):] = banks
-
-    def _last_install_banks(self, count: int) -> list[int]:
-        """The banks of the installed runs' last ``count`` lines (all of
-        them when fewer), oldest first.
-
-        Every install misses: under distributed sets a line goes to its
-        set's bank, under distributed ways the set's k-th install to slot
-        ``k % total_ways`` (as in :meth:`_warm_row`).
-        """
-        runs = self._runs.tolist()
-        newest = []  # (run index, line), newest first
-        for index in reversed(range(len(runs))):
-            first, n = runs[index]
-            take = min(n, count - len(newest))
-            newest += [(index, first + n - 1 - k) for k in range(take)]
-        banks = []
-        for index, line in reversed(newest):
-            s = line % self._num_sets
-            if self._distributed_sets:
-                banks.append(s % self._num_banks)
-                continue
-            first = runs[index][0]
-            _, received = warm_lines(
-                [*runs[:index], (first, line - first + 1)], s,
-                self._num_sets, self._total_ways,
-            )
-            banks.append(self._data_banks[(received - 1) % self._total_ways])
-        return banks
 
     def row(self, set_index: int) -> list[tuple[int, int]]:
         """Set ``set_index``'s ``(line, bank)`` pairs in LRU order (oldest
@@ -353,7 +299,7 @@ class NucaCache:
 
     # ------------------------------------------------------------------
     def add_counts(
-        self, hits: int, misses: int, conflicts: int, latency_total: int,
+        self, hits: int, misses: int, latency_total: int,
         latency_min: int, latency_max: int, bank_accesses: list[int],
     ) -> None:
         """Add a batch of accesses' counts (the compiled probe's) to the
@@ -361,7 +307,6 @@ class NucaCache:
         hit latencies are integers, so their float total is exact."""
         self._hits.increment(hits)
         self._misses.increment(misses)
-        self._conflicts.increment(conflicts)
         for counter, count in zip(self._bank_accesses, bank_accesses):
             counter.increment(count)
         if hits:
@@ -408,7 +353,6 @@ class NucaCache:
         policy = self.config.policy.value
         m.counter(f"nuca.{policy}.hits").inc(self._hits.value)
         m.counter(f"nuca.{policy}.misses").inc(self._misses.value)
-        m.counter(f"nuca.{policy}.bank_conflicts").inc(self._conflicts.value)
 
     def misses_per_10k(self, instructions: int) -> float:
         """L2 misses per 10k committed instructions (Section 3.3 metric)."""

@@ -300,7 +300,7 @@ def _cmd_report(args) -> None:
     from repro.experiments.report import generate_report, render_partial_report
 
     if args.partial:
-        root = checkpoint_mod.checkpoint_dir() or ".repro/checkpoints"
+        root = args.checkpoint or ".repro/checkpoints"
         data = render_partial_report(args.partial, args.out,
                                      checkpoint_root=root)
         _say(f"wrote PARTIAL report {args.out}/results_partial.md "
@@ -411,9 +411,9 @@ def _raise_terminated(_signum, _frame) -> None:
 
 
 def _resume_hints(argv: list[str], checkpoint_dir: str,
-                  run_id: str) -> list[str]:
-    """The commands that finish and inspect a stopped run: its own
-    arguments with the checkpoint directory made absolute and
+                  run_id: str) -> dict[str, str]:
+    """The commands that finish and inspect a stopped run, by label: its
+    own arguments with the checkpoint directory made absolute and
     ``--resume RUN_ID`` appended, and the partial report."""
     root = os.path.abspath(checkpoint_dir)
     kept, rest = [], list(argv)
@@ -426,12 +426,12 @@ def _resume_hints(argv: list[str], checkpoint_dir: str,
         elif not token.startswith(("--checkpoint=", "--resume=")):
             kept.append(token)
     python = ["python", "-m", "repro"]
-    return [
-        "resume with: " + shlex.join(
+    return {
+        "resume with": shlex.join(
             python + kept + ["--checkpoint", root, "--resume", run_id]),
-        "partial report: " + shlex.join(
+        "partial report": shlex.join(
             python + ["report", "--partial", run_id, "--checkpoint", root]),
-    ]
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -442,7 +442,8 @@ def main(argv: list[str] | None = None) -> int:
     event sink is flushed.  Any enabled sweep checkpoint is already on
     disk because tasks are persisted as they complete, so a run that was
     interrupted, or aborted by a task error or a dead worker, prints the
-    command line that continues it with ``--resume``.
+    command line that continues it with ``--resume``, stored beside the
+    checkpoint before the command runs.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
@@ -451,11 +452,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace_out:
         events.set_sink(args.trace_out)
     run_id = events.begin_run(args.command, run_id=args.resume)
-    checkpoint_dir = args.checkpoint or (
-        ".repro/checkpoints" if args.resume else None
+    checkpoint_dir = None if getattr(args, "partial", None) else (
+        args.checkpoint or (".repro/checkpoints" if args.resume else None)
     )
     hints = (_resume_hints(argv, checkpoint_dir, run_id)
-             if checkpoint_dir else [])
+             if checkpoint_dir else {})
     on_main_thread = threading.current_thread() is threading.main_thread()
     if on_main_thread:
         prior_sigterm = signal.signal(signal.SIGTERM, _raise_terminated)
@@ -463,6 +464,8 @@ def main(argv: list[str] | None = None) -> int:
         engine.set_default_jobs(args.jobs)
         if checkpoint_dir:
             checkpoint_mod.set_checkpoint_dir(checkpoint_dir)
+            checkpoint_mod.save_resume_command(
+                checkpoint_dir, run_id, hints["resume with"])
             _say(f"checkpointing sweeps under {checkpoint_dir}/{run_id}")
         _COMMANDS[args.command](args)
         if args.metrics:
@@ -497,15 +500,15 @@ def main(argv: list[str] | None = None) -> int:
         logger.error(f"error: {exc}")
         if isinstance(exc, SweepAbortedError):
             # What committed is on disk: the resume re-runs the rest.
-            for line in hints:
-                logger.error(line)
+            for label, command in hints.items():
+                logger.error(f"{label}: {command}")
         return 2
     except KeyboardInterrupt as exc:
         code = 143 if isinstance(exc, _Terminated) else 130
         events.emit("run_interrupted", run_id=run_id, exit_code=code)
         logger.error("terminated" if code == 143 else "interrupted")
-        for line in hints:
-            logger.error(line)
+        for label, command in hints.items():
+            logger.error(f"{label}: {command}")
         return code
     finally:
         if on_main_thread:

@@ -190,11 +190,6 @@ class NucaConfig:
     bank_access_cycles: int = 6
     hop_cycles: int = 4
     policy: NucaPolicy = NucaPolicy.DISTRIBUTED_SETS
-    # Optional bank-conflict modelling: re-referencing a bank while its
-    # previous access is still in flight queues behind it.  Off by default
-    # (the paper's NUCA latencies are uncontended averages).
-    model_contention: bool = False
-    contention_window: int = 4
 
     def __post_init__(self) -> None:
         if self.num_banks <= 0:

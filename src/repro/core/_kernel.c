@@ -65,7 +65,7 @@ enum {
 };
 
 /* memory_probe descriptor: one block of cache slots per cache (at M_L1I,
- * M_L1D, M_L2), then the L2's placement, latency and contention slots */
+ * M_L1D, M_L2), then the L2's placement and latency slots */
 enum {
     K_TAGS, K_FILL, K_OWNED, K_RUNS, K_NUM_RUNS, K_SETS, K_WAYS, K_SHIFT,
     K_SLOTS
@@ -74,14 +74,13 @@ enum {
     M_L1I = 0, M_L1D = K_SLOTS, M_L2 = 2 * K_SLOTS,
     M_L2_SLOTS = 3 * K_SLOTS, M_DISTRIBUTED_WAYS, M_SLOT_BANKS,
     M_BANK_CYCLES, M_NUM_BANKS, M_MEMORY_CYCLES,
-    M_RECENT, M_WINDOW, M_BANK_ACCESS_CYCLES,
     M_I_HIT, M_D_HIT, M_I_SPACE, M_COUNTS,
     M_SLOTS
 };
 /* memory_probe counts, per call; one bank-access count per bank follows */
 enum {
     N_L1I_HITS, N_L1I_MISSES, N_L1D_HITS, N_L1D_MISSES,
-    N_L2_HITS, N_L2_MISSES, N_CONFLICTS,
+    N_L2_HITS, N_L2_MISSES,
     N_LATENCY_TOTAL, N_LATENCY_MIN, N_LATENCY_MAX,
     N_BANKS
 };
@@ -505,21 +504,6 @@ static int64_t l2_access(const int64_t *d, const cache_t *c, int64_t address,
         bank = slot_banks[slot];
         latency = TAG_CYCLES + bank_cycles[bank];
     }
-    if (!hit)
-        latency += d[M_MEMORY_CYCLES];
-    const int64_t window = d[M_WINDOW];
-    if (window > 0) {
-        /* queue behind each of the last `window` accesses to this bank */
-        int64_t *recent = PTR(int64_t, M_RECENT), queued = 0;
-        for (int64_t k = 0; k < window; k++)
-            queued += recent[k] == bank;
-        if (queued) {
-            counts[N_CONFLICTS] += 1;
-            latency += queued * d[M_BANK_ACCESS_CYCLES];
-        }
-        memmove(recent, recent + 1, (size_t)(window - 1) * sizeof *recent);
-        recent[window - 1] = bank;
-    }
     if (hit) {
         if (!counts[N_L2_HITS] || latency < counts[N_LATENCY_MIN])
             counts[N_LATENCY_MIN] = latency;
@@ -528,6 +512,7 @@ static int64_t l2_access(const int64_t *d, const cache_t *c, int64_t address,
         counts[N_L2_HITS] += 1;
         counts[N_LATENCY_TOTAL] += latency;
     } else {
+        latency += d[M_MEMORY_CYCLES];
         counts[N_L2_MISSES] += 1;
     }
     counts[N_BANKS + bank] += 1;

@@ -82,13 +82,12 @@ M_L1I, M_L1D, M_L2 = 0, K_SLOTS, 2 * K_SLOTS
 (
     M_L2_SLOTS, M_DISTRIBUTED_WAYS, M_SLOT_BANKS,
     M_BANK_CYCLES, M_NUM_BANKS, M_MEMORY_CYCLES,
-    M_RECENT, M_WINDOW, M_BANK_ACCESS_CYCLES,
     M_I_HIT, M_D_HIT, M_I_SPACE, M_COUNTS,
     M_SLOTS,
-) = range(3 * K_SLOTS, 3 * K_SLOTS + 14)
-# memory_probe counts: L1I hits/misses, L1D hits/misses, L2 hits, misses,
-# conflicts and hit latency total/min/max, then one per bank.
-N_BANKS = 10
+) = range(3 * K_SLOTS, 3 * K_SLOTS + 11)
+# memory_probe counts: L1I hits/misses, L1D hits/misses, L2 hits, misses
+# and hit latency total/min/max, then one per bank.
+N_BANKS = 9
 (
     B_BIMODAL, B_PHT, B_CHOOSER,
     B_BTB_TAGS, B_BTB_TARGETS, B_BTB_FILL,
@@ -445,11 +444,11 @@ class MemoryProbe:
     """The descriptor of one memory hierarchy's compiled cache probe.
 
     Binds the tag arrays of the hierarchy's L1I, L1D and NUCA L2, which
-    the caches allocate once, with the L2's placement, latency and
-    contention tables.  Each call revalidates what the probe indexes by
-    (fill counts, distributed-ways slots, event kinds), rebinds a cache's
-    installed runs when an install replaced them, and adds the call's
-    counts to the caches' statistics.
+    the caches allocate once, with the L2's placement and latency tables.
+    Each call revalidates what the probe indexes by (fill counts,
+    distributed-ways slots, event kinds), rebinds a cache's installed
+    runs when an install replaced them, and adds the call's counts to the
+    caches' statistics.
     """
 
     def __init__(self, lib, memory):
@@ -488,9 +487,6 @@ class MemoryProbe:
         d[M_BANK_CYCLES] = _address(bank_cycles, np.int64, banks)
         d[M_NUM_BANKS] = banks
         d[M_MEMORY_CYCLES] = l2.memory_latency_cycles
-        d[M_RECENT] = _address(l2._recent, np.int64, len(l2._recent))
-        d[M_WINDOW] = len(l2._recent)
-        d[M_BANK_ACCESS_CYCLES] = l2.config.bank_access_cycles
         d[M_I_HIT] = memory.core_config.l1_icache.hit_latency_cycles
         d[M_D_HIT] = memory.core_config.l1_dcache.hit_latency_cycles
         d[M_I_SPACE] = memory.I_SPACE

@@ -8,7 +8,8 @@ time, and the pickled result + metric delta, so an interrupted run —
 Ctrl-C, a dead worker, a crash, a power cut — restarts with
 ``--resume <run_id>`` and re-executes only the tasks that never
 finished.  A line is a record only when it parses and carries ``key``,
-``result`` and ``metrics``; readers skip any other line as torn.
+``result`` and ``metrics``; readers skip any other line as torn.  The
+CLI also stores each run's resume command (:func:`save_resume_command`).
 
 Restoration is **chunk-granular**: a chunk (the engine's worker-placement
 unit) is restored only when *every* task in it is checkpointed and
@@ -58,6 +59,8 @@ __all__ = [
     "SweepCheckpoint",
     "open_sweep",
     "scan_sweep",
+    "save_resume_command",
+    "load_resume_command",
 ]
 
 _DIR: Path | None = None
@@ -280,3 +283,23 @@ def scan_sweep(path: str | Path) -> dict:
         except (OSError, json.JSONDecodeError):
             summary["finalize_info"] = None
     return summary
+
+
+def save_resume_command(root: str | Path, run_id: str, command: str) -> None:
+    """Store the command line that resumes ``run_id`` as
+    ``<root>/<run_id>/resume``: written to a tmp file and renamed into
+    place, so a reader finds the whole line or none, even after a kill."""
+    tmp = Path(root) / run_id / "resume.tmp"
+    tmp.parent.mkdir(parents=True, exist_ok=True)
+    tmp.write_text(command + "\n", encoding="utf-8")
+    os.replace(tmp, tmp.parent / "resume")
+
+
+def load_resume_command(root: str | Path, run_id: str) -> str | None:
+    """The command :func:`save_resume_command` stored for ``run_id``, or
+    ``None`` (a run driven through the library stores none)."""
+    try:
+        text = (Path(root) / run_id / "resume").read_text(encoding="utf-8")
+    except OSError:
+        return None
+    return text.strip() or None

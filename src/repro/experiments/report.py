@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shlex
 from pathlib import Path
 
 from repro.common.config import ChipModel
@@ -190,8 +191,9 @@ def render_partial_report(
     Scans every sweep checkpoint under ``<checkpoint_root>/<run_id>``
     (read-only — safe against a live run) and writes
     ``results_partial.json``/``results_partial.md``: committed task
-    counts per sweep and the resume hint.  The markdown is prominently
-    marked PARTIAL so it cannot be mistaken for a complete report.
+    counts per sweep and the run's resume command.  The markdown is
+    prominently marked PARTIAL so it cannot be mistaken for a complete
+    report.
     """
     root = Path(checkpoint_root) if checkpoint_root is not None else (
         checkpoint_mod.checkpoint_dir()
@@ -206,23 +208,26 @@ def render_partial_report(
         checkpoint_mod.scan_sweep(path)
         for path in sorted(run_dir.glob("*.jsonl"))
     ]
+    resume = checkpoint_mod.load_resume_command(root, run_id)
     data = {
         "partial": True,
         "run_id": run_id,
         "checkpoint_dir": str(root),
+        "resume": resume,
         "sweeps": sweeps,
         "tasks_committed": sum(s["tasks_committed"] for s in sweeps),
         "finalized_sweeps": sum(1 for s in sweeps if s["finalized"]),
     }
 
+    flags = shlex.join(["--checkpoint", str(root), "--resume", run_id])
+    how = (f"Resume with:\n\n    {resume}\n" if resume else
+           f"To resume, add `{flags}` to the command that started the run.\n")
     sections = [
         "# repro results — PARTIAL\n",
         "**This run was interrupted.** The tables below cover only work "
         "committed to the checkpoint before the run stopped; figures and "
         "derived metrics are omitted because they would be computed from "
-        f"incomplete sweeps. Resume with:\n\n"
-        f"    python -m repro <command> --checkpoint {root} "
-        f"--resume {run_id}\n",
+        f"incomplete sweeps. {how}",
     ]
     if sweeps:
         sections.append(format_table(

@@ -44,10 +44,10 @@ __all__ = [
 class SimulationWindow:
     """How many instructions to warm up and to measure.
 
-    The paper measures 100M-instruction SimPoint windows; a pure-Python
-    simulator measures proportionally smaller windows after explicit cache
-    preloading and predictor pre-training, which recover the steady-state
-    behaviour the long window would produce.
+    The paper measures 100M-instruction SimPoint windows; this simulator
+    measures far smaller windows after explicit cache preloading and
+    predictor pre-training, which recover the steady-state behaviour the
+    long window would produce.
     """
 
     warmup: int = 10_000

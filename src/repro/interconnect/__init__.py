@@ -7,11 +7,6 @@ from repro.interconnect.buses import (
     total_d2d_vias,
 )
 from repro.interconnect.noc import RouterModel
-from repro.interconnect.topology import (
-    average_hit_latency,
-    bank_grid_graph,
-    derive_bank_hops,
-)
 from repro.interconnect.vias import D2dViaModel
 from repro.interconnect.wires import (
     WIRE_PITCH_MM,
@@ -28,9 +23,6 @@ __all__ = [
     "l2_pillar",
     "total_d2d_vias",
     "RouterModel",
-    "average_hit_latency",
-    "bank_grid_graph",
-    "derive_bank_hops",
     "D2dViaModel",
     "WIRE_PITCH_MM",
     "WIRE_POWER_W_PER_MM",

@@ -181,14 +181,11 @@ def test_kernel_equals_oracle_under_heavy_backpressure(name, rvp):
     assert sim_k._occupancy_samples == sim_o._occupancy_samples
 
 
-def _with_caches(cfg, policy=None, contention=None, icache_line=None):
-    """``cfg`` with another L2 placement policy, contention modelling or
-    I-cache line size."""
+def _with_caches(cfg, policy=None, icache_line=None):
+    """``cfg`` with another L2 placement policy or I-cache line size."""
     nuca = cfg.nuca
     if policy is not None:
         nuca = dataclasses.replace(nuca, policy=policy)
-    if contention is not None:
-        nuca = dataclasses.replace(nuca, model_contention=contention)
     core = cfg.leading
     if icache_line is not None:
         core = dataclasses.replace(
@@ -213,8 +210,8 @@ def _assert_prepass_matches_replay(cfg, profile, trace, cuts, preload):
     """Prepare ``trace`` in the windows ``cuts`` makes and compare with a
     trace-order replay of the per-event calls on a second hierarchy:
     the per-row columns, every cache's tag state, the L1/L2 hit and
-    miss counts, the L2's per-bank accesses, bank conflicts, contention
-    window and hit-latency statistics, and the predictor totals."""
+    miss counts, the L2's per-bank accesses and hit-latency statistics,
+    and the predictor totals."""
     n = len(trace)
     core = _leading_core(cfg)
     if preload:
@@ -267,11 +264,6 @@ def _assert_prepass_matches_replay(cfg, profile, trace, cuts, preload):
         _assert_same_tags(a, b)
     l2, reference = fast.l2, memory.l2
     assert l2.bank_access_counts() == reference.bank_access_counts()
-    assert (
-        l2.stats["bank_conflicts"].value
-        == reference.stats["bank_conflicts"].value
-    )
-    assert l2._recent.tolist() == reference._recent.tolist()
     assert l2.stats["hit_latency"] == reference.stats["hit_latency"]
     assert (core.predictor.lookups, core.predictor.mispredicts) == (
         predictor.lookups, predictor.mispredicts
@@ -286,12 +278,11 @@ def _assert_prepass_matches_replay(cfg, profile, trace, cuts, preload):
     cut_fracs=st.lists(st.floats(0.0, 1.0), max_size=3),
     chip=st.sampled_from(list(ChipModel)),
     policy=st.sampled_from(list(NucaPolicy)),
-    contention=st.booleans(),
     preload=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
 def test_window_prepass_matches_per_event_replay(
-    profile, seed, n, cut_fracs, chip, policy, contention, preload
+    profile, seed, n, cut_fracs, chip, policy, preload
 ):
     """``prepare_window`` == a trace-order replay of per-event calls.
 
@@ -299,14 +290,12 @@ def test_window_prepass_matches_per_event_replay(
     neither can see a prepass defect; this replays the same trace row
     by row through ``fetch_latency`` (on a break of the I-cache's line),
     ``load_latency``, ``store_commit`` and ``BranchPredictor.update``,
-    over 0-3 arbitrary window cuts, under both L2 placement policies
-    with and without bank contention.  Where the kernel loads, the
-    prepass runs the compiled cache probe, so this is also the probe's
-    oracle check (first-touch rows in C included, with ``preload``).
+    over 0-3 arbitrary window cuts, under both L2 placement policies.
+    Where the kernel loads, the prepass runs the compiled cache probe, so
+    this is also the probe's oracle check (first-touch rows in C
+    included, with ``preload``).
     """
-    cfg = _with_caches(
-        SystemConfig.for_chip(chip), policy=policy, contention=contention
-    )
+    cfg = _with_caches(SystemConfig.for_chip(chip), policy=policy)
     trace = TraceGenerator(profile, seed=seed).generate_arrays(n)
     cuts = sorted(int(f * n) for f in cut_fracs)
     _assert_prepass_matches_replay(cfg, profile, trace, cuts, preload)

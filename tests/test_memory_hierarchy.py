@@ -107,7 +107,6 @@ class TestPreload:
             assert rows(getattr(memory, level)) == rows(
                 getattr(reference, level)
             )
-        assert memory.l2._recent.tolist() == reference.l2._recent.tolist()
         return memory
 
     @pytest.mark.parametrize("case", ["second-preload"])
@@ -120,15 +119,14 @@ class TestPreload:
         )
 
     @pytest.mark.parametrize("policy", list(NucaPolicy), ids=lambda p: p.value)
-    def test_contended_preload_is_closed_form(self, policy):
-        # A modelled bank window keeps only the banks of the last
-        # installed lines, which the closed form sets directly.
+    def test_cold_preload_is_closed_form(self, policy):
+        # Fresh caches take the closed form under either placement
+        # policy: the L2 stores the runs and builds no row, and its rows
+        # equal the per-address reference's.
         memory = self._preload_both(
-            NucaConfig(num_banks=6, policy=policy, model_contention=True),
-            [get_profile("swim")],
+            NucaConfig(num_banks=6, policy=policy), [get_profile("swim")]
         )
         assert len(memory.l2._runs) and not memory.l2._owned.any()
-        assert min(memory.l2._recent) >= 0
 
     def test_cold_preload_keeps_nothing_per_resident_line(self):
         # mcf leaves ~246k lines resident in a 15 MB L2.  The warm state

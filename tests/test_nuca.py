@@ -63,6 +63,15 @@ class TestDistributedSets:
         result = cache.access(0)
         assert result.latency_cycles >= 300
 
+    def test_repeated_hits_to_one_bank_have_one_latency(self):
+        # Banks are uncontended: hammering one bank leaves every hit's
+        # latency the same, below the fill's.
+        cache = make_cache()
+        fill = cache.access(0).latency_cycles
+        latencies = {cache.access(0).latency_cycles for _ in range(8)}
+        assert len(latencies) == 1
+        assert latencies.pop() < fill
+
     def test_associativity_eviction(self):
         cache = make_cache(6)
         span = cache.num_sets * 64

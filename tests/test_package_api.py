@@ -1,5 +1,6 @@
 """Public API surface: every __all__ entry resolves, docstrings exist,
-and importing the package neither loads scipy nor builds the kernel."""
+and importing the package neither loads scipy or networkx nor builds the
+kernel."""
 
 import importlib
 import importlib.util
@@ -35,7 +36,6 @@ MODULES = [
     "repro.thermal.transient",
     "repro.thermal.dtm",
     "repro.thermal.leakage",
-    "repro.interconnect.topology",
     "repro.experiments.ablations",
     "repro.experiments.calibration",
     "repro.experiments.error_performance",
@@ -76,16 +76,20 @@ def test_version():
 
 
 def test_import_does_not_load_scipy():
-    """scipy serves only the thermal grid's reference oracle, so importing
-    the package and its thermal solvers must not pay scipy's import."""
+    """scipy serves only the thermal grid's reference oracle and networkx
+    nothing at run time, so importing the package and its thermal solvers
+    must pay neither's import."""
     src = Path(importlib.util.find_spec("repro").origin).parents[1]
-    probe = "import sys, repro, repro.thermal; print('scipy' in sys.modules)"
+    probe = (
+        "import sys, repro, repro.thermal; "
+        "print([m for m in ('scipy', 'networkx') if m in sys.modules])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_import_does_not_load_servers_or_profilers():

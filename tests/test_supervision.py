@@ -207,16 +207,47 @@ class TestPartialReport:
         text = (out / "results_partial.md").read_text()
         assert "PARTIAL" in text
         assert "interrupted" in text
-        assert "--resume run-abc" in text
-        # The resume hint is a command line the CLI accepts.
+        # A run driven through the library stores no command line: the
+        # hint names the flags to add to the command that started it.
+        assert data["resume"] is None
+        assert "<command>" not in text
         hint = next(line for line in text.splitlines()
-                    if "--resume" in line)
-        argv = hint.split("python -m repro", 1)[1].split()
-        argv[argv.index("<command>")] = "fig6"
-        args = build_parser().parse_args(argv)
+                    if "--resume run-abc" in line)
+        flags = shlex.split(hint.split("`")[1])
+        args = build_parser().parse_args(["fig6", *flags])
         assert (args.checkpoint, args.resume) == (str(root), "run-abc")
         payload = json.loads((out / "results_partial.json").read_text())
         assert payload["run_id"] == "run-abc"
+        # A CLI run stores its resume line, which the report prints
+        # verbatim.
+        command = "python -m repro fig6 --checkpoint /ck --resume run-abc"
+        checkpoint_mod.save_resume_command(root, "run-abc", command)
+        data = render_partial_report("run-abc", out, checkpoint_root=root)
+        assert data["resume"] == command
+        text = (out / "results_partial.md").read_text()
+        assert f"    {command}" in text.splitlines()
+
+    def test_cli_partial_report_writes_no_checkpoint(self, tmp_path, capsys):
+        # A partial report reads a checkpoint and writes none: it names
+        # no fresh run and leaves the checkpoint directory as it was.
+        root = tmp_path / "ckpt"
+        ckpt = checkpoint_mod.SweepCheckpoint(root / "run-abc" / "fig6.jsonl")
+        ckpt.append("00000:aa", 0, "gzip", 0.5, 1.0, None)
+        ckpt.close()
+
+        def files():
+            return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        before = files()
+        assert cli.main([
+            "report", "--partial", "run-abc", "--checkpoint", str(root),
+            "--out", str(tmp_path / "out"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "wrote PARTIAL report" in out
+        assert "checkpointing sweeps under" not in out
+        assert [p.name for p in root.iterdir()] == ["run-abc"]
+        assert files() == before
 
     def test_requires_a_checkpoint_root(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -492,4 +523,12 @@ class TestCrashRecoverySubprocess:
         assert report.returncode == 0, report.stdout + report.stderr
         partial_md = (tmp_path / "out" / "results_partial.md").read_text()
         assert "PARTIAL" in partial_md
+        # The report prints the resume line the run printed, verbatim.
+        printed = next(line for line in output.splitlines()
+                       if line.startswith("resume with: "))
+        partial = json.loads(
+            (tmp_path / "out" / "results_partial.json").read_text()
+        )
+        assert partial["resume"] == printed[len("resume with: "):]
+        assert f"    {partial['resume']}" in partial_md.splitlines()
         _assert_resume_matches_clean(tmp_path, env, resume, "200000")
